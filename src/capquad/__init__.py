@@ -12,7 +12,6 @@ from .geometry import (
     collar_rho6,
     delta_r,
     domain_measure,
-    domain_rho,
     geodesic_distance,
     map_T,
     north_pole,
@@ -38,7 +37,6 @@ from .polys import (
     PolyCoeffs,
     PolySpace,
     compose_with_T,
-    dim,
     eval_basis,
     eval_poly,
     project_onto,
@@ -48,7 +46,6 @@ from .quadrature import (
     ProductRule,
     QuadratureError,
     build_rule,
-    cap_moments,
     integrate,
     integrate_adaptive,
 )

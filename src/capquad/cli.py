@@ -9,13 +9,14 @@ defaults; thread count never changes numeric output.
 from __future__ import annotations
 
 import argparse
+import collections
 import math
 import os
 import sys
 import time
 
 from . import io as cqio
-from .geometry import Cap, Collar, north_pole
+from .geometry import ALPHA_MAX, Cap, Collar, north_pole
 from .points import greedy_maximal_set
 from .quadrature import domain_moments
 from .solver import Infeasible, solve_weights
@@ -31,9 +32,6 @@ from .verify import (
     weighted_mz,
 )
 
-VERIFY_SUBCOMMANDS = ("mz", "osc", "sieve", "maxmin", "bernstein",
-                      "weighted-mz", "cov", "change-of-var")
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on bad flags by default; the contract here is 1
@@ -41,6 +39,33 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         raise SystemExit(1)
+
+
+def _checked(kind, lo=None, hi=None, open_lo=False):
+    """argparse type: a finite ``kind`` at least ``lo`` (above it when
+    ``open_lo``) and at most ``hi``; bad values exit 1 naming the flag."""
+    need = ["finite"] if kind is float else []
+    if lo is not None:
+        need.append(f"{'>' if open_lo else '>='} {lo!r}")
+    if hi is not None:
+        need.append(f"<= {hi!r}")
+
+    def parse(text):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}") from None
+        below = lo is not None and (value <= lo if open_lo else value < lo)
+        if not math.isfinite(value) or below or (hi is not None and value > hi):
+            raise argparse.ArgumentTypeError(f"must be {' and '.join(need)}, got {text}")
+        return value
+
+    return parse
+
+
+_ALPHA = _checked(float, 0.0, ALPHA_MAX, open_lo=True)
+_POSITIVE_INT = _checked(int, 1)
+_NONNEG_INT = _checked(int, 0)
 
 
 def _env_int(name, default):
@@ -61,24 +86,15 @@ def _resolve_seed(args):
 
 def _resolve_threads(args):
     if args.threads is not None:
-        return max(args.threads, 1)
+        return args.threads
     return max(_env_int("CAPQUAD_THREADS", 1), 1)
 
 
-def _build_domain(d, alpha, collar_beta):
-    if d not in (1, 2):
-        raise ValueError(f"--d must be 1 or 2, got {d}")
-    if not (0 < alpha <= math.pi - 0.1):
-        raise ValueError(f"--alpha must lie in (0, pi - 0.1], got {alpha}")
-    center = north_pole(d)
-    if collar_beta is not None:
-        return Collar(center, alpha, collar_beta)
-    return Cap(center, alpha)
-
-
 def _add_common(p):
-    p.add_argument("--seed", type=int, default=None, help="master seed (default: CAPQUAD_SEED or 0)")
-    p.add_argument("--threads", type=int, default=None, help="worker threads (does not change output)")
+    p.add_argument("--seed", type=_NONNEG_INT, default=None,
+                   help="master seed (default: CAPQUAD_SEED or 0)")
+    p.add_argument("--threads", type=_POSITIVE_INT, default=None,
+                   help="worker threads (does not change output)")
     p.add_argument("--timing", action="store_true",
                    help="embed wall time in reports (breaks byte reproducibility)")
 
@@ -89,39 +105,42 @@ def make_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_pts = sub.add_parser("points", help="generate a maximal separated node set")
-    p_pts.add_argument("--d", type=int, required=True)
-    p_pts.add_argument("--alpha", type=float, required=True)
-    p_pts.add_argument("--degree", type=int, required=True)
-    p_pts.add_argument("--delta", type=float, required=True)
-    p_pts.add_argument("--collar-beta", type=float, default=None)
+    p_pts.set_defaults(func=cmd_points)
+    p_pts.add_argument("--d", type=int, choices=(1, 2), required=True)
+    p_pts.add_argument("--alpha", type=_ALPHA, required=True)
+    p_pts.add_argument("--degree", type=_POSITIVE_INT, required=True)
+    p_pts.add_argument("--delta", type=_checked(float, 0.0, 1.0, open_lo=True), required=True)
+    p_pts.add_argument("--collar-beta", type=_checked(float), default=None)
     p_pts.add_argument("--out", required=True)
     _add_common(p_pts)
 
     p_sol = sub.add_parser("solve", help="solve positive cubature weights on a node file")
+    p_sol.set_defaults(func=cmd_solve)
     p_sol.add_argument("--points", required=True)
-    p_sol.add_argument("--degree", type=int, required=True)
-    p_sol.add_argument("--tol", type=float, default=1e-10)
+    p_sol.add_argument("--degree", type=_NONNEG_INT, required=True)
+    p_sol.add_argument("--tol", type=_checked(float, 0.0, open_lo=True), default=1e-10)
     p_sol.add_argument("--out", required=True)
     _add_common(p_sol)
 
     p_ver = sub.add_parser("verify", help="measure an inequality and write a report")
+    p_ver.set_defaults(func=cmd_verify)
     p_ver.add_argument("subcommand", choices=VERIFY_SUBCOMMANDS)
     p_ver.add_argument("--rule", default=None, help="rule file (mz)")
     p_ver.add_argument("--points", default=None, help="points file (osc/sieve/maxmin/weighted-mz)")
-    p_ver.add_argument("--d", type=int, default=2)
-    p_ver.add_argument("--alpha", type=float, default=None)
-    p_ver.add_argument("--degree", type=int, default=None)
-    p_ver.add_argument("--p", type=float, default=2.0)
-    p_ver.add_argument("--beta", type=float, default=1.0)
-    p_ver.add_argument("--trials", type=int, default=200)
-    p_ver.add_argument("--ball-samples", type=int, default=64)
-    p_ver.add_argument("--trial-degree", type=int, default=None)
+    p_ver.add_argument("--d", type=int, choices=(1, 2), default=2)
+    p_ver.add_argument("--alpha", type=_ALPHA, default=None)
+    p_ver.add_argument("--degree", type=_POSITIVE_INT, default=None)
+    p_ver.add_argument("--p", type=_checked(float, 1.0), default=2.0)
+    p_ver.add_argument("--beta", type=_checked(float, 1.0), default=1.0)
+    p_ver.add_argument("--trials", type=_POSITIVE_INT, default=200)
+    p_ver.add_argument("--ball-samples", type=_POSITIVE_INT, default=64)
+    p_ver.add_argument("--trial-degree", type=_NONNEG_INT, default=None)
     p_ver.add_argument("--weight", choices=("constant", "boundary-power"), default="constant")
-    p_ver.add_argument("--gamma", type=float, default=1.0)
-    p_ver.add_argument("--n-ref", type=int, default=8)
+    p_ver.add_argument("--gamma", type=_checked(float, 0.0, 2.0), default=1.0)
+    p_ver.add_argument("--n-ref", type=_POSITIVE_INT, default=8)
     p_ver.add_argument("--statistic", choices=("max", "mean"), default="max",
                        help="trial reduction for bernstein")
-    p_ver.add_argument("--probe-resolution", type=int, default=4)
+    p_ver.add_argument("--probe-resolution", type=_checked(int, 4), default=4)
     p_ver.add_argument("--report", required=True)
     p_ver.add_argument("--csv", default=None, help="also write cells as CSV")
     p_ver.add_argument("--assert", dest="enforce", action="store_true",
@@ -129,9 +148,10 @@ def make_parser():
     _add_common(p_ver)
 
     p_mom = sub.add_parser("moments", help="print analytic cap moments of the basis")
-    p_mom.add_argument("--d", type=int, required=True)
-    p_mom.add_argument("--alpha", type=float, required=True)
-    p_mom.add_argument("--degree", type=int, required=True)
+    p_mom.set_defaults(func=cmd_moments)
+    p_mom.add_argument("--d", type=int, choices=(1, 2), required=True)
+    p_mom.add_argument("--alpha", type=_ALPHA, required=True)
+    p_mom.add_argument("--degree", type=_NONNEG_INT, required=True)
     _add_common(p_mom)
 
     return parser
@@ -139,16 +159,14 @@ def make_parser():
 
 def cmd_points(args):
     seed = _resolve_seed(args)
+    center = north_pole(args.d)
     try:
-        domain = _build_domain(args.d, args.alpha, args.collar_beta)
+        if args.collar_beta is None:
+            domain = Cap(center, args.alpha)
+        else:
+            domain = Collar(center, args.alpha, args.collar_beta)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
-    if args.degree < 1:
-        sys.stderr.write("error: --degree must be >= 1\n")
-        return 1
-    if not (0 < args.delta <= 1):
-        sys.stderr.write("error: --delta must lie in (0, 1]\n")
         return 1
     nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=seed,
                                degree=args.degree, delta=args.delta)
@@ -162,9 +180,6 @@ def cmd_solve(args):
         nodes = cqio.nodes_from_dict(cqio.load_json(args.points))
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: --points file invalid: {exc}\n")
-        return 1
-    if args.degree < 0:
-        sys.stderr.write("error: --degree must be >= 0\n")
         return 1
     result = solve_weights(nodes, args.degree, tol=args.tol)
     if isinstance(result, Infeasible):
@@ -181,10 +196,8 @@ def cmd_solve(args):
     return 0
 
 
-def _load_nodes_arg(args):
-    if args.points is None:
-        raise cqio.FormatError("--points is required for this subcommand")
-    return cqio.nodes_from_dict(cqio.load_json(args.points))
+# ---------------------------------------------------------------------------
+# verify: one table row per subcommand
 
 
 def _weight_from_args(args):
@@ -193,130 +206,140 @@ def _weight_from_args(args):
     return DoublingWeight.boundary_power(args.gamma, n_ref=args.n_ref)
 
 
+def _mz(args, rule, degree, run):
+    lo, hi = mz_bracket(rule, args.p, trial_degree=args.trial_degree, **run)
+    return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo}
+
+
+def _osc(args, nodes, degree, run):
+    return {"estimate": osc_constant(nodes, degree, args.p, beta=args.beta,
+                                     ball_samples=args.ball_samples, **run)}
+
+
+def _sieve(args, nodes, degree, run):
+    return {"estimate": large_sieve_constant(nodes, degree, args.p, **run)}
+
+
+def _maxmin(args, nodes, degree, run):
+    (mx_lo, mx_hi), (mn_lo, mn_hi) = maxmin_equivalence(
+        nodes, degree, args.p, beta=args.beta, ball_samples=args.ball_samples, **run)
+    return {"max_lo": mx_lo, "max_hi": mx_hi, "min_lo": mn_lo, "min_hi": mn_hi}
+
+
+def _bernstein(args, _, degree, run):
+    return {"estimate": bernstein_check_d1(args.alpha, degree, args.p, _weight_from_args(args),
+                                           statistic=args.statistic, **run)}
+
+
+def _weighted_mz(args, nodes, degree, run):
+    if not isinstance(nodes.domain, Cap):
+        raise cqio.FormatError("weighted-mz runs on cap node sets")
+    brackets = weighted_mz(nodes.domain, _weight_from_args(args), nodes, degree, args.p,
+                           ball_samples=args.ball_samples, **run)
+    return {f"{name}_{tag}": val
+            for name, (lo, hi) in brackets.items()
+            for tag, val in (("lo", lo), ("hi", hi))}
+
+
+def _cov(args, _, degree, run):
+    if not (0.5 <= args.alpha <= ALPHA_MAX):
+        raise cqio.FormatError("dilation check needs alpha in [1/2, pi - 0.1]")
+    cap = Cap(north_pole(args.d), args.alpha)
+    return {"max_discrepancy": change_of_variables_check(cap, degree, **run)}
+
+
+def _positive(cell):
+    return math.isfinite(cell["estimate"]) and cell["estimate"] > 0
+
+
+def _within(bound):
+    """Acceptance of brackets: every *_lo at least 1/bound, every *_hi at most bound."""
+    return lambda cell: all(1 / bound <= v if k.endswith("_lo") else v <= bound
+                            for k, v in cell.items())
+
+
+# One row per subcommand.  source: what is measured, "rule" or "points" (the
+# file that flag names), "arc" (the d=1 interval of --alpha; --degree
+# required) or "cap" (--d and --alpha; --degree defaults to 8).  measure:
+# (args, loaded file or None, degree, trial kwargs) -> measured fields.
+# grid: the report's grid keys.  cell: flags copied into the cell beside
+# "trials".  accept: the --assert predicate on the measured fields.
+_Verify = collections.namedtuple("_Verify", "source measure grid cell accept")
+_NODE_GRID = ("d", "alpha", "n", "delta", "p")
+_VERIFY = {
+    "mz": _Verify("rule", _mz, _NODE_GRID, (), lambda c: c["spread"] <= 20.0),
+    "osc": _Verify("points", _osc, _NODE_GRID + ("beta",), ("ball_samples",), _positive),
+    "sieve": _Verify("points", _sieve, ("d", "alpha", "n", "p"), (), _positive),
+    "maxmin": _Verify("points", _maxmin, _NODE_GRID + ("beta",), ("ball_samples",),
+                      _within(20)),
+    "bernstein": _Verify("arc", _bernstein, ("d", "alpha", "n", "p", "weight", "statistic"),
+                         (), lambda c: math.isfinite(c["estimate"])),
+    "weighted-mz": _Verify("points", _weighted_mz, _NODE_GRID + ("weight",),
+                           ("ball_samples",), _within(50)),
+    "cov": _Verify("cap", _cov, ("d", "alpha", "n"), (),
+                   lambda c: c["max_discrepancy"] <= 1e-9),
+}
+_ALIASES = {"change-of-var": "cov"}
+VERIFY_SUBCOMMANDS = (*_VERIFY, *_ALIASES)
+
+
+def _verify_input(args, name, source):
+    """The loaded rule or node set (None otherwise) and the grid fields of
+    its domain and degree; --degree overrides a node set's own degree."""
+    if source in ("rule", "points"):
+        path = getattr(args, source)
+        if path is None:
+            raise cqio.FormatError(f"--{source} is required for {name}")
+        data = cqio.load_json(path)
+        if source == "rule":
+            loaded = cqio.rule_from_dict(data)
+            nodes, degree = loaded.nodes, loaded.degree
+        else:
+            loaded = nodes = cqio.nodes_from_dict(data)
+            degree = nodes.degree if args.degree is None else args.degree
+        domain = nodes.domain
+        return loaded, {"d": domain.dim, "alpha": domain.alpha, "n": degree,
+                        "delta": nodes.delta}
+    if args.alpha is None:
+        raise cqio.FormatError(f"--alpha is required for {name}")
+    if source == "arc" and args.degree is None:
+        raise cqio.FormatError(f"--degree is required for {name}")
+    degree = 8 if args.degree is None else args.degree
+    return None, {"d": 1 if source == "arc" else args.d, "alpha": args.alpha, "n": degree}
+
+
 def cmd_verify(args):
     seed = _resolve_seed(args)
     threads = _resolve_threads(args)
-    sub = args.subcommand
+    name = _ALIASES.get(args.subcommand, args.subcommand)
+    spec = _VERIFY[name]
     t0 = time.perf_counter()
     try:
-        if sub == "mz":
-            if args.rule is None:
-                raise cqio.FormatError("--rule is required for mz")
-            rule = cqio.rule_from_dict(cqio.load_json(args.rule))
-            lo, hi = mz_bracket(rule, args.p, args.trials, seed,
-                                trial_degree=args.trial_degree, threads=threads)
-            grid = {"d": rule.nodes.domain.dim, "alpha": rule.nodes.domain.alpha,
-                    "n": rule.degree, "delta": rule.nodes.delta, "p": args.p}
-            cells = [{"ratio_min": lo, "ratio_max": hi, "spread": hi / lo,
-                      "trials": args.trials}]
-            ok = hi / lo <= 20.0
-            report = VerificationReport("mz", grid, cells, seed)
-        elif sub == "osc":
-            nodes = _load_nodes_arg(args)
-            degree = args.degree if args.degree is not None else nodes.degree
-            est = osc_constant(nodes, degree, args.p, beta=args.beta,
-                               trials=args.trials, ball_samples=args.ball_samples,
-                               seed=seed, threads=threads)
-            grid = {"d": nodes.domain.dim, "alpha": nodes.domain.alpha, "n": degree,
-                    "delta": nodes.delta, "p": args.p, "beta": args.beta}
-            cells = [{"estimate": est, "trials": args.trials,
-                      "ball_samples": args.ball_samples}]
-            ok = math.isfinite(est) and est > 0
-            report = VerificationReport("osc", grid, cells, seed)
-        elif sub == "sieve":
-            nodes = _load_nodes_arg(args)
-            degree = args.degree if args.degree is not None else nodes.degree
-            est = large_sieve_constant(nodes, degree, args.p, trials=args.trials,
-                                       seed=seed, threads=threads)
-            grid = {"d": nodes.domain.dim, "alpha": nodes.domain.alpha,
-                    "n": degree, "p": args.p}
-            cells = [{"estimate": est, "trials": args.trials}]
-            ok = math.isfinite(est) and est > 0
-            report = VerificationReport("sieve", grid, cells, seed)
-        elif sub == "maxmin":
-            nodes = _load_nodes_arg(args)
-            degree = args.degree if args.degree is not None else nodes.degree
-            (mx_lo, mx_hi), (mn_lo, mn_hi) = maxmin_equivalence(
-                nodes, degree, args.p, beta=args.beta, trials=args.trials,
-                ball_samples=args.ball_samples, seed=seed, threads=threads)
-            grid = {"d": nodes.domain.dim, "alpha": nodes.domain.alpha, "n": degree,
-                    "delta": nodes.delta, "p": args.p, "beta": args.beta}
-            cells = [{"max_lo": mx_lo, "max_hi": mx_hi,
-                      "min_lo": mn_lo, "min_hi": mn_hi, "trials": args.trials,
-                      "ball_samples": args.ball_samples}]
-            ok = (1 / 20 <= mx_lo and mx_hi <= 20 and 1 / 20 <= mn_lo and mn_hi <= 20)
-            report = VerificationReport("maxmin", grid, cells, seed)
-        elif sub == "bernstein":
-            if args.alpha is None or args.degree is None:
-                raise cqio.FormatError("--alpha and --degree are required for bernstein")
-            weight = _weight_from_args(args)
-            est = bernstein_check_d1(args.alpha, args.degree, args.p, weight,
-                                     trials=args.trials, seed=seed, threads=threads,
-                                     statistic=args.statistic)
-            grid = {"d": 1, "alpha": args.alpha, "n": args.degree, "p": args.p,
-                    "weight": weight.label(), "statistic": args.statistic}
-            cells = [{"estimate": est, "trials": args.trials}]
-            ok = math.isfinite(est)
-            report = VerificationReport("bernstein", grid, cells, seed)
-        elif sub == "weighted-mz":
-            nodes = _load_nodes_arg(args)
-            if not isinstance(nodes.domain, Cap):
-                raise cqio.FormatError("weighted-mz runs on cap node sets")
-            degree = args.degree if args.degree is not None else nodes.degree
-            weight = _weight_from_args(args)
-            brackets = weighted_mz(nodes.domain, weight, nodes, degree, args.p,
-                                   trials=args.trials, ball_samples=args.ball_samples,
-                                   seed=seed, threads=threads)
-            grid = {"d": nodes.domain.dim, "alpha": nodes.domain.alpha, "n": degree,
-                    "delta": nodes.delta, "p": args.p, "weight": weight.label()}
-            cells = [{f"{name}_{tag}": val
-                      for name, (lo, hi) in brackets.items()
-                      for tag, val in (("lo", lo), ("hi", hi))}]
-            cells[0]["trials"] = args.trials
-            cells[0]["ball_samples"] = args.ball_samples
-            ok = all(1 / 50 <= lo and hi <= 50 for lo, hi in brackets.values())
-            report = VerificationReport("weighted-mz", grid, cells, seed)
-        else:  # cov / change-of-var: the dilation identity
-            if args.alpha is None:
-                raise cqio.FormatError("--alpha is required for the dilation check")
-            if not (0.5 <= args.alpha <= math.pi - 0.1):
-                raise cqio.FormatError("dilation check needs alpha in [1/2, pi - 0.1]")
-            degree = args.degree if args.degree is not None else 8
-            cap = Cap(north_pole(args.d), args.alpha)
-            est = change_of_variables_check(cap, degree, trials=args.trials,
-                                            seed=seed, threads=threads)
-            grid = {"d": args.d, "alpha": args.alpha, "n": degree}
-            cells = [{"max_discrepancy": est, "trials": args.trials}]
-            ok = est <= 1e-9
-            report = VerificationReport("cov", grid, cells, seed)
+        loaded, fields = _verify_input(args, name, spec.source)
+        fields.update(p=args.p, beta=args.beta, statistic=args.statistic)
+        if "weight" in spec.grid:
+            fields["weight"] = _weight_from_args(args).label()
+        run = {"trials": args.trials, "seed": seed, "threads": threads}
+        measured = spec.measure(args, loaded, fields["n"], run)
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     elapsed = time.perf_counter() - t0
-    if args.timing:
-        report.wall_time_s = elapsed
+    cell = dict(measured, trials=args.trials, **{k: getattr(args, k) for k in spec.cell})
+    report = VerificationReport(name, {k: fields[k] for k in spec.grid}, [cell], seed,
+                                elapsed if args.timing else 0.0)
     cqio.write_canonical(args.report, report.to_dict())
     if args.csv:
         cqio.write_report_csv(args.csv, report)
     sys.stderr.write(f"report written to {args.report} ({elapsed:.1f}s)\n")
-    if args.enforce and not ok:
+    if args.enforce and not spec.accept(measured):
         sys.stderr.write("assertion failed: report violates acceptance thresholds\n")
         return 3
     return 0
 
 
 def cmd_moments(args):
-    if args.d not in (1, 2):
-        sys.stderr.write(f"error: --d must be 1 or 2, got {args.d}\n")
-        return 1
-    try:
-        cap = Cap(north_pole(args.d), args.alpha)
-    except ValueError as exc:
-        sys.stderr.write(f"error: --alpha invalid: {exc}\n")
-        return 1
-    if args.degree < 0:
-        sys.stderr.write("error: --degree must be >= 0\n")
-        return 1
+    cap = Cap(north_pole(args.d), args.alpha)
     values = domain_moments(cap, args.degree)
     if args.d == 2:
         labels = [{"l": l, "m": m} for l in range(args.degree + 1)
@@ -335,17 +358,8 @@ def cmd_moments(args):
 
 
 def main(argv=None):
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    if args.command == "points":
-        code = cmd_points(args)
-    elif args.command == "solve":
-        code = cmd_solve(args)
-    elif args.command == "verify":
-        code = cmd_verify(args)
-    else:
-        code = cmd_moments(args)
-    return code
+    args = make_parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

@@ -299,6 +299,18 @@ def _dist_term_many(domain, coords, y):
     return geodesic_many(coords, y)
 
 
+def rho_kernel(alpha, dist2, sqrt_b_x, sqrt_b_y):
+    """The metric from a squared distance and the boundary-distance roots.
+
+    Every rho evaluation goes through here; callers differ only in how
+    they get the distance term (geodesic on caps, chordal on collars).
+    """
+    rho = dist2 + alpha * (sqrt_b_x - sqrt_b_y) ** 2
+    np.sqrt(rho, out=rho)  # in place: greedy calls this on the whole pool
+    rho /= alpha
+    return rho
+
+
 def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
     """Boundary-adapted distance from each row of ``coords`` to vector ``y``.
 
@@ -311,24 +323,27 @@ def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
         sqrt_b_y = math.sqrt(
             float(boundary_distance_many(domain, y.reshape(1, -1))[0])
         )
-    alpha = domain.alpha
     dist = _dist_term_many(domain, coords, y)
-    return np.sqrt(dist * dist + alpha * (sqrt_b - sqrt_b_y) ** 2) / alpha
+    return rho_kernel(domain.alpha, dist * dist, sqrt_b, sqrt_b_y)
+
+
+def rho_rows(domain, a_coords, b_coords, sqrt_b_a, sqrt_b_b):
+    """Row-wise distances between two equal stacks, boundary roots given."""
+    if isinstance(domain, Collar):
+        diff = a_coords - b_coords
+        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    else:
+        dist = np.arccos(np.clip(np.einsum("ij,ij->i", a_coords, b_coords), -1.0, 1.0))
+    return rho_kernel(domain.alpha, dist * dist, sqrt_b_a, sqrt_b_b)
 
 
 def rho_pairwise(domain, a_coords, b_coords):
     """Row-wise boundary-adapted distances between two stacks of points."""
     a_coords = np.atleast_2d(a_coords)
     b_coords = np.atleast_2d(b_coords)
-    alpha = domain.alpha
-    sa = np.sqrt(boundary_distance_many(domain, a_coords))
-    sb = np.sqrt(boundary_distance_many(domain, b_coords))
-    if isinstance(domain, Collar):
-        diff = a_coords - b_coords
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    else:
-        dist = np.arccos(np.clip(np.einsum("ij,ij->i", a_coords, b_coords), -1.0, 1.0))
-    return np.sqrt(dist * dist + alpha * (sa - sb) ** 2) / alpha
+    return rho_rows(domain, a_coords, b_coords,
+                    np.sqrt(boundary_distance_many(domain, a_coords)),
+                    np.sqrt(boundary_distance_many(domain, b_coords)))
 
 
 def rho(cap, x, y):
@@ -351,13 +366,6 @@ def collar_rho(collar, x, y):
     xc, yc = x.coords, y.coords
     _require_inside(collar, np.vstack([xc, yc]))
     return float(rho_many(collar, xc.reshape(1, -1), yc)[0])
-
-
-def domain_rho(domain, x, y):
-    """Dispatch to the cap or collar metric."""
-    if isinstance(domain, Cap):
-        return rho(domain, x, y)
-    return collar_rho(domain, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +441,6 @@ def rho_ball_contains(ball, y):
     return dist <= ball.radius + 1e-12
 
 
-def rho_ball_mask(ball, coords):
-    """Vectorized version of rho_ball_contains over rows of ``coords``."""
-    inside = contains(ball.domain, coords)
-    out = np.zeros(coords.shape[0], bool)
-    if np.any(inside):
-        sub = coords[inside]
-        dist = rho_many(ball.domain, sub, ball.center.coords)
-        out[inside] = dist <= ball.radius + 1e-12
-    return out
-
-
 def rho_ball_volume(ball, resolution=32):
     """Quadrature measure of a rho-ball (indicator integration).
 
@@ -454,7 +451,7 @@ def rho_ball_volume(ball, resolution=32):
     """
     from . import quadrature
 
-    return quadrature.ball_volume(ball, resolution=resolution)
+    return quadrature.ball_integral(ball, None, resolution=resolution)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -16,11 +16,9 @@ from .geometry import Cap, Collar, SpherePoint
 from .points import NodeSet
 from .polys import PolyCoeffs, PolySpace
 from .solver import CubatureRule
-from .verify import VerificationReport
 
 RULE_VERSION = "capquad-rule/1"
 POINTS_VERSION = "capquad-points/1"
-REPORT_VERSION = "capquad-report/1"
 POLY_VERSION = "capquad-poly/1"
 
 
@@ -55,13 +53,73 @@ def _domain_to_fields(domain):
     return fields
 
 
+def _check_version(data, versions):
+    if not isinstance(data, dict):
+        raise FormatError("expected a JSON object")
+    if data.get("version") not in versions:
+        raise FormatError(f"unsupported version {data.get('version')!r}")
+
+
+_REQUIRED = object()
+
+
+def _field(data, key, default=_REQUIRED):
+    if key in data:
+        return data[key]
+    if default is _REQUIRED:
+        raise FormatError(f"missing field {key!r}")
+    return default
+
+
+def _numbers(data, key, default=_REQUIRED):
+    """data[key] as a float array of finite entries (None passes through)."""
+    raw = _field(data, key, default)
+    if raw is None:
+        return None
+    try:
+        arr = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise FormatError(f"field {key!r} is not numeric") from None
+    if not np.all(np.isfinite(arr)):
+        raise FormatError(f"field {key!r} has non-finite values")
+    return arr
+
+
+def _scalar(data, key, default=_REQUIRED):
+    arr = _numbers(data, key, default)
+    if arr is None:
+        return None
+    if arr.ndim:
+        raise FormatError(f"field {key!r} is not a number")
+    return float(arr)
+
+
+def _integer(data, key, default=_REQUIRED):
+    value = _field(data, key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"field {key!r} is not an integer")
+    return value
+
+
+def _generator(data):
+    gen = data.get("generator", {})
+    if not isinstance(gen, dict):
+        raise FormatError("field 'generator' is not an object")
+    return gen
+
+
 def _domain_from_fields(data):
-    center = SpherePoint(np.asarray(data["center"], float))
-    if center.dim != int(data["d"]):
+    d = _integer(data, "d")
+    center = _numbers(data, "center")
+    if center.shape != (d + 1,):
         raise FormatError("center length inconsistent with d")
-    if data.get("beta") is not None:
-        return Collar(center, float(data["alpha"]), float(data["beta"]))
-    return Cap(center, float(data["alpha"]))
+    alpha = _scalar(data, "alpha")
+    beta = _scalar(data, "beta", None)
+    if beta is not None:
+        return Collar(SpherePoint(center), alpha, beta)
+    return Cap(SpherePoint(center), alpha)
 
 
 def points_to_dict(nodes):
@@ -78,20 +136,18 @@ def points_to_dict(nodes):
 
 
 def nodes_from_dict(data):
-    version = data.get("version")
-    if version not in (POINTS_VERSION, RULE_VERSION):
-        raise FormatError(f"unsupported version {version!r}")
+    _check_version(data, (POINTS_VERSION, RULE_VERSION))
     domain = _domain_from_fields(data)
-    nodes = np.asarray(data["nodes"], float)
+    nodes = _numbers(data, "nodes")
     if nodes.ndim != 2 or nodes.shape[1] != domain.dim + 1:
         raise FormatError("nodes must be an array of unit vectors of length d+1")
     return NodeSet(
         domain,
         nodes,
-        float(data.get("epsilon", 0.0)),
-        degree=int(data.get("degree", 1)),
-        delta=float(data["delta"]) if data.get("delta") is not None else None,
-        seed=int(data.get("generator", {}).get("seed", 0)),
+        _scalar(data, "epsilon", 0.0),
+        degree=_integer(data, "degree", 1),
+        delta=_scalar(data, "delta", None),
+        seed=_integer(_generator(data), "seed", 0),
     )
 
 
@@ -118,20 +174,21 @@ def rule_to_dict(rule):
 
 
 def rule_from_dict(data):
-    if data.get("version") != RULE_VERSION:
-        raise FormatError(f"unsupported version {data.get('version')!r}")
+    _check_version(data, (RULE_VERSION,))
     nodes = nodes_from_dict(data)
-    weights = np.asarray(data["weights"], float)
-    if weights.shape[0] != len(nodes):
+    weights = _numbers(data, "weights")
+    if weights.shape != (len(nodes),):
         raise FormatError("nodes and weights must have equal length")
     if np.any(weights <= 0):
         raise FormatError("rule weights must be strictly positive")
+    gen = _generator(data)
     meta = {
-        "seed": int(data.get("generator", {}).get("seed", 0)),
-        "back_offs": int(data.get("generator", {}).get("back_offs", 0)),
+        "seed": _integer(gen, "seed", 0),
+        "back_offs": _integer(gen, "back_offs", 0),
         "iterations": 0,
     }
-    return CubatureRule(nodes, weights, int(data["degree"]), float(data["residual"]), meta)
+    return CubatureRule(nodes, weights, _integer(data, "degree"),
+                        _scalar(data, "residual"), meta)
 
 
 def poly_to_dict(p):
@@ -146,20 +203,9 @@ def poly_to_dict(p):
 
 
 def poly_from_dict(data):
-    if data.get("version") != POLY_VERSION:
-        raise FormatError(f"unsupported version {data.get('version')!r}")
+    _check_version(data, (POLY_VERSION,))
     space = PolySpace(int(data["d"]), int(data["degree"]))
     return PolyCoeffs(space, np.asarray(data["coeffs"], float))
-
-
-def report_to_dict(report):
-    return report.to_dict()
-
-
-def report_from_dict(data):
-    if data.get("version") != REPORT_VERSION:
-        raise FormatError(f"unsupported version {data.get('version')!r}")
-    return VerificationReport.from_dict(data)
 
 
 def write_report_csv(path, report):

@@ -32,6 +32,7 @@ from .geometry import (
     contains,
     north_frame,
     rho_many,
+    rho_rows,
 )
 
 _POOL_LIMIT = 25_000_000
@@ -120,7 +121,7 @@ def min_separation(domain, coords):
         pairs = tree.query_pairs(min(radius, 2.0), output_type="ndarray")
         if pairs.size:
             i, j = pairs[:, 0], pairs[:, 1]
-            diffs = _pair_rho(domain, coords, sqrt_b, i, j)
+            diffs = rho_rows(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
             best = float(diffs.min())
             # every rho below best/ (guaranteed) was within the chord radius
             if best <= radius / alpha or radius >= 2.0:
@@ -135,16 +136,6 @@ def min_separation(domain, coords):
                      sqrt_b=sqrt_b[k + 1 :], sqrt_b_y=float(sqrt_b[k]))
         best = min(best, float(d.min()))
     return best
-
-
-def _pair_rho(domain, coords, sqrt_b, i, j):
-    alpha = domain.alpha
-    if isinstance(domain, Collar):
-        diff = coords[i] - coords[j]
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    else:
-        dist = np.arccos(np.clip(np.einsum("ij,ij->i", coords[i], coords[j]), -1.0, 1.0))
-    return np.sqrt(dist * dist + alpha * (sqrt_b[i] - sqrt_b[j]) ** 2) / alpha
 
 
 def is_separable(domain, points, epsilon):
@@ -302,24 +293,20 @@ def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
 # probe-based coverage, multiplicity, and concentration statistics
 
 
-def _min_rho_to_nodes(domain, probes, node_coords, radius):
-    """Per-probe minimum rho to the nodes, looking only within the chordal
-    ball that can possibly contain a node at rho <= radius; inf beyond."""
-    alpha = domain.alpha
+def _node_neighbours(domain, probes, node_coords, radius):
+    """For each node, yield (probe indices, rho distances) over the probes in
+    the chordal ball that can possibly hold a probe at rho <= radius."""
     tree = cKDTree(probes)
     sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
     sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
-    best = np.full(probes.shape[0], np.inf)
-    chord = min(alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
+    chord = min(domain.alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
     for k in range(node_coords.shape[0]):
         idx = tree.query_ball_point(node_coords[k], chord, return_sorted=False)
         if not idx:
             continue
         idx = np.asarray(idx, dtype=np.intp)
-        d = rho_many(domain, probes[idx], node_coords[k],
-                     sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
-        np.minimum.at(best, idx, d)
-    return best
+        yield idx, rho_many(domain, probes[idx], node_coords[k],
+                            sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
 
 
 def is_maximal_separable(domain, points, epsilon, probe_resolution=4):
@@ -336,25 +323,16 @@ def is_maximal_separable(domain, points, epsilon, probe_resolution=4):
     if not is_separable(domain, coords, epsilon):
         return False
     probes = product_grid(domain, epsilon, probe_resolution)
-    best = _min_rho_to_nodes(domain, probes, coords, epsilon)
+    best = np.full(probes.shape[0], np.inf)  # inf beyond every node's chordal ball
+    for idx, d in _node_neighbours(domain, probes, coords, epsilon):
+        np.minimum.at(best, idx, d)
     return bool(np.all(best <= epsilon + 1e-7))
 
 
 def _count_within(domain, probes, node_coords, radius):
     """Per-probe count of nodes within rho <= radius."""
-    alpha = domain.alpha
-    tree = cKDTree(probes)
-    sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
-    sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
     counts = np.zeros(probes.shape[0], dtype=np.int64)
-    chord = min(alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
-    for k in range(node_coords.shape[0]):
-        idx = tree.query_ball_point(node_coords[k], chord, return_sorted=False)
-        if not idx:
-            continue
-        idx = np.asarray(idx, dtype=np.intp)
-        d = rho_many(domain, probes[idx], node_coords[k],
-                     sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
+    for idx, d in _node_neighbours(domain, probes, node_coords, radius):
         counts[idx[d <= radius + 1e-12]] += 1
     return counts
 

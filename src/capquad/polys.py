@@ -58,11 +58,6 @@ class PolySpace:
         return f"PolySpace(dim_sphere={self.dim_sphere}, degree={self.degree})"
 
 
-def dim(space):
-    """Basis size: 2n+1 on the circle, (n+1)^2 on the sphere."""
-    return space.size
-
-
 class PolyCoeffs:
     """Coefficient vector in the orthonormal basis of a PolySpace."""
 

@@ -29,6 +29,7 @@ from .geometry import (
     Sphere,
     boundary_distance_many,
     north_frame,
+    rho_kernel,
 )
 from .polys import as_point_function
 
@@ -204,6 +205,21 @@ def integrate(rule, f):
 _ADAPTIVE_ORDERS = (8, 16, 32, 64, 128, DEGREE_CAP)
 
 
+def double_until_stable(estimate, orders, tol):
+    """Evaluate ``estimate(order)`` along ``orders`` until two successive
+    values agree to ``tol`` relative.
+
+    Returns (converged, last two estimates); when ``orders`` runs out the
+    caller decides whether the final estimate is good enough.
+    """
+    last = []
+    for order in orders:
+        last = (last + [estimate(order)])[-2:]
+        if len(last) == 2 and abs(last[1] - last[0]) <= tol * (abs(last[1]) + 1e-14):
+            return True, last
+    return False, last
+
+
 def integrate_adaptive(domain, f, tol=1e-10, on_fail="raise"):
     """Double the rule order until successive estimates agree to tol (relative).
 
@@ -215,18 +231,13 @@ def integrate_adaptive(domain, f, tol=1e-10, on_fail="raise"):
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
     fv = as_point_function(f)
-    prev = None
-    est = 0.0
-    for order in _ADAPTIVE_ORDERS:
-        est = integrate(build_rule(domain, order), fv)
-        if prev is not None and abs(est - prev) <= tol * (abs(est) + 1e-14):
-            return est
-        prev = est
-    if on_fail == "last":
-        return est
+    converged, last = double_until_stable(
+        lambda order: integrate(build_rule(domain, order), fv), _ADAPTIVE_ORDERS, tol)
+    if converged or on_fail == "last":
+        return last[-1]
     raise QuadratureError(
-        f"no convergence by order {DEGREE_CAP}: last estimates ({prev}, {est})",
-        (prev, est),
+        f"no convergence by order {DEGREE_CAP}: last estimates ({last[0]}, {last[1]})",
+        last,
     )
 
 
@@ -302,13 +313,6 @@ def domain_moments(domain, n):
     return out
 
 
-def cap_moments(cap, n):
-    """Moments of the basis over the cap (canonical north-pole frame)."""
-    if not isinstance(cap, Cap):
-        raise TypeError("cap_moments needs a Cap")
-    return domain_moments(cap, n)
-
-
 # ---------------------------------------------------------------------------
 # localized rho-ball quadrature
 
@@ -375,7 +379,7 @@ def _eval_balls_d2(domain, centers_polar, sqrt_b_c, radius, boxes, sel, res,
         dist2 = d * d
         b = domain.alpha - theta
     sqb = np.sqrt(np.maximum(b, 0.0))[:, :, None]
-    rho_val = np.sqrt(dist2 + alpha * (sqb - sqrt_b_c[sel][:, None, None]) ** 2) / alpha
+    rho_val = rho_kernel(alpha, dist2, sqb, sqrt_b_c[sel][:, None, None])
     mask = rho_val <= radius + 1e-12
     cell_w = w_th[:, :, None] * w_ph[:, None, :]
     vols = np.einsum("kij,kij->k", mask.astype(float), cell_w)
@@ -424,7 +428,7 @@ def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, res, weight_fn, frame):
             dist2 = geo * geo
             b = alpha - np.abs(u)
         sqb = np.sqrt(np.maximum(b, 0.0))
-        rho_val = np.sqrt(dist2 + alpha * (sqb - sqrt_b_c[:, None]) ** 2) / alpha
+        rho_val = rho_kernel(alpha, dist2, sqb, sqrt_b_c[:, None])
         mask = (rho_val <= radius + 1e-12) & ok[:, None]
         vols += np.einsum("ki,ki->k", mask.astype(float), w)
         if weight_fn is not None:
@@ -499,18 +503,6 @@ def ball_integral(ball, weight_fn=None, resolution=32, rtol=0.01, max_resolution
                                   ball.radius, weight_fn, resolution=resolution,
                                   rtol=rtol, max_resolution=max_resolution)
     return float(vols[0]), float(masses[0])
-
-
-def ball_volume(ball, resolution=32):
-    return ball_integral(ball, None, resolution=resolution)[0]
-
-
-def ball_average(ball, weight_fn, resolution=32):
-    """Mean of weight_fn over the rho-ball (exactly 1-safe for constants)."""
-    vol, mass = ball_integral(ball, weight_fn, resolution=resolution)
-    if vol <= 0.0:
-        raise QuadratureError("empty rho-ball in ball_average", (vol, mass))
-    return mass / vol
 
 
 def balls_average(domain, centers, radius, weight_fn, resolution=32):

@@ -25,13 +25,11 @@ import numpy as np
 
 from .geometry import (
     Cap,
-    Collar,
     RhoBall,
     SpherePoint,
     boundary_distance_many,
     contains,
     delta_r_many,
-    domain_measure,
     map_T_many,
     north_frame,
     poly_D,
@@ -45,11 +43,13 @@ from .quadrature import (
     balls_average,
     balls_integral,
     build_rule,
+    double_until_stable,
     gauss_legendre_on,
 )
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 DEGENERATE_FLOOR = 1e-14
+MAX_REDRAWS = 100
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +161,21 @@ def trial_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
-def run_trials(trials, worker, threads=1):
-    """worker(k) -> value, evaluated for k in range(trials), order preserved."""
+def run_trials(trials, trial, size, seed, threads=1):
+    """trial(c) for one standard-normal draw c of length ``size`` per trial.
+
+    Trial k draws from ``trial_rng(seed, k)``.  A trial returning None
+    marks a degenerate draw, which is redrawn from the same stream (at
+    most MAX_REDRAWS times).  Values come back in trial order.
+    """
+    def worker(k):
+        rng = trial_rng(seed, k)
+        for _ in range(MAX_REDRAWS):
+            value = trial(rng.standard_normal(size))
+            if value is not None:
+                return value
+        raise RuntimeError("persistent degenerate draws")
+
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
             return list(pool.map(worker, range(trials)))
@@ -171,7 +184,7 @@ def run_trials(trials, worker, threads=1):
 
 def _bracket(values):
     arr = np.asarray(values, dtype=float)
-    return float(arr.min()), float(arr.max()), float(arr.mean())
+    return float(arr.min()), float(arr.max())
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +211,13 @@ def _abs_power_integral(domain, space, coeffs, p, cache, tol=1e-8):
     order when the cap is hit (the brackets this feeds only need a few
     digits).
     """
-    prev = None
-    est = 0.0
-    for order in (8, 16, 32, 64, 128, 200):
+    def estimate(order):
         rule = build_rule(domain, order)
-        basis = cache.at_rule(space, rule)
-        vals = np.abs(basis @ coeffs) ** p
-        est = float(rule.weights @ vals)
-        if prev is not None and abs(est - prev) <= tol * (abs(est) + 1e-14):
-            return est
-        prev = est
-    return est
+        vals = np.abs(cache.at_rule(space, rule) @ coeffs) ** p
+        return float(rule.weights @ vals)
+
+    _, last = double_until_stable(estimate, (8, 16, 32, 64, 128, 200), tol)
+    return last[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -282,15 +291,6 @@ def node_ball_volumes(nodes, radius, resolution=32):
     return vols
 
 
-def node_ball_masses(nodes, radius, weight, resolution=32):
-    """Weighted measures of the rho-balls at every node."""
-    domain = nodes.domain
-    _, masses = balls_integral(domain, nodes.coords, radius,
-                               lambda pts: weight.eval_on(domain, pts),
-                               resolution=resolution)
-    return masses
-
-
 # ---------------------------------------------------------------------------
 # the inequality measurements
 
@@ -313,21 +313,15 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, threads=1):
     cache = _BasisCache()
     weights = rule.weights
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            integral = _abs_power_integral(domain, space, c, p, cache)
-            if integral >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        integral = _abs_power_integral(domain, space, c, p, cache)
+        if not integral >= DEGENERATE_FLOOR:
+            return None
         disc = float(weights @ np.abs(basis_nodes @ c) ** p)
         return disc / integral
 
-    ratios = run_trials(trials, worker, threads)
-    lo, hi, _ = _bracket(ratios)
-    return lo, hi
+    ratios = run_trials(trials, trial, space.size, seed, threads)
+    return _bracket(ratios)
 
 
 def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
@@ -348,21 +342,16 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     volumes = node_ball_volumes(nodes, eps)
     cache = _BasisCache()
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            integral = _abs_power_integral(domain, space, c, p, cache)
-            if integral >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        integral = _abs_power_integral(domain, space, c, p, cache)
+        if not integral >= DEGENERATE_FLOOR:
+            return None
         vals = basis_samples @ c
         gmax, gmin = table.group_max_min(vals)
         lhs = float(((gmax - gmin) ** p) @ volumes)
         return (lhs / integral) ** (1.0 / p) / delta
 
-    return float(max(run_trials(trials, worker, threads)))
+    return float(max(run_trials(trials, trial, space.size, seed, threads)))
 
 
 def large_sieve_constant(nodes, degree, p, trials=200, seed=0, threads=1,
@@ -381,19 +370,14 @@ def large_sieve_constant(nodes, degree, p, trials=200, seed=0, threads=1,
     tau = tau_statistic(domain, nodes, degree, probes=probes)
     cache = _BasisCache()
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            integral = _abs_power_integral(domain, space, c, p, cache)
-            if integral >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        integral = _abs_power_integral(domain, space, c, p, cache)
+        if not integral >= DEGENERATE_FLOOR:
+            return None
         lhs = float(surrogate @ np.abs(basis_nodes @ c) ** p)
         return lhs / (tau * integral)
 
-    return float(max(run_trials(trials, worker, threads)))
+    return float(max(run_trials(trials, trial, space.size, seed, threads)))
 
 
 def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
@@ -413,22 +397,17 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     surrogate = delta_r_many(domain, nodes.coords, eps)
     cache = _BasisCache()
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            integral = _abs_power_integral(domain, space, c, p, cache)
-            if integral >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        integral = _abs_power_integral(domain, space, c, p, cache)
+        if not integral >= DEGENERATE_FLOOR:
+            return None
         avals = np.abs(basis_samples @ c)
         gmax, gmin = table.group_max_min(avals)
         rmax = float((gmax**p) @ surrogate) / integral
         rmin = float((gmin**p) @ surrogate) / integral
         return rmax, rmin
 
-    pairs = run_trials(trials, worker, threads)
+    pairs = run_trials(trials, trial, space.size, seed, threads)
     rmaxs = [a for a, _ in pairs]
     rmins = [b for _, b in pairs]
     brackets = (min(rmaxs), max(rmaxs)), (min(rmins), max(rmins))
@@ -458,15 +437,12 @@ def _interval_quad_points(alpha, order):
 
 
 def _interval_adaptive(alpha, integrand, tol=1e-7):
-    prev = None
-    est = 0.0
-    for order in (16, 32, 64, 128, 256):
+    def estimate(order):
         t, w = _interval_quad_points(alpha, order)
-        est = float(w @ integrand(t))
-        if prev is not None and abs(est - prev) <= tol * (abs(est) + 1e-14):
-            return est
-        prev = est
-    return est
+        return float(w @ integrand(t))
+
+    _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), tol)
+    return last[-1]
 
 
 def _trig_derivative(coeffs):
@@ -510,16 +486,11 @@ def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, threads=1,
     n = int(degree)
     space = PolySpace(1, n)
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            rhs = _interval_adaptive(alpha, lambda t:
-                                     np.abs(_trig_eval(c, t)) ** p * weight.eval_interval(alpha, t))
-            if rhs >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        rhs = _interval_adaptive(alpha, lambda t:
+                                 np.abs(_trig_eval(c, t)) ** p * weight.eval_interval(alpha, t))
+        if not rhs >= DEGENERATE_FLOOR:
+            return None
         dc = _trig_derivative(c)
         lhs = _interval_adaptive(alpha, lambda t:
                                  np.abs(_trig_eval(dc, t)) ** p
@@ -527,7 +498,7 @@ def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, threads=1,
                                  * (alpha / n + np.sqrt(np.clip(alpha**2 - t**2, 0.0, None))) ** p)
         return lhs / (n**p * rhs)
 
-    ratios = run_trials(trials, worker, threads)
+    ratios = run_trials(trials, trial, space.size, seed, threads)
     return float(max(ratios)) if statistic == "max" else float(np.mean(ratios))
 
 
@@ -596,18 +567,14 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
                             resolution=wn_resolution)
     table = _NodeBallTable(nodes, eps, ball_samples)
     basis_samples = table.basis_table(space)
-    masses = node_ball_masses(nodes, eps, weight, resolution=wn_resolution)
+    _, masses = balls_integral(domain, nodes.coords, eps,
+                               lambda pts: weight.eval_on(domain, pts), resolution=wn_resolution)
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(100):
-            c = rng.standard_normal(space.size)
-            fp = np.abs(basis_rule @ c) ** p
-            int_w = float(rule.weights @ (fp * w_vals))
-            if int_w >= DEGENERATE_FLOOR:
-                break
-        else:
-            raise RuntimeError("persistent degenerate draws")
+    def trial(c):
+        fp = np.abs(basis_rule @ c) ** p
+        int_w = float(rule.weights @ (fp * w_vals))
+        if not int_w >= DEGENERATE_FLOOR:
+            return None
         int_wn = float(rule.weights @ (fp * wn_vals))
         avals = np.abs(basis_samples @ c)
         gmax, gmin = table.group_max_min(avals)
@@ -615,12 +582,9 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
                 float((gmax**p) @ masses) / int_w,
                 float((gmin**p) @ masses) / int_w)
 
-    triples = run_trials(trials, worker, threads)
-    out = {}
-    for name, column in zip(("wn_equivalence", "max_sum", "min_sum"), zip(*triples)):
-        lo, hi, _ = _bracket(column)
-        out[name] = (lo, hi)
-    return out
+    triples = run_trials(trials, trial, space.size, seed, threads)
+    return {name: _bracket(column)
+            for name, column in zip(("wn_equivalence", "max_sum", "min_sum"), zip(*triples))}
 
 
 # ---------------------------------------------------------------------------
@@ -645,11 +609,9 @@ def change_of_variables_check(cap, degree, trials=20, seed=0, threads=1):
     basis_small = eval_basis_many(space, mapped)
     jac = poly_D(d, np.clip(rule_small.points @ cap.center.coords, -1.0, 1.0))
 
-    def worker(k):
-        rng = trial_rng(seed, k)
-        c = rng.standard_normal(space.size)
+    def trial(c):
         lhs = float(rule_big.weights @ (basis_big @ c))
         rhs = 8.0 * float(rule_small.weights @ ((basis_small @ c) * jac))
         return abs(lhs - rhs) / (1.0 + abs(lhs))
 
-    return float(max(run_trials(trials, worker, threads)))
+    return float(max(run_trials(trials, trial, space.size, seed, threads)))

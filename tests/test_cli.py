@@ -61,6 +61,27 @@ def test_bad_flag_exits_1(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["verify", "osc", "--points", "{points}", "--p", "0"], "--p"),
+    (["verify", "mz", "--rule", "{rule}", "--p", "inf"], "--p"),
+    (["verify", "mz", "--rule", "{rule}", "--trials", "0"], "--trials"),
+    (["verify", "sieve", "--points", "{points}", "--degree", "0"], "--degree"),
+    (["solve", "--points", "{points}", "--degree", "4", "--tol", "nan"], "--tol"),
+], ids=["osc-p0", "mz-p-inf", "mz-trials0", "sieve-degree0", "solve-tol-nan"])
+def test_bad_numeric_flag_exits_1(argv, flag, points_file, rule_file, tmp_path):
+    args = [a.format(points=points_file, rule=rule_file) for a in argv]
+    out = tmp_path / "out.json"
+    if args[0] == "verify":
+        args[2:2] = ["--trials", "2", "--report", str(out)]
+    else:
+        args += ["--out", str(out)]
+    res = run_cli(args)
+    assert res.returncode == 1
+    assert flag in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
 def test_points_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["points", "--d", "2", "--alpha", "0.6", "--degree", "4",
@@ -306,3 +327,22 @@ def test_malformed_rule_weights_rejected(tmp_path):
     rule["weights"] = [1.0, 2.0]
     with pytest.raises(cqio.FormatError):
         cqio.rule_from_dict(rule)
+    rule["weights"] = [float("nan")]
+    with pytest.raises(cqio.FormatError, match="weights"):
+        cqio.rule_from_dict(rule)
+    # missing keys, wrong shapes and non-finite numbers, in rule and points files
+    rule["weights"] = [1.0]
+    points = dict(rule, version="capquad-points/1")
+    for key, value in (("alpha", None), ("center", [0.0, 1.0]), ("nodes", [[0.0, 1.0]]),
+                       ("nodes", [[0.0, 0.0, float("inf")]]), ("delta", float("nan")),
+                       ("d", "two"), ("generator", [])):
+        for data, load in ((rule, cqio.rule_from_dict), (points, cqio.nodes_from_dict)):
+            bad = {k: v for k, v in data.items() if k != key}
+            if value is not None:
+                bad[key] = value
+            with pytest.raises(cqio.FormatError, match=key):
+                load(bad)
+    for key in ("residual", "degree"):
+        with pytest.raises(cqio.FormatError, match=key):
+            cqio.rule_from_dict({k: v for k, v in rule.items() if k != key})
+    assert len(cqio.rule_from_dict(rule).nodes) == 1

@@ -13,10 +13,10 @@ E1 = cq.north_pole(1)
 
 
 def test_dims():
-    assert cq.dim(cq.PolySpace(1, 0)) == 1
-    assert cq.dim(cq.PolySpace(2, 0)) == 1
-    assert cq.dim(cq.PolySpace(2, 8)) == 81
-    assert cq.dim(cq.PolySpace(1, 5)) == 11
+    assert cq.PolySpace(1, 0).size == 1
+    assert cq.PolySpace(2, 0).size == 1
+    assert cq.PolySpace(2, 8).size == 81
+    assert cq.PolySpace(1, 5).size == 11
 
 
 def test_constant_normalization():
