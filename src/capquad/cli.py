@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 malformed flags or input, 2 infeasible solve,
 3 assertion failure under --assert.  Seeds and thread counts follow the
 precedence flags > environment (CAPQUAD_SEED, CAPQUAD_THREADS) >
-defaults; thread count never changes numeric output.
+defaults, and an environment value gets its flag's check; thread count
+never changes numeric output.  A verify measurement that is not finite
+exits 1 without a report.
 """
 
 from __future__ import annotations
@@ -68,26 +70,10 @@ _POSITIVE_INT = _checked(int, 1)
 _NONNEG_INT = _checked(int, 0)
 
 
-def _env_int(name, default):
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        return default
-
-
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    return _env_int("CAPQUAD_SEED", 0)
-
-
-def _resolve_threads(args):
-    if args.threads is not None:
-        return args.threads
-    return max(_env_int("CAPQUAD_THREADS", 1), 1)
+# (flag attribute, environment variable, check, default): an unset flag
+# falls back to the variable, which goes through the flag's own check
+_ENV = (("seed", "CAPQUAD_SEED", _NONNEG_INT, 0),
+        ("threads", "CAPQUAD_THREADS", _POSITIVE_INT, 1))
 
 
 def _add_common(p):
@@ -140,7 +126,6 @@ def make_parser():
     p_ver.add_argument("--n-ref", type=_POSITIVE_INT, default=8)
     p_ver.add_argument("--statistic", choices=("max", "mean"), default="max",
                        help="trial reduction for bernstein")
-    p_ver.add_argument("--probe-resolution", type=_checked(int, 4), default=4)
     p_ver.add_argument("--report", required=True)
     p_ver.add_argument("--csv", default=None, help="also write cells as CSV")
     p_ver.add_argument("--assert", dest="enforce", action="store_true",
@@ -158,7 +143,6 @@ def make_parser():
 
 
 def cmd_points(args):
-    seed = _resolve_seed(args)
     center = north_pole(args.d)
     try:
         if args.collar_beta is None:
@@ -168,7 +152,7 @@ def cmd_points(args):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=seed,
+    nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=args.seed,
                                degree=args.degree, delta=args.delta)
     cqio.write_canonical(args.out, cqio.points_to_dict(nodes))
     sys.stderr.write(f"wrote {len(nodes)} nodes to {args.out}\n")
@@ -249,7 +233,7 @@ def _cov(args, _, degree, run):
 
 
 def _positive(cell):
-    return math.isfinite(cell["estimate"]) and cell["estimate"] > 0
+    return cell["estimate"] > 0
 
 
 def _within(bound):
@@ -273,7 +257,7 @@ _VERIFY = {
     "maxmin": _Verify("points", _maxmin, _NODE_GRID + ("beta",), ("ball_samples",),
                       _within(20)),
     "bernstein": _Verify("arc", _bernstein, ("d", "alpha", "n", "p", "weight", "statistic"),
-                         (), lambda c: math.isfinite(c["estimate"])),
+                         (), lambda c: True),  # any finite estimate passes
     "weighted-mz": _Verify("points", _weighted_mz, _NODE_GRID + ("weight",),
                            ("ball_samples",), _within(50)),
     "cov": _Verify("cap", _cov, ("d", "alpha", "n"), (),
@@ -309,8 +293,6 @@ def _verify_input(args, name, source):
 
 
 def cmd_verify(args):
-    seed = _resolve_seed(args)
-    threads = _resolve_threads(args)
     name = _ALIASES.get(args.subcommand, args.subcommand)
     spec = _VERIFY[name]
     t0 = time.perf_counter()
@@ -319,14 +301,19 @@ def cmd_verify(args):
         fields.update(p=args.p, beta=args.beta, statistic=args.statistic)
         if "weight" in spec.grid:
             fields["weight"] = _weight_from_args(args).label()
-        run = {"trials": args.trials, "seed": seed, "threads": threads}
+        run = {"trials": args.trials, "seed": args.seed, "threads": args.threads}
         measured = spec.measure(args, loaded, fields["n"], run)
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    bad = sorted(k for k, v in measured.items() if not math.isfinite(v))
+    if bad:
+        sys.stderr.write(f"error: verify {name}: non-finite {', '.join(bad)} at --p {args.p:g} "
+                         "(|f|^p out of floating-point range?); no report written\n")
+        return 1
     elapsed = time.perf_counter() - t0
     cell = dict(measured, trials=args.trials, **{k: getattr(args, k) for k in spec.cell})
-    report = VerificationReport(name, {k: fields[k] for k in spec.grid}, [cell], seed,
+    report = VerificationReport(name, {k: fields[k] for k in spec.grid}, [cell], args.seed,
                                 elapsed if args.timing else 0.0)
     cqio.write_canonical(args.report, report.to_dict())
     if args.csv:
@@ -359,6 +346,14 @@ def cmd_moments(args):
 
 def main(argv=None):
     args = make_parser().parse_args(argv)
+    for attr, var, check, default in _ENV:
+        if getattr(args, attr) is None:
+            raw = os.environ.get(var)
+            try:
+                setattr(args, attr, default if raw is None else check(raw))
+            except argparse.ArgumentTypeError as exc:
+                sys.stderr.write(f"error: environment variable {var}: {exc}\n")
+                return 1
     return args.func(args)
 
 

@@ -13,8 +13,12 @@ probe grid stands in for the continuum.  Probe grids and candidate pools
 come from the same generator, at nested resolutions, so the greedy
 output always passes its own coverage check.
 
-The geodesic bound dist <= alpha * rho lets a chordal KD-tree cull both
-the greedy update and all probe scans.
+Candidates are rows of constant polar angle theta, each a ring of
+equally spaced azimuths phi.  Since chord <= alpha * rho, each insertion
+can only lower the running distances of candidates in a (theta, phi)
+index window around the inserted point, and the greedy update touches
+that window alone.  Separation and probe scans use the same bound
+through a chordal KD-tree.
 """
 
 from __future__ import annotations
@@ -150,33 +154,10 @@ def is_separable(domain, points, epsilon):
 # product grids (candidate pools and probe grids share this generator)
 
 
-def product_grid(domain, epsilon, resolution):
-    """Deterministic product grid with spacing about epsilon*alpha/resolution.
-
-    Counts are resolution times a base count fixed by epsilon alone, so
-    grids at resolutions 4 and 8 are nested; the coverage check leans on
-    that.  Returns an (N, d+1) coords array in the domain's frame.
-    """
+def _grid_axes(domain, epsilon, resolution):
+    """Polar angles (rows) and azimuths (columns) of the d=2 product grid."""
     alpha = domain.alpha
-    resolution = int(resolution)
-    if resolution < 1:
-        raise ValueError("resolution must be >= 1")
     step = epsilon * alpha
-    frame = north_frame(domain.center)
-    if domain.dim == 1:
-        if isinstance(domain, Cap):
-            segments = [(-alpha, alpha)]
-        else:
-            segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
-        us = []
-        for lo, hi in segments:
-            m = resolution * max(1, math.ceil((hi - lo) / step))
-            u = lo + np.arange(m + 1) * ((hi - lo) / m)
-            u[-1] = hi
-            us.append(u)
-        u = np.concatenate(us)
-        local = np.column_stack([np.sin(u), np.cos(u)])
-        return local @ frame
     if isinstance(domain, Cap):
         th_lo, th_hi = 0.0, alpha
     else:
@@ -191,11 +172,43 @@ def product_grid(domain, epsilon, resolution):
     theta = th_lo + np.arange(m_theta + 1) * ((th_hi - th_lo) / m_theta)
     theta[-1] = th_hi
     phi = np.arange(m_phi) * (2.0 * math.pi / m_phi)
+    return theta, phi
+
+
+def product_grid(domain, epsilon, resolution):
+    """Deterministic product grid with spacing about epsilon*alpha/resolution.
+
+    Counts are resolution times a base count fixed by epsilon alone, so
+    grids at resolutions 4 and 8 are nested; the coverage check leans on
+    that.  Returns an (N, d+1) coords array in the domain's frame; for
+    d=2 it is row-major over (theta, phi), as ``_grid_axes`` gives them.
+    """
+    alpha = domain.alpha
+    resolution = int(resolution)
+    if resolution < 1:
+        raise ValueError("resolution must be >= 1")
+    frame = north_frame(domain.center)
+    if domain.dim == 1:
+        step = epsilon * alpha
+        if isinstance(domain, Cap):
+            segments = [(-alpha, alpha)]
+        else:
+            segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
+        us = []
+        for lo, hi in segments:
+            m = resolution * max(1, math.ceil((hi - lo) / step))
+            u = lo + np.arange(m + 1) * ((hi - lo) / m)
+            u[-1] = hi
+            us.append(u)
+        u = np.concatenate(us)
+        local = np.column_stack([np.sin(u), np.cos(u)])
+        return local @ frame
+    theta, phi = _grid_axes(domain, epsilon, resolution)
     s, t = np.sin(theta), np.cos(theta)
-    local = np.empty(((m_theta + 1) * m_phi, 3))
+    local = np.empty((theta.size * phi.size, 3))
     local[:, 0] = np.outer(s, np.cos(phi)).ravel()
     local[:, 1] = np.outer(s, np.sin(phi)).ravel()
-    local[:, 2] = np.repeat(t, m_phi)
+    local[:, 2] = np.repeat(t, phi.size)
     return local @ frame
 
 
@@ -223,56 +236,89 @@ def _seed_coords(domain):
     return local @ north_frame(domain.center)
 
 
+def _update_window(theta, m_phi, r, c, chord):
+    """Row slice and column index (a slice or a wrapped index array) of a
+    pool window that holds every point within chord ``chord`` of the
+    point in row r, column c.
+
+    A point at geodesic distance at most g from z lies in a row with
+    |theta_r - theta_z| <= g.  Unless that disc holds a pole, its points
+    differ from z in phi by at most asin(sin g / sin theta_z) (the right
+    spherical triangle of the pole, z and a tangent point); with a pole
+    inside, rows are taken whole.
+    """
+    g = 2.0 * math.asin(min(chord / 2.0, 1.0)) + 1e-12
+    theta_z = float(theta[r])
+    rows = slice(int(np.searchsorted(theta, theta_z - g, side="left")),
+                 int(np.searchsorted(theta, theta_z + g, side="right")))
+    if g >= min(theta_z, math.pi - theta_z):
+        return rows, slice(None)
+    w = int(math.asin(math.sin(g) / math.sin(theta_z)) / (2.0 * math.pi / m_phi)) + 1
+    if 2 * w + 1 >= m_phi:
+        return rows, slice(None)
+    if w <= c < m_phi - w:
+        return rows, slice(c - w, c + w + 1)
+    return rows, np.arange(c - w, c + w + 1) % m_phi
+
+
 def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
     """Maximal separated set by farthest-point insertion over a product grid.
 
     Deterministic: the pool, the seed point, and the lowest-index
     tie-break are all fixed by (domain, epsilon); the ``seed`` argument
     is provenance metadata carried into the NodeSet and derived files.
+
+    Each insertion at distance v can only lower the running distance of
+    pool points within chord alpha*v of it (chord <= alpha*rho); on d=2
+    those lie in an index window of the (theta, phi) grid, and only the
+    window is updated.  A point outside that chordal ball has rho > v >=
+    its running distance, so a window that contains the ball gives the
+    same result as a full update.  The d=1 pool is small and is updated
+    whole.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     alpha = domain.alpha
     pool = product_grid(domain, epsilon, 8)
-    npool = pool.shape[0]
     sqrt_b = np.sqrt(boundary_distance_many(domain, pool))
-    tree = cKDTree(pool)
+    if domain.dim == 2:
+        theta, phi = _grid_axes(domain, epsilon, 8)
+        shape = (theta.size, phi.size)
+    else:
+        shape = (1, pool.shape[0])
 
     start = _seed_coords(domain)
     chosen = [start]
     sb_start = math.sqrt(float(boundary_distance_many(domain, start.reshape(1, -1))[0]))
     mind = rho_many(domain, pool, start, sqrt_b=sqrt_b, sqrt_b_y=sb_start)
-
-    block = 8192
-    nblocks = (npool + block - 1) // block
-    bounds = np.arange(1, nblocks) * block
-    bmax = np.maximum.reduceat(mind, np.r_[0, bounds])
+    # 2-D views over (rows, columns); rowmax is kept equal to each row's
+    # max, so argmax over rows then within the row is the lowest flat
+    # index of the global max (the tie-break above)
+    mind2 = mind.reshape(shape)
+    pool2 = pool.reshape(shape + (pool.shape[1],))
+    sqrt_b2 = sqrt_b.reshape(shape)
+    rowmax = mind2.max(axis=1)
 
     while True:
-        b = int(np.argmax(bmax))
-        lo = b * block
-        i = lo + int(np.argmax(mind[lo : lo + block]))
-        v = float(mind[i])
+        r = int(np.argmax(rowmax))
+        c = int(np.argmax(mind2[r]))
+        v = float(mind2[r, c])
         if v < epsilon:
             break
-        z = pool[i]
+        z = pool2[r, c]
         chosen.append(z)
-        sb_z = float(sqrt_b[i])
         chord = alpha * v * (1.0 + 1e-9)
-        if chord >= 2.0:
-            dz = rho_many(domain, pool, z, sqrt_b=sqrt_b, sqrt_b_y=sb_z)
-            np.minimum(mind, dz, out=mind)
-            bmax = np.maximum.reduceat(mind, np.r_[0, bounds])
-            continue
-        idx = tree.query_ball_point(z, chord, return_sorted=False)
-        idx = np.asarray(idx, dtype=np.intp)
-        dz = rho_many(domain, pool[idx], z, sqrt_b=sqrt_b[idx], sqrt_b_y=sb_z)
-        upd = dz < mind[idx]
-        ii = idx[upd]
-        mind[ii] = dz[upd]
-        for blk in np.unique(ii // block):
-            s = blk * block
-            bmax[blk] = mind[s : s + block].max()
+        if domain.dim == 1 or chord >= 2.0:
+            rows, cols = slice(None), slice(None)
+        else:
+            rows, cols = _update_window(theta, shape[1], r, c, chord)
+        win = mind2[rows, cols]
+        dz = rho_many(domain, pool2[rows, cols].reshape(-1, pool.shape[1]), z,
+                      sqrt_b=sqrt_b2[rows, cols].reshape(-1), sqrt_b_y=float(sqrt_b2[r, c]))
+        np.minimum(win, dz.reshape(win.shape), out=win)
+        if isinstance(cols, np.ndarray):  # fancy indexing gave a copy
+            mind2[rows, cols] = win
+        rowmax[rows] = mind2[rows].max(axis=1)
 
     coords = np.vstack(chosen)
     if degree is None and delta is None:

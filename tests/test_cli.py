@@ -61,23 +61,44 @@ def test_bad_flag_exits_1(tmp_path):
     assert res.returncode == 1
 
 
-@pytest.mark.parametrize("argv, flag", [
-    (["verify", "osc", "--points", "{points}", "--p", "0"], "--p"),
-    (["verify", "mz", "--rule", "{rule}", "--p", "inf"], "--p"),
-    (["verify", "mz", "--rule", "{rule}", "--trials", "0"], "--trials"),
-    (["verify", "sieve", "--points", "{points}", "--degree", "0"], "--degree"),
-    (["solve", "--points", "{points}", "--degree", "4", "--tol", "nan"], "--tol"),
-], ids=["osc-p0", "mz-p-inf", "mz-trials0", "sieve-degree0", "solve-tol-nan"])
-def test_bad_numeric_flag_exits_1(argv, flag, points_file, rule_file, tmp_path):
+@pytest.mark.parametrize("argv, flag, env", [
+    (["verify", "osc", "--points", "{points}", "--p", "0"], "--p", None),
+    (["verify", "mz", "--rule", "{rule}", "--p", "inf"], "--p", None),
+    (["verify", "mz", "--rule", "{rule}", "--trials", "0"], "--trials", None),
+    (["verify", "sieve", "--points", "{points}", "--degree", "0"], "--degree", None),
+    (["solve", "--points", "{points}", "--degree", "4", "--tol", "nan"], "--tol", None),
+    (["verify", "mz", "--rule", "{rule}"], "CAPQUAD_SEED", {"CAPQUAD_SEED": "-1"}),
+    (["verify", "mz", "--rule", "{rule}"], "CAPQUAD_SEED", {"CAPQUAD_SEED": "abc"}),
+    (["verify", "mz", "--rule", "{rule}"], "CAPQUAD_THREADS", {"CAPQUAD_THREADS": "0"}),
+    (["points", "--d", "2", "--alpha", "1", "--degree", "2", "--delta", "0.5"],
+     "CAPQUAD_SEED", {"CAPQUAD_SEED": "1.5"}),
+], ids=["osc-p0", "mz-p-inf", "mz-trials0", "sieve-degree0", "solve-tol-nan",
+        "env-seed-negative", "env-seed-text", "env-threads0", "points-env-seed-float"])
+def test_bad_numeric_flag_exits_1(argv, flag, env, points_file, rule_file, tmp_path):
     args = [a.format(points=points_file, rule=rule_file) for a in argv]
     out = tmp_path / "out.json"
     if args[0] == "verify":
         args[2:2] = ["--trials", "2", "--report", str(out)]
     else:
         args += ["--out", str(out)]
-    res = run_cli(args)
+    res = run_cli(args, env_extra=env)
     assert res.returncode == 1
     assert flag in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not out.exists()
+
+
+def test_verify_non_finite_report_exits_1(tmp_path):
+    # |f|^1000 overflows on this rule: no report, exit 1 naming the
+    # subcommand and --p
+    pts, rule, out = tmp_path / "p.json", tmp_path / "r.json", tmp_path / "out.json"
+    assert main(["points", "--d", "2", "--alpha", "0.8", "--degree", "6",
+                 "--delta", "0.25", "--out", str(pts)]) == 0
+    assert main(["solve", "--points", str(pts), "--degree", "6", "--out", str(rule)]) == 0
+    res = run_cli(["verify", "mz", "--rule", str(rule), "--p", "1000", "--trials", "3",
+                   "--report", str(out)])
+    assert res.returncode == 1
+    assert "verify mz" in res.stderr and "--p" in res.stderr
     assert "Traceback" not in res.stderr
     assert not out.exists()
 

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import capquad as cq
-from capquad.points import product_grid
+from capquad.geometry import boundary_distance_many, rho_many
+from capquad.points import _seed_coords, product_grid
 
 from conftest import random_cap_points
 
@@ -58,6 +59,33 @@ def test_greedy_d1():
     assert cq.is_separable(cap, ns, 0.03)
     assert cq.is_maximal_separable(cap, ns, 0.03, 4)
     assert ns.delta == pytest.approx(0.24)
+
+
+def _greedy_full_scan(domain, epsilon):
+    """Farthest-point insertion that updates the whole pool at every step."""
+    pool = product_grid(domain, epsilon, 8)
+    sqrt_b = np.sqrt(boundary_distance_many(domain, pool))
+    chosen = [_seed_coords(domain)]
+    mind = rho_many(domain, pool, chosen[0], sqrt_b=sqrt_b)
+    while True:
+        i = int(np.argmax(mind))
+        if mind[i] < epsilon:
+            return np.vstack(chosen)
+        chosen.append(pool[i])
+        np.minimum(mind, rho_many(domain, pool, pool[i], sqrt_b=sqrt_b,
+                                  sqrt_b_y=float(sqrt_b[i])), out=mind)
+
+
+@pytest.mark.parametrize("domain, epsilon", [
+    (cq.Cap(E2, 0.5), 0.1),  # phi windows wrap past phi = 0
+    (cq.Cap(E2, 2.5), 0.3),  # rows taken whole
+    (cq.Collar(E2, 0.5, 1.0), 0.15),
+    (cq.Cap(E1, 0.5), 0.03),
+    (cq.Collar(E1, 0.5, 1.0), 0.05),
+], ids=["cap-d2-wrap", "cap-d2-wide", "collar-d2", "cap-d1", "collar-d1"])
+def test_greedy_matches_full_scan(domain, epsilon):
+    ns = cq.greedy_maximal_set(domain, epsilon)
+    assert ns.coords.tobytes() == _greedy_full_scan(domain, epsilon).tobytes()
 
 
 def test_node_count_scaling(nodes_family_d05):
