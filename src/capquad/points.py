@@ -14,10 +14,11 @@ come from the same generator, at nested resolutions, so the greedy
 output always passes its own coverage check.
 
 Candidates are rows of constant polar angle theta, each a ring of
-equally spaced azimuths phi.  Since chord <= alpha * rho, each insertion
-can only lower the running distances of candidates in a (theta, phi)
-index window around the inserted point, and the greedy update touches
-that window alone.  Separation and probe scans use the same bound
+equally spaced azimuths phi (on d=1, one row of ascending angles per
+arc).  Since chord <= alpha * rho, each insertion can only lower the
+running distances of candidates in an index window of rows and columns
+around the inserted point, and the greedy update touches that window
+alone.  Separation and probe scans use the same bound
 through a chordal KD-tree.
 """
 
@@ -175,32 +176,38 @@ def _grid_axes(domain, epsilon, resolution):
     return theta, phi
 
 
+def _arc_axes(domain, epsilon, resolution):
+    """Angles u of the d=1 grid, one row per arc of the domain (a cap is
+    one arc, a collar two of equal length), ascending within each row."""
+    step = epsilon * domain.alpha
+    if isinstance(domain, Cap):
+        segments = [(-domain.alpha, domain.alpha)]
+    else:
+        segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
+    rows = []
+    for lo, hi in segments:
+        m = resolution * max(1, math.ceil((hi - lo) / step))
+        u = lo + np.arange(m + 1) * ((hi - lo) / m)
+        u[-1] = hi
+        rows.append(u)
+    return np.vstack(rows)
+
+
 def product_grid(domain, epsilon, resolution):
     """Deterministic product grid with spacing about epsilon*alpha/resolution.
 
     Counts are resolution times a base count fixed by epsilon alone, so
     grids at resolutions 4 and 8 are nested; the coverage check leans on
-    that.  Returns an (N, d+1) coords array in the domain's frame; for
-    d=2 it is row-major over (theta, phi), as ``_grid_axes`` gives them.
+    that.  Returns an (N, d+1) coords array in the domain's frame,
+    row-major over (theta, phi) as ``_grid_axes`` gives them on d=2 and
+    over the arcs of ``_arc_axes`` on d=1.
     """
-    alpha = domain.alpha
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     frame = north_frame(domain.center)
     if domain.dim == 1:
-        step = epsilon * alpha
-        if isinstance(domain, Cap):
-            segments = [(-alpha, alpha)]
-        else:
-            segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
-        us = []
-        for lo, hi in segments:
-            m = resolution * max(1, math.ceil((hi - lo) / step))
-            u = lo + np.arange(m + 1) * ((hi - lo) / m)
-            u[-1] = hi
-            us.append(u)
-        u = np.concatenate(us)
+        u = _arc_axes(domain, epsilon, resolution).ravel()
         local = np.column_stack([np.sin(u), np.cos(u)])
         return local @ frame
     theta, phi = _grid_axes(domain, epsilon, resolution)
@@ -236,29 +243,51 @@ def _seed_coords(domain):
     return local @ north_frame(domain.center)
 
 
-def _update_window(theta, m_phi, r, c, chord):
-    """Row slice and column index (a slice or a wrapped index array) of a
-    pool window that holds every point within chord ``chord`` of the
-    point in row r, column c.
+def _sphere_window(theta, m_phi, r, c, g):
+    """(rows, columns) slice pairs of a d=2 pool window that holds every
+    point within geodesic distance g of the point in row r, column c.
 
-    A point at geodesic distance at most g from z lies in a row with
-    |theta_r - theta_z| <= g.  Unless that disc holds a pole, its points
-    differ from z in phi by at most asin(sin g / sin theta_z) (the right
-    spherical triangle of the pole, z and a tangent point); with a pole
-    inside, rows are taken whole.
+    Such a point lies in a row with |theta_r - theta_z| <= g.  Unless
+    that disc holds a pole, it differs from z in phi by at most
+    asin(sin g / sin theta_z) (the right spherical triangle of the pole,
+    z and a tangent point); with a pole inside, rows are taken whole.
+    The phi interval wraps around at phi = 0.
     """
-    g = 2.0 * math.asin(min(chord / 2.0, 1.0)) + 1e-12
     theta_z = float(theta[r])
     rows = slice(int(np.searchsorted(theta, theta_z - g, side="left")),
                  int(np.searchsorted(theta, theta_z + g, side="right")))
     if g >= min(theta_z, math.pi - theta_z):
-        return rows, slice(None)
+        return [(rows, slice(None))]
     w = int(math.asin(math.sin(g) / math.sin(theta_z)) / (2.0 * math.pi / m_phi)) + 1
     if 2 * w + 1 >= m_phi:
-        return rows, slice(None)
-    if w <= c < m_phi - w:
-        return rows, slice(c - w, c + w + 1)
-    return rows, np.arange(c - w, c + w + 1) % m_phi
+        return [(rows, slice(None))]
+    lo, hi = c - w, c + w + 1
+    if lo < 0:
+        return [(rows, slice(0, hi)), (rows, slice(lo + m_phi, m_phi))]
+    if hi > m_phi:
+        return [(rows, slice(lo, m_phi)), (rows, slice(0, hi - m_phi))]
+    return [(rows, slice(lo, hi))]
+
+
+def _arc_window(u, r, c, g):
+    """(row, columns) slice pairs of a d=1 pool window that holds every
+    point within geodesic distance g of the point in row r, column c.
+
+    A point at angle u is within g of u_z when u lies within g of u_z
+    modulo 2*pi; each row is ascending in u, so every shift of that
+    interval is one column slice of the row.
+    """
+    u_z = float(u[r, c])
+    pieces = []
+    for k in range(u.shape[0]):
+        for centre in (u_z - 2.0 * math.pi, u_z, u_z + 2.0 * math.pi):
+            if centre + g < u[k, 0] or centre - g > u[k, -1]:
+                continue
+            lo = int(np.searchsorted(u[k], centre - g, side="left"))
+            hi = int(np.searchsorted(u[k], centre + g, side="right"))
+            if lo < hi:
+                pieces.append((slice(k, k + 1), slice(lo, hi)))
+    return pieces
 
 
 def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
@@ -269,12 +298,11 @@ def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
     is provenance metadata carried into the NodeSet and derived files.
 
     Each insertion at distance v can only lower the running distance of
-    pool points within chord alpha*v of it (chord <= alpha*rho); on d=2
-    those lie in an index window of the (theta, phi) grid, and only the
+    pool points within chord alpha*v of it (chord <= alpha*rho); those
+    lie in an index window of the grid's rows and columns, and only the
     window is updated.  A point outside that chordal ball has rho > v >=
     its running distance, so a window that contains the ball gives the
-    same result as a full update.  The d=1 pool is small and is updated
-    whole.
+    same result as a full update.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
@@ -285,40 +313,55 @@ def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
         theta, phi = _grid_axes(domain, epsilon, 8)
         shape = (theta.size, phi.size)
     else:
-        shape = (1, pool.shape[0])
+        u = _arc_axes(domain, epsilon, 8)
+        shape = u.shape
 
     start = _seed_coords(domain)
     chosen = [start]
     sb_start = math.sqrt(float(boundary_distance_many(domain, start.reshape(1, -1))[0]))
-    mind = rho_many(domain, pool, start, sqrt_b=sqrt_b, sqrt_b_y=sb_start)
-    # 2-D views over (rows, columns); rowmax is kept equal to each row's
-    # max, so argmax over rows then within the row is the lowest flat
+    # the running distances sit in blocks of `width` consecutive pool
+    # indices (a ring on d=2, a stretch of about sqrt(N) points of an arc
+    # on d=1), padded with -inf; blockmax is kept equal to each block's
+    # max, so argmax over blocks then within the block is the lowest
     # index of the global max (the tie-break above)
+    npool = pool.shape[0]
+    width = shape[1] if domain.dim == 2 else max(1, math.isqrt(npool))
+    blocks = np.full((-(-npool // width), width), -np.inf)
+    mind = blocks.reshape(-1)[:npool]
+    mind[:] = rho_many(domain, pool, start, sqrt_b=sqrt_b, sqrt_b_y=sb_start)
     mind2 = mind.reshape(shape)
     pool2 = pool.reshape(shape + (pool.shape[1],))
     sqrt_b2 = sqrt_b.reshape(shape)
-    rowmax = mind2.max(axis=1)
+    blockmax = blocks.max(axis=1)
 
     while True:
-        r = int(np.argmax(rowmax))
-        c = int(np.argmax(mind2[r]))
-        v = float(mind2[r, c])
+        k = int(np.argmax(blockmax))
+        i = k * width + int(np.argmax(blocks[k]))
+        v = float(mind[i])
         if v < epsilon:
             break
-        z = pool2[r, c]
+        r, c = divmod(i, shape[1])
+        z = pool[i]
         chosen.append(z)
         chord = alpha * v * (1.0 + 1e-9)
-        if domain.dim == 1 or chord >= 2.0:
-            rows, cols = slice(None), slice(None)
+        if chord >= 2.0:
+            window = [(slice(None), slice(None))]
         else:
-            rows, cols = _update_window(theta, shape[1], r, c, chord)
-        win = mind2[rows, cols]
-        dz = rho_many(domain, pool2[rows, cols].reshape(-1, pool.shape[1]), z,
-                      sqrt_b=sqrt_b2[rows, cols].reshape(-1), sqrt_b_y=float(sqrt_b2[r, c]))
-        np.minimum(win, dz.reshape(win.shape), out=win)
-        if isinstance(cols, np.ndarray):  # fancy indexing gave a copy
-            mind2[rows, cols] = win
-        rowmax[rows] = mind2[rows].max(axis=1)
+            g = 2.0 * math.asin(chord / 2.0) + 1e-12
+            if domain.dim == 2:
+                window = _sphere_window(theta, shape[1], r, c, g)
+            else:
+                window = _arc_window(u, r, c, g)
+        for rows, cols in window:
+            win = mind2[rows, cols]
+            dz = rho_many(domain, pool2[rows, cols].reshape(-1, pool.shape[1]), z,
+                          sqrt_b=sqrt_b2[rows, cols].reshape(-1), sqrt_b_y=float(sqrt_b[i]))
+            np.minimum(win, dz.reshape(win.shape), out=win)
+            r0, r1, _ = rows.indices(shape[0])
+            c0, c1, _ = cols.indices(shape[1])
+            k0 = (r0 * shape[1] + c0) // width
+            k1 = ((r1 - 1) * shape[1] + c1 - 1) // width + 1
+            blockmax[k0:k1] = blocks[k0:k1].max(axis=1)
 
     coords = np.vstack(chosen)
     if degree is None and delta is None:

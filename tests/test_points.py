@@ -82,7 +82,10 @@ def _greedy_full_scan(domain, epsilon):
     (cq.Collar(E2, 0.5, 1.0), 0.15),
     (cq.Cap(E1, 0.5), 0.03),
     (cq.Collar(E1, 0.5, 1.0), 0.05),
-], ids=["cap-d2-wrap", "cap-d2-wide", "collar-d2", "cap-d1", "collar-d1"])
+    (cq.Cap(E1, 3.0), 0.01),  # windows wrap past u = +-pi
+    (cq.Collar(E1, 1.0, 2.9), 0.01),  # the wrap joins the two arcs
+], ids=["cap-d2-wrap", "cap-d2-wide", "collar-d2", "cap-d1", "collar-d1",
+        "cap-d1-wrap", "collar-d1-wrap"])
 def test_greedy_matches_full_scan(domain, epsilon):
     ns = cq.greedy_maximal_set(domain, epsilon)
     assert ns.coords.tobytes() == _greedy_full_scan(domain, epsilon).tobytes()
