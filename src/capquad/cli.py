@@ -169,13 +169,13 @@ def cmd_solve(args):
     if isinstance(result, Infeasible):
         sys.stderr.write(
             f"infeasible: {result.message}; achieved residual {result.residual:.3e}; "
-            f"{len(result.zero_nodes)} zero-weight nodes; "
             f"suggest regenerating the set at delta = {nodes.delta / 2:.6g}\n"
         )
         return 2
     cqio.write_canonical(args.out, cqio.rule_to_dict(result))
     sys.stderr.write(
-        f"accepted: {len(result.nodes)} nodes, residual {result.residual:.3e}\n"
+        f"accepted ({result.solver_meta['solver']}): {len(result.nodes)} nodes, "
+        f"residual {result.residual:.3e}\n"
     )
     return 0
 

@@ -166,8 +166,7 @@ def rule_to_dict(rule):
         "generator": {
             "seed": int(meta.get("seed", nodes.seed)),
             "algorithm": "greedy-fps",
-            "solver": "nnls-active-set",
-            "back_offs": int(meta.get("back_offs", 0)),
+            "solver": meta.get("solver", "unknown"),
         },
     })
     return out
@@ -182,11 +181,10 @@ def rule_from_dict(data):
     if np.any(weights <= 0):
         raise FormatError("rule weights must be strictly positive")
     gen = _generator(data)
-    meta = {
-        "seed": _integer(gen, "seed", 0),
-        "back_offs": _integer(gen, "back_offs", 0),
-        "iterations": 0,
-    }
+    solver = _field(gen, "solver", "unknown")
+    if not isinstance(solver, str):
+        raise FormatError("field 'solver' is not a string")
+    meta = {"seed": _integer(gen, "seed", 0), "solver": solver}
     return CubatureRule(nodes, weights, _integer(data, "degree"),
                         _scalar(data, "residual"), meta)
 

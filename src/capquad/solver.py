@@ -1,44 +1,50 @@
 """Strictly positive cubature weights on a node set, by moment matching.
 
 The weight vector must reproduce the analytic moments of the orthonormal
-basis over the cap (or collar) while staying strictly positive.  A plain
-nonnegative least-squares solve would do the former but lands on a
-vertex of the feasible polytope, zeroing all but ~dim(basis) nodes; such
-sparse rules cannot carry the two-sided sampling inequalities this
-package exists to check.  So the solve is split:
+basis over the cap (or collar) while staying strictly positive.  The
+weights the paper predicts are comparable to the ball volumes
+|B_rho(omega, delta/n)|, approximated by ``profile`` (the ball-volume
+surrogate at the set's separation radius).  The solve takes the first of
+two paths that yields an acceptable rule:
 
-  weights = base + correction,   base = eta * t * profile,  correction >= 0
+``"min-norm"``
+    the minimum profile-weighted-norm solution of the moment system,
+    ``w = sqrt(profile) * lstsq(A diag(sqrt(profile)), m)``, by
+    truncated-SVD least squares (relative cut-off 1e-13, since the
+    moment matrix is numerically rank-deficient).  It spreads the
+    weights in proportion to the profile, so on a dense enough set
+    every weight is positive.
+``"nnls-active-set"``
+    when the minimum-norm weights miss the residual target or go below
+    the positivity floor: ``w = base + profile * u`` with
+    ``base = 0.5 * t * profile`` (``t`` fits the profile to the moments
+    in one dimension) and ``u >= 0`` from a Lawson-Hanson active-set solve
+    of the residual moment system.  Every node keeps its base weight, so
+    positivity is structural.
 
-where ``profile`` is the ball-volume surrogate at the set's separation
-radius (the size the weights are expected to have), ``t`` fits the profile
-to the moments in one dimension, and the correction comes from a
-Lawson-Hanson active-set solve on the residual moment system with
-columns pre-scaled by the profile.  Every node keeps at least its base
-weight, so positivity is structural; ``eta`` backs off geometrically when
-the residual target is missed, ending at a pure nonnegative solve with a
-single prune-and-resolve pass before the set is declared infeasible.
+If neither path meets the target the set is declared infeasible, which
+signals that it is too sparse for the degree.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .geometry import delta_r_many, domain_measure, north_frame
-from .points import NodeSet
 from .polys import PolySpace, eval_basis_many
 from .quadrature import domain_moments
 
-_ETA_SCHEDULE = (0.5, 0.25, 0.125, 0.0625, 0.03125, 0.0)
 DEFAULT_TOL = 1e-10
+_RCOND = 1e-13  # singular-value cut-off of the minimum-norm solve, relative to the largest
+_BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
 
 
 class Infeasible:
     """Returned when no acceptable weight vector exists for (nodes, degree).
 
-    Carries the best achieved residual and the nodes that ended with zero
-    weight; the usual remedy is to halve delta and regenerate the set.
+    Carries the better of the two paths' residuals and the nodes whose
+    minimum-norm weight fell below the positivity floor; the usual remedy
+    is to halve delta and regenerate the set.
     """
 
     __slots__ = ("residual", "zero_nodes", "message")
@@ -84,7 +90,7 @@ def positivity_floor(nodes):
     return 1e-14 * domain_measure(nodes.domain) / max(len(nodes), 1)
 
 
-def nnls(a, b, max_iter=None):
+def nnls(a, b):
     """Active-set nonnegative least squares on ``min ||a x - b|| s.t. x >= 0``.
 
     Thin wrapper over the library Lawson-Hanson-style solver; returns
@@ -92,7 +98,7 @@ def nnls(a, b, max_iter=None):
     """
     from scipy.optimize import nnls as _lh_nnls
 
-    x, rnorm = _lh_nnls(np.asarray(a, float), np.asarray(b, float), maxiter=max_iter)
+    x, rnorm = _lh_nnls(np.asarray(a, float), np.asarray(b, float))
     return x, float(rnorm), int(np.count_nonzero(x))
 
 
@@ -123,9 +129,9 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     """Positive weights exact on the polynomial space over the domain.
 
     Returns a CubatureRule on acceptance (relative moment residual at most
-    ``tol`` with all weights strictly positive) or an Infeasible carrying
-    diagnostics.  An Infeasible outcome signals that the set is too
-    sparse for the requested degree.
+    ``tol`` with every weight at least the positivity floor), its
+    ``solver_meta["solver"]`` naming the path taken, or an Infeasible
+    carrying diagnostics.
     """
     if len(nodes) == 0:
         raise ValueError("empty node set")
@@ -133,49 +139,32 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
         raise ValueError("tol must be >= 1e-12")
     a, moments = _moment_matrix(nodes, degree)
     profile = _profile(nodes)
+    floor = positivity_floor(nodes)
+
+    root = np.sqrt(profile)
+    weights = root * np.linalg.lstsq(a * root[None, :], moments, rcond=_RCOND)[0]
+    resid = moment_residual(a, weights, moments)
+    low = np.flatnonzero(weights < floor)
+    if resid <= tol and low.size == 0:
+        return CubatureRule(nodes, weights, degree, resid,
+                            {"seed": nodes.seed, "solver": "min-norm"})
+
     scaled = a * profile[None, :]
     g = scaled.sum(axis=1)
     gg = float(g @ g)
     t_fit = float(g @ moments) / gg if gg > 0 else 0.0
     if not (t_fit > 0 and np.isfinite(t_fit)):
         t_fit = domain_measure(nodes.domain) / float(profile.sum())
-
-    floor = positivity_floor(nodes)
-    total_iters = 0
-    best_resid = math.inf
-    for back_offs, eta in enumerate(_ETA_SCHEDULE):
-        base = eta * t_fit * profile
-        target = moments - a @ base
-        u, _, it = nnls(scaled, target)
-        total_iters += it
-        weights = base + profile * u
-        resid = moment_residual(a, weights, moments)
-        best_resid = min(best_resid, resid)
-        if resid <= tol and np.all(weights >= floor):
-            meta = {"iterations": total_iters, "back_offs": back_offs, "seed": nodes.seed}
-            return CubatureRule(nodes, weights, degree, resid, meta)
-        if eta == 0.0 and resid <= tol:
-            # pure nonnegative solve met the moments but zeroed some nodes:
-            # prune them and resolve once on the survivors
-            keep = weights > floor
-            pruned = NodeSet(nodes.domain, nodes.coords[keep], nodes.epsilon,
-                             degree=nodes.degree, delta=nodes.delta,
-                             seed=nodes.seed, validate=False)
-            a2 = a[:, keep]
-            u2, _, it2 = nnls(a2 * profile[None, keep], moments)
-            total_iters += it2
-            w2 = profile[keep] * u2
-            resid2 = moment_residual(a2, w2, moments)
-            if resid2 <= tol and np.all(w2 >= positivity_floor(pruned)):
-                meta = {"iterations": total_iters, "back_offs": back_offs,
-                        "seed": nodes.seed, "pruned": int(np.sum(~keep))}
-                return CubatureRule(pruned, w2, degree, resid2, meta)
-            zeros = [i for i, k in enumerate(keep) if not k]
-            return Infeasible(min(best_resid, resid2),
-                              zeros, "zero weights persist after prune-and-resolve")
-    zeros = [int(i) for i in np.flatnonzero(weights < floor)]
-    return Infeasible(best_resid, zeros,
-                      f"residual {best_resid:.3e} above tol {tol:.1e}")
+    base = _BASE_SHARE * t_fit * profile
+    u, _, _ = nnls(scaled, moments - a @ base)
+    weights = base + profile * u
+    resid_nnls = moment_residual(a, weights, moments)
+    if resid_nnls <= tol and np.all(weights >= floor):
+        return CubatureRule(nodes, weights, degree, resid_nnls,
+                            {"seed": nodes.seed, "solver": "nnls-active-set"})
+    return Infeasible(min(resid, resid_nnls), [int(i) for i in low],
+                      f"min-norm residual {resid:.3e} with {low.size} weights below "
+                      f"the floor; nnls residual {resid_nnls:.3e}; tol {tol:.1e}")
 
 
 def verify_exactness(rule, probe_degree=None):

@@ -118,7 +118,8 @@ def test_solve_rule_schema(rule_file):
     assert len(data["nodes"]) == len(data["weights"])
     assert all(w > 0 for w in data["weights"])
     assert data["residual"] <= 1e-9
-    assert data["generator"]["solver"] == "nnls-active-set"
+    assert data["generator"]["solver"] == "min-norm"
+    assert "back_offs" not in data["generator"]
     rule = cqio.rule_from_dict(data)
     assert cq.verify_exactness(rule) <= 1e-9
 
@@ -243,6 +244,24 @@ def test_rule_roundtrip_byte_identical(rule_file, tmp_path):
     out = tmp_path / "again.json"
     cqio.write_canonical(out, cqio.rule_to_dict(rule))
     assert out.read_bytes() == rule_file.read_bytes()
+
+
+def test_rule_loads_legacy_generator_fields():
+    # capquad-rule/1 files written before the solver path was recorded carry
+    # an always-zero back_offs count; it is accepted and not written back
+    data = {
+        "version": "capquad-rule/1", "d": 2, "alpha": 1.0, "beta": None,
+        "center": [0.0, 0.0, 1.0], "degree": 0, "delta": 1.0, "epsilon": 1.0,
+        "nodes": [[0.0, 0.0, 1.0]], "weights": [1.0], "residual": 0.0,
+        "generator": {"seed": 3, "algorithm": "greedy-fps",
+                      "solver": "nnls-active-set", "back_offs": 0},
+    }
+    rule = cqio.rule_from_dict(data)
+    gen = cqio.rule_to_dict(rule)["generator"]
+    assert gen == {"seed": 3, "algorithm": "greedy-fps", "solver": "nnls-active-set"}
+    data["generator"]["solver"] = 1
+    with pytest.raises(cqio.FormatError, match="solver"):
+        cqio.rule_from_dict(data)
 
 
 def test_verify_assert_violation_exit3(points_file, tmp_path):

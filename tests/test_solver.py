@@ -70,6 +70,28 @@ def test_weight_sharpness(rule_a1_n8):
     assert hi / lo <= 1e3
 
 
+def test_min_norm_weight_sharpness(rule_a1_n8):
+    # the minimum profile-weighted-norm weights follow the ball-volume
+    # surrogate closely; an NNLS correction on top of a half profile
+    # spreads them over two orders of magnitude on the same set
+    lo, hi = cq.weight_sharpness(rule_a1_n8)
+    assert hi / lo <= 10
+
+
+def test_dense_set_takes_min_norm_path(rule_a1_n8):
+    assert rule_a1_n8.solver_meta["solver"] == "min-norm"
+
+
+def test_nnls_fallback_solves_where_min_norm_goes_negative(cap_a1):
+    ns = cq.greedy_maximal_set(cap_a1, 1.0 / 8, seed=0, degree=8, delta=1.0)
+    assert len(ns) == 215
+    rule = cq.solve_weights(ns, 8)
+    assert isinstance(rule, cq.CubatureRule)
+    assert rule.solver_meta["solver"] == "nnls-active-set"
+    assert np.all(rule.weights > 0)
+    assert rule.residual <= 1e-10
+
+
 def test_sharpness_single_node_degree0():
     cap = cq.Cap(E2, 0.8)
     ns = cq.NodeSet(cap, E2.coords.reshape(1, -1), 1.0)
