@@ -196,8 +196,10 @@ def _mz(args, rule, degree, run):
 
 
 def _osc(args, nodes, degree, run):
-    return {"estimate": osc_constant(nodes, degree, args.p, beta=args.beta,
-                                     ball_samples=args.ball_samples, **run)}
+    diagnostics = {}
+    estimate = osc_constant(nodes, degree, args.p, beta=args.beta,
+                            ball_samples=args.ball_samples, diagnostics=diagnostics, **run)
+    return {"estimate": estimate, **diagnostics}
 
 
 def _sieve(args, nodes, degree, run):
@@ -218,11 +220,13 @@ def _bernstein(args, _, degree, run):
 def _weighted_mz(args, nodes, degree, run):
     if not isinstance(nodes.domain, Cap):
         raise cqio.FormatError("weighted-mz runs on cap node sets")
+    diagnostics = {}
     brackets = weighted_mz(nodes.domain, _weight_from_args(args), nodes, degree, args.p,
-                           ball_samples=args.ball_samples, **run)
-    return {f"{name}_{tag}": val
-            for name, (lo, hi) in brackets.items()
-            for tag, val in (("lo", lo), ("hi", hi))}
+                           ball_samples=args.ball_samples, diagnostics=diagnostics, **run)
+    return {**{f"{name}_{tag}": val
+               for name, (lo, hi) in brackets.items()
+               for tag, val in (("lo", lo), ("hi", hi))},
+            **diagnostics}
 
 
 def _cov(args, _, degree, run):
@@ -239,7 +243,7 @@ def _positive(cell):
 def _within(bound):
     """Acceptance of brackets: every *_lo at least 1/bound, every *_hi at most bound."""
     return lambda cell: all(1 / bound <= v if k.endswith("_lo") else v <= bound
-                            for k, v in cell.items())
+                            for k, v in cell.items() if k.endswith(("_lo", "_hi")))
 
 
 # One row per subcommand.  source: what is measured, "rule" or "points" (the
@@ -257,7 +261,7 @@ _VERIFY = {
     "maxmin": _Verify("points", _maxmin, _NODE_GRID + ("beta",), ("ball_samples",),
                       _within(20)),
     "bernstein": _Verify("arc", _bernstein, ("d", "alpha", "n", "p", "weight", "statistic"),
-                         (), lambda c: True),  # any finite estimate passes
+                         (), _positive),
     "weighted-mz": _Verify("points", _weighted_mz, _NODE_GRID + ("weight",),
                            ("ball_samples",), _within(50)),
     "cov": _Verify("cap", _cov, ("d", "alpha", "n"), (),

@@ -264,7 +264,11 @@ def contains(domain, coords, tol=INSIDE_TOL):
 
 def boundary_distance_many(domain, coords):
     """Distance to the domain boundary for each row (clamped at 0)."""
-    theta = polar_angles(domain, coords)
+    return boundary_distance_at(domain, polar_angles(domain, coords))
+
+
+def boundary_distance_at(domain, theta):
+    """Distance to the domain boundary at polar angles ``theta`` (clamped at 0)."""
     if isinstance(domain, Cap):
         return np.maximum(domain.alpha - theta, 0.0)
     if isinstance(domain, Collar):
@@ -442,11 +446,11 @@ def rho_ball_contains(ball, y):
 
 
 def rho_ball_volume(ball, resolution=32):
-    """Quadrature measure of a rho-ball (indicator integration).
+    """Quadrature measure of a rho-ball (see quadrature.balls_integral).
 
     The rule order starts at ``resolution`` (at least 32) and doubles
-    until two successive estimates agree to 1%; indicator integrands
-    defeat fixed-order rules, and the volume claims this feeds only need
+    until two successive estimates agree to 1%; the ball's edge defeats
+    fixed-order rules, and the volume claims this feeds only need
     constant-factor accuracy.
     """
     from . import quadrature

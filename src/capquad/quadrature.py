@@ -14,6 +14,11 @@ target; full circles use the uniform rule, which is exact.
 
 Gauss-Legendre nodes come from Newton iteration on the Legendre
 recurrence, converged to 1e-15 and symmetrized.
+
+rho-balls (measures and weighted masses, for the weighted inequalities)
+are integrated on their own: on S^2 every row of fixed polar angle meets
+a ball in one azimuth interval of closed-form length, leaving a 1-D
+Gauss-Legendre sum in the polar angle whose order doubles until stable.
 """
 
 from __future__ import annotations
@@ -27,8 +32,10 @@ from .geometry import (
     Cap,
     Collar,
     Sphere,
+    boundary_distance_at,
     boundary_distance_many,
     north_frame,
+    polar_angles,
     rho_kernel,
 )
 from .polys import as_point_function
@@ -318,86 +325,70 @@ def domain_moments(domain, n):
 
 
 def _ball_boxes(domain, theta_c, sqrt_b_c, radius):
-    """Tight polar-interval and azimuth half-window containing each ball.
+    """Polar-angle interval [lo, hi] containing each d=2 ball.
 
     The metric forces both a distance bound and a boundary-distance band:
     sqrt(b) can move by at most sqrt(alpha)*radius, which pins the polar
-    angle into an annulus, and the chordal bound pins the azimuth.  Using
-    the box instead of a bounding cap keeps the ball a constant fraction
-    of the integration region even hard against the boundary, where balls
-    flatten into slivers.
+    angle into an annulus.  Integrating over that interval instead of a
+    bounding cap keeps the ball a constant fraction of the integration
+    region even hard against the boundary, where balls flatten into
+    slivers.
     """
     alpha = domain.alpha
     shift = math.sqrt(alpha) * radius
     b_lo = np.maximum(sqrt_b_c - shift, 0.0) ** 2
     b_hi = (sqrt_b_c + shift) ** 2
-    chord_bound = min(alpha * radius, 2.0)
     if isinstance(domain, Cap):
         dmax = min(alpha * radius, math.pi)
         lo = np.maximum.reduce([np.zeros_like(theta_c), theta_c - dmax, alpha - b_hi])
         hi = np.minimum(np.minimum(np.full_like(theta_c, alpha), theta_c + dmax),
                         alpha - b_lo)
     else:
-        dmax = 2.0 * math.asin(0.5 * chord_bound)
+        dmax = 2.0 * math.asin(0.5 * min(alpha * radius, 2.0))
         lo = np.maximum(np.maximum(np.full_like(theta_c, domain.alpha),
                                    theta_c - dmax), domain.alpha + b_lo)
         hi = np.minimum(np.minimum(np.full_like(theta_c, domain.beta),
                                    theta_c + dmax), domain.beta - b_lo)
-    lo = np.minimum(lo, theta_c)
-    hi = np.maximum(hi, theta_c)
-    sin_min = np.minimum(np.sin(lo), np.sin(hi))
-    full = (lo <= 1e-12) | (hi >= math.pi - 1e-12) | (sin_min <= 1e-12)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = 2.0 * np.arcsin(np.minimum(1.0, chord_bound / (2.0 * sin_min)))
-    half = np.where(full, math.pi, np.minimum(half, math.pi))
-    return lo, hi, half
+    return np.minimum(lo, theta_c), np.maximum(hi, theta_c)
 
 
-def _eval_balls_d2(domain, centers_polar, sqrt_b_c, radius, boxes, sel, res,
-                   weight_fn, frame):
-    """One resolution level of box quadrature for the selected d=2 balls."""
+def _eval_balls_d2(domain, theta_c, sqrt_b_c, radius, lo, hi, res, weight_fn):
+    """One resolution level for d=2 balls: Gauss-Legendre in the polar
+    angle over [lo, hi], the azimuth integrated exactly.
+
+    On the row of polar angle theta (canonical frame) the boundary
+    distance b is fixed, so the ball condition reads dist2 <= reach with
+    reach = (alpha*radius)^2 - alpha*(sqrt(b) - sqrt(b_c))^2, and dist2
+    (squared geodesic distance on caps, squared chord on collars) grows
+    with the azimuth gap |dphi|.  The row's part of the ball is the
+    interval |dphi| <= half, from the spherical law of cosines; where the
+    row or the center sits on the pole of the frame, half is pi or 0.
+    """
     alpha = domain.alpha
-    theta_c, phi_c = centers_polar
-    lo, hi, half = boxes
     xi, wxi = gauss_legendre_on(0.0, 1.0, res)
-    span = (hi[sel] - lo[sel])[:, None]
-    theta = lo[sel][:, None] + span * xi[None, :]
-    w_th = span * wxi[None, :] * np.sin(theta)
-    dphi = (2.0 * half[sel])[:, None] * xi[None, :] - half[sel][:, None]
-    w_ph = (2.0 * half[sel])[:, None] * wxi[None, :]
-
-    cos_tc = np.cos(theta_c[sel])[:, None, None]
-    sin_tc = np.sin(theta_c[sel])[:, None, None]
-    cos_d = (cos_tc * np.cos(theta)[:, :, None]
-             + sin_tc * np.sin(theta)[:, :, None] * np.cos(dphi)[:, None, :])
-    cos_d = np.clip(cos_d, -1.0, 1.0)
+    span = (hi - lo)[:, None]
+    theta = lo[:, None] + span * xi[None, :]
+    b = boundary_distance_at(domain, theta)
+    reach = (alpha * (radius + 1e-12)) ** 2 - alpha * (np.sqrt(b) - sqrt_b_c[:, None]) ** 2
     if isinstance(domain, Collar):
-        dist2 = 2.0 - 2.0 * cos_d
-        b = np.minimum(theta - domain.alpha, domain.beta - theta)
+        cos_reach = 1.0 - 0.5 * reach
     else:
-        d = np.arccos(cos_d)
-        dist2 = d * d
-        b = domain.alpha - theta
-    sqb = np.sqrt(np.maximum(b, 0.0))[:, :, None]
-    rho_val = rho_kernel(alpha, dist2, sqb, sqrt_b_c[sel][:, None, None])
-    mask = rho_val <= radius + 1e-12
-    cell_w = w_th[:, :, None] * w_ph[:, None, :]
-    vols = np.einsum("kij,kij->k", mask.astype(float), cell_w)
+        cos_reach = np.cos(np.sqrt(np.clip(reach, 0.0, math.pi**2)))
+    cos_prod = np.cos(theta_c)[:, None] * np.cos(theta)
+    sin_prod = np.sin(theta_c)[:, None] * np.sin(theta)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = np.arccos(np.clip((cos_reach - cos_prod) / sin_prod, -1.0, 1.0))
+    half = np.where(sin_prod <= 1e-12, np.where(cos_prod >= cos_reach, math.pi, 0.0), half)
+    half[reach < 0.0] = 0.0
+    row_w = (span * wxi) * np.sin(theta) * (2.0 * half)
+    vols = row_w.sum(axis=1)
     if weight_fn is None:
         return vols, vols
-    phi = phi_c[sel][:, None, None] + dphi[:, None, :]
-    st = np.sin(theta)[:, :, None]
-    local = np.stack(
-        [np.broadcast_to(st * np.cos(phi), cos_d.shape),
-         np.broadcast_to(st * np.sin(phi), cos_d.shape),
-         np.broadcast_to(np.cos(theta)[:, :, None], cos_d.shape)], axis=-1)
-    flat = local.reshape(-1, 3) @ frame
-    wv = np.asarray(weight_fn(flat), float).reshape(cos_d.shape)
-    masses = np.einsum("kij,kij->k", (mask * wv), cell_w)
-    return vols, masses
+    wv = np.asarray(weight_fn(b.ravel()), float).reshape(b.shape)
+    return vols, (row_w * wv).sum(axis=1)
 
 
-def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, res, weight_fn, frame):
+def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, res, weight_fn):
     """One resolution level for d=1 balls: union of arc segments."""
     alpha = domain.alpha
     if isinstance(domain, Cap):
@@ -422,18 +413,15 @@ def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, res, weight_fn, frame):
         gap = np.abs(u - u_c[:, None])
         if isinstance(domain, Collar):
             dist2 = (2.0 * np.sin(0.5 * gap)) ** 2
-            b = np.minimum(np.abs(u) - domain.alpha, domain.beta - np.abs(u))
         else:
             geo = np.minimum(gap, 2.0 * math.pi - gap)
             dist2 = geo * geo
-            b = alpha - np.abs(u)
-        sqb = np.sqrt(np.maximum(b, 0.0))
-        rho_val = rho_kernel(alpha, dist2, sqb, sqrt_b_c[:, None])
+        b = boundary_distance_at(domain, np.abs(u))
+        rho_val = rho_kernel(alpha, dist2, np.sqrt(b), sqrt_b_c[:, None])
         mask = (rho_val <= radius + 1e-12) & ok[:, None]
         vols += np.einsum("ki,ki->k", mask.astype(float), w)
         if weight_fn is not None:
-            pts = np.column_stack([np.sin(u).ravel(), np.cos(u).ravel()]) @ frame
-            wv = np.asarray(weight_fn(pts), float).reshape(u.shape)
+            wv = np.asarray(weight_fn(b.ravel()), float).reshape(b.shape)
             masses += np.einsum("ki,ki->k", mask * wv, w)
     if weight_fn is None:
         masses = vols.copy()
@@ -442,25 +430,34 @@ def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, res, weight_fn, frame):
 
 def balls_integral(domain, centers, radius, weight_fn=None, resolution=32,
                    rtol=0.01, max_resolution=1024, point_budget=4_000_000):
-    """(volumes, masses) of the rho-balls at many centers, vectorized.
+    """(volumes, masses, unconverged) of the rho-balls at many centers.
 
-    Indicator quadrature over a tight per-ball box; the rule order doubles
-    per ball until its two successive estimates agree to ``rtol`` relative,
-    exactly as for a single ball, just batched.
+    ``weight_fn`` maps a 1-D array of boundary distances b to weights;
+    without it the masses are the volumes.  d=2 balls are integrated
+    exactly in the azimuth and by Gauss-Legendre in the polar angle
+    (``_eval_balls_d2``), d=1 balls by indicator quadrature over their
+    arc segments.  The order doubles per ball from ``resolution`` until
+    two successive estimates agree to ``rtol`` relative; ``unconverged``
+    counts the balls still apart when the next order would exceed
+    ``max_resolution``, which keep their last estimates.
     """
     centers = np.atleast_2d(np.asarray(centers, float))
     k = centers.shape[0]
     resolution = max(int(resolution), 32)
-    frame = north_frame(domain.center)
-    canon = centers @ frame
     sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
     if domain.dim == 2:
-        theta_c = np.arccos(np.clip(canon[:, 2], -1.0, 1.0))
-        phi_c = np.arctan2(canon[:, 1], canon[:, 0])
-        boxes = _ball_boxes(domain, theta_c, sqrt_b_c, radius)
-        polar = (theta_c, phi_c)
+        theta_c = polar_angles(domain, centers)
+        lo, hi = _ball_boxes(domain, theta_c, sqrt_b_c, radius)
+
+        def level(sel, res):
+            return _eval_balls_d2(domain, theta_c[sel], sqrt_b_c[sel], radius,
+                                  lo[sel], hi[sel], res, weight_fn)
     else:
+        canon = centers @ north_frame(domain.center)
         u_c = np.arctan2(canon[:, 0], canon[:, 1])
+
+        def level(sel, res):
+            return _eval_balls_d1(domain, u_c[sel], sqrt_b_c[sel], radius, res, weight_fn)
 
     vols = np.zeros(k)
     masses = np.zeros(k)
@@ -470,18 +467,10 @@ def balls_integral(domain, centers, radius, weight_fn=None, resolution=32,
     res = resolution
     while np.any(active):
         idx = np.flatnonzero(active)
-        per_ball = res * res if domain.dim == 2 else res
-        block = max(1, point_budget // max(per_ball, 1))
+        block = max(1, point_budget // res)
         for lo_i in range(0, idx.size, block):
             sel = idx[lo_i : lo_i + block]
-            if domain.dim == 2:
-                v, m = _eval_balls_d2(domain, polar, sqrt_b_c, radius, boxes,
-                                      sel, res, weight_fn, frame)
-            else:
-                v, m = _eval_balls_d1(domain, u_c[sel], sqrt_b_c[sel], radius,
-                                      res, weight_fn, frame)
-            vols[sel] = v
-            masses[sel] = m
+            vols[sel], masses[sel] = level(sel, res)
         have_prev = ~np.isnan(prev_v)
         conv = (
             have_prev
@@ -494,21 +483,21 @@ def balls_integral(domain, centers, radius, weight_fn=None, resolution=32,
         res *= 2
         if res > max_resolution:
             break
-    return vols, masses
+    return vols, masses, int(np.count_nonzero(active))
 
 
 def ball_integral(ball, weight_fn=None, resolution=32, rtol=0.01, max_resolution=1024):
     """(volume, weighted mass) of a single rho-ball; see balls_integral."""
-    vols, masses = balls_integral(ball.domain, ball.center.coords.reshape(1, -1),
-                                  ball.radius, weight_fn, resolution=resolution,
-                                  rtol=rtol, max_resolution=max_resolution)
+    vols, masses, _ = balls_integral(ball.domain, ball.center.coords.reshape(1, -1),
+                                     ball.radius, weight_fn, resolution=resolution,
+                                     rtol=rtol, max_resolution=max_resolution)
     return float(vols[0]), float(masses[0])
 
 
 def balls_average(domain, centers, radius, weight_fn, resolution=32):
-    """Batched ball averages: mean of weight_fn over each center's ball."""
-    vols, masses = balls_integral(domain, centers, radius, weight_fn,
-                                  resolution=resolution)
+    """(averages, unconverged): mean of weight_fn over each center's ball."""
+    vols, masses, unconverged = balls_integral(domain, centers, radius, weight_fn,
+                                               resolution=resolution)
     if np.any(vols <= 0.0):
         raise QuadratureError("empty rho-ball in balls_average", (vols.min(), 0))
-    return masses / vols
+    return masses / vols, unconverged

@@ -33,7 +33,7 @@ from .geometry import (
     map_T_many,
     north_frame,
     poly_D,
-    rho_many,
+    rho_rows,
 )
 from .points import product_grid, tau_statistic
 from .polys import PolySpace, eval_basis_many
@@ -61,8 +61,11 @@ class DoublingWeight:
     boundary powers (b_x + 1/n_ref)^gamma.
 
     The 1/n_ref offset keeps boundary powers strictly positive on the
-    closed domain.  ``eval_on`` evaluates on points of a cap or collar;
-    ``eval_interval`` is the d=1 interval version with b_t = alpha - |t|.
+    closed domain.  Both kinds depend on the boundary distance b only:
+    ``eval_b`` is the formula, and the callable that the rho-ball
+    quadrature takes.  ``eval_on`` evaluates on points of a cap or
+    collar; ``eval_interval`` is the d=1 interval version with
+    b_t = alpha - |t|.
     """
 
     __slots__ = ("kind", "gamma", "n_ref", "value")
@@ -93,19 +96,17 @@ class DoublingWeight:
     def __setattr__(self, name, value):
         raise AttributeError("DoublingWeight is immutable")
 
-    def eval_on(self, domain, coords):
-        coords = np.atleast_2d(coords)
+    def eval_b(self, b):
+        b = np.asarray(b, dtype=float)
         if self.kind == "constant":
-            return np.full(coords.shape[0], self.value)
-        b = boundary_distance_many(domain, coords)
+            return np.full(b.shape, self.value)
         return (b + 1.0 / self.n_ref) ** self.gamma
 
+    def eval_on(self, domain, coords):
+        return self.eval_b(boundary_distance_many(domain, np.atleast_2d(coords)))
+
     def eval_interval(self, alpha, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            return np.full(t.shape, self.value)
-        b = np.maximum(alpha - np.abs(t), 0.0)
-        return (b + 1.0 / self.n_ref) ** self.gamma
+        return self.eval_b(np.maximum(alpha - np.abs(np.asarray(t, dtype=float)), 0.0))
 
     def label(self):
         if self.kind == "constant":
@@ -224,56 +225,49 @@ def _abs_power_integral(domain, space, coeffs, p, cache, tol=1e-8):
 # ball sampling
 
 
-def _ball_sample_points(domain, center, radius, count):
-    """Deterministic low-discrepancy points of the rho-ball around a node.
-
-    A golden-angle spiral fills the bounding geodesic region; points
-    falling outside the ball or the domain are dropped, and the center is
-    always included, so the sample never over-reaches the ball.
-    """
-    alpha = domain.alpha
-    if isinstance(domain, Cap):
-        bound = min(alpha * radius, math.pi)
-    else:
-        chord = min(alpha * radius, 2.0)
-        bound = min(2.0 * math.asin(0.5 * chord), math.pi)
-    d = domain.dim
-    if d == 2:
-        j = np.arange(count)
-        t = 1.0 - (1.0 - math.cos(bound)) * (j + 0.5) / count
-        phi = 2.0 * math.pi * np.mod(j / _GOLDEN, 1.0)
-        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
-        pts = local @ north_frame(SpherePoint(center))
-    else:
-        j = np.arange(count)
-        offs = bound * (2.0 * (j + 0.5) / count - 1.0)
-        base = math.atan2(center[0], center[1])
-        u = base + offs
-        pts = np.column_stack([np.sin(u), np.cos(u)])
-    keep = contains(domain, pts)
-    if np.any(keep):
-        sub = pts[keep]
-        dist = rho_many(domain, sub, center)
-        pts = sub[dist <= radius + 1e-12]
-    else:
-        pts = pts[:0]
-    return np.vstack([center.reshape(1, -1), pts])
-
-
 class _NodeBallTable:
-    """Per-node ball samples (concatenated) and optional ball measures."""
+    """Deterministic low-discrepancy samples of the rho-ball at every node.
+
+    A golden-angle spiral (d=2) or evenly spaced angles (d=1) fill the
+    bounding geodesic region; points falling outside the ball or the
+    domain are dropped, and the node itself always leads its block, so a
+    sample never over-reaches the ball.  The region depends only on the
+    radius, so one spiral serves every node, turned by the node's frame,
+    and all nodes are filtered in one pass.  Blocks are concatenated in
+    node order; ``offsets`` marks where each starts.
+    """
 
     def __init__(self, nodes, radius, count):
-        self.nodes = nodes
-        self.radius = radius
-        blocks = [
-            _ball_sample_points(nodes.domain, nodes.coords[k], radius, count)
-            for k in range(len(nodes))
-        ]
-        self.samples = np.vstack(blocks)
-        sizes = np.array([b.shape[0] for b in blocks])
-        self.offsets = np.r_[0, np.cumsum(sizes)[:-1]]
+        domain, centers = nodes.domain, nodes.coords
+        k = centers.shape[0]
+        alpha = domain.alpha
+        if isinstance(domain, Cap):
+            bound = min(alpha * radius, math.pi)
+        else:
+            chord = min(alpha * radius, 2.0)
+            bound = min(2.0 * math.asin(0.5 * chord), math.pi)
+        j = np.arange(count)
+        if domain.dim == 2:
+            t = 1.0 - (1.0 - math.cos(bound)) * (j + 0.5) / count
+            phi = 2.0 * math.pi * np.mod(j / _GOLDEN, 1.0)
+            s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+            local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
+            frames = np.array([north_frame(SpherePoint(c)) for c in centers])
+            pts = np.matmul(local, frames)
+        else:
+            offs = bound * (2.0 * (j + 0.5) / count - 1.0)
+            base = np.array([math.atan2(c[0], c[1]) for c in centers])
+            u = base[:, None] + offs
+            pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
+        flat = pts.reshape(k * count, -1)
+        sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
+        dist = rho_rows(domain, flat, np.repeat(centers, count, axis=0),
+                        np.sqrt(boundary_distance_many(domain, flat)),
+                        np.repeat(sqrt_b_c, count))
+        inside = contains(domain, flat) & (dist <= radius + 1e-12)
+        keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
+        self.samples = np.concatenate([centers[:, None, :], pts], axis=1)[keep]
+        self.offsets = np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]]
 
     def group_max_min(self, values):
         gmax = np.maximum.reduceat(values, self.offsets)
@@ -282,13 +276,6 @@ class _NodeBallTable:
 
     def basis_table(self, space):
         return eval_basis_many(space, self.samples)
-
-
-def node_ball_volumes(nodes, radius, resolution=32):
-    """Quadrature measures of the rho-balls at every node."""
-    vols, _ = balls_integral(nodes.domain, nodes.coords, radius, None,
-                             resolution=resolution)
-    return vols
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +312,16 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, threads=1):
 
 
 def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
-                 seed=0, threads=1, trial_degree=None):
+                 seed=0, threads=1, trial_degree=None, diagnostics=None):
     """Estimated oscillation constant: max over trials of (LHS/RHS)^{1/p} / delta.
 
     LHS sums, over nodes, the p-th power of the oscillation of f on the
     beta-dilated ball times the quadrature measure of the undilated ball;
     RHS is the integral of |f|^p.  ``trial_degree`` restricts the draw to
     a lower-degree subspace (degree 0 exercises the zero-oscillation case).
+    A ``diagnostics`` dict, when given, receives
+    ``ball_quadrature_unconverged``: the number of ball measures that
+    stopped at the quadrature's order cap (see balls_integral).
     """
     domain = nodes.domain
     eps = nodes.epsilon
@@ -339,7 +329,9 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     table = _NodeBallTable(nodes, beta * eps, ball_samples)
     basis_samples = table.basis_table(space)
-    volumes = node_ball_volumes(nodes, eps)
+    volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
+    if diagnostics is not None:
+        diagnostics["ball_quadrature_unconverged"] = unconverged
     cache = _BasisCache()
 
     def trial(c):
@@ -514,7 +506,7 @@ def compute_Wn(cap, weight, n, x):
     """
     coords = x.coords if isinstance(x, SpherePoint) else np.asarray(x, float)
     ball = RhoBall(cap, SpherePoint(coords), 1.0 / n)
-    vol, mass = ball_integral(ball, lambda pts: weight.eval_on(cap, pts))
+    vol, mass = ball_integral(ball, weight.eval_b)
     if vol <= 0:
         raise QuadratureError("degenerate ball in compute_Wn", (vol, mass))
     return mass / vol
@@ -533,7 +525,7 @@ def estimate_doubling(cap, weight, radii_levels=4, probes=25):
         idx = np.unique(np.linspace(0, grid.shape[0] - 1, probes).astype(int))
         grid = grid[idx]
     level_masses = [
-        balls_integral(cap, grid, 2.0 ** (-k), lambda pts: weight.eval_on(cap, pts))[1]
+        balls_integral(cap, grid, 2.0 ** (-k), weight.eval_b)[1]
         for k in range(radii_levels + 1)
     ]
     worst = 0.0
@@ -545,13 +537,16 @@ def estimate_doubling(cap, weight, radii_levels=4, probes=25):
 
 
 def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
-                seed=0, threads=1, wn_resolution=32, trial_degree=None):
+                seed=0, threads=1, wn_resolution=32, trial_degree=None, diagnostics=None):
     """Ratio brackets for the three weighted norm equivalences.
 
     Returns a dict with brackets (lo, hi) for: the weighted integral
     against its ball-averaged version ('wn_equivalence'), and the ball-max
     and ball-min node sums against the weighted integral ('max_sum',
-    'min_sum').  Ball radii equal the set's separation target.
+    'min_sum').  Ball radii equal the set's separation target.  A
+    ``diagnostics`` dict, when given, receives
+    ``ball_quadrature_unconverged``: the number of ball averages and node
+    ball masses that stopped at the quadrature's order cap.
     """
     if cap.alpha > 0.5 + 1e-12:
         raise ValueError("weighted equivalences are measured for alpha <= 1/2")
@@ -562,13 +557,14 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     rule = build_rule(cap, order)
     basis_rule = eval_basis_many(space, rule.points)
     w_vals = weight.eval_on(cap, rule.points)
-    wn_vals = balls_average(cap, rule.points, 1.0 / degree,
-                            lambda pts: weight.eval_on(cap, pts),
-                            resolution=wn_resolution)
+    wn_vals, wn_unconverged = balls_average(cap, rule.points, 1.0 / degree, weight.eval_b,
+                                            resolution=wn_resolution)
     table = _NodeBallTable(nodes, eps, ball_samples)
     basis_samples = table.basis_table(space)
-    _, masses = balls_integral(domain, nodes.coords, eps,
-                               lambda pts: weight.eval_on(domain, pts), resolution=wn_resolution)
+    _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b,
+                                                 resolution=wn_resolution)
+    if diagnostics is not None:
+        diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged
 
     def trial(c):
         fp = np.abs(basis_rule @ c) ** p

@@ -8,7 +8,7 @@ import pytest
 
 import capquad as cq
 from capquad import io as cqio
-from capquad.cli import main
+from capquad.cli import _VERIFY, main
 
 RUN = [sys.executable, "-m", "capquad.cli"]
 
@@ -329,19 +329,29 @@ def test_verify_remaining_subcommands(tmp_path):
     assert main(["verify", "osc", "--points", str(pts), "--degree", "6",
                  "--p", "2", "--trials", "5", "--ball-samples", "16",
                  "--seed", "2", "--report", str(rep), "--csv", str(csv)]) == 0
-    assert json.loads(rep.read_text())["inequality"] == "osc"
+    osc = json.loads(rep.read_text())
+    assert osc["inequality"] == "osc"
+    assert osc["cells"][0]["ball_quadrature_unconverged"] == 0
     assert csv.read_text().splitlines()[0].count(",") >= 2
     assert main(["verify", "maxmin", "--points", str(pts), "--degree", "6",
                  "--p", "2", "--trials", "5", "--ball-samples", "16",
                  "--seed", "2", "--report", str(rep)]) == 0
     assert main(["verify", "weighted-mz", "--points", str(pts), "--degree", "6",
                  "--p", "2", "--weight", "boundary-power", "--gamma", "1.0",
-                 "--trials", "5", "--seed", "2", "--report", str(rep)]) == 0
-    assert json.loads(rep.read_text())["inequality"] == "weighted-mz"
+                 "--trials", "5", "--seed", "2", "--assert", "--report", str(rep)]) == 0
+    wmz = json.loads(rep.read_text())
+    assert wmz["inequality"] == "weighted-mz"
+    assert wmz["cells"][0]["ball_quadrature_unconverged"] == 0
     assert main(["verify", "bernstein", "--alpha", "0.5", "--degree", "8",
                  "--p", "2", "--trials", "5", "--seed", "2",
                  "--statistic", "mean", "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["grid"]["statistic"] == "mean"
+
+
+def test_verify_bernstein_assert_rejects_nonpositive():
+    accept = _VERIFY["bernstein"].accept
+    assert not accept({"estimate": 0.0})
+    assert accept({"estimate": 0.25})
 
 
 def test_moments_d1_output():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import capquad as cq
+from capquad.geometry import boundary_distance_many, contains, rho_many
 from capquad.polys import eval_basis_many
 from capquad.quadrature import (
     QuadratureError,
@@ -167,7 +168,10 @@ def test_hemisphere_abs_zonal_monte_carlo():
 
 def test_balls_integral_batch_matches_single(cap_a1):
     pts = random_cap_points(cap_a1, 32, seed=31)
-    vols, _ = balls_integral(cap_a1, pts, 0.12)
+    vols, _, unconverged = balls_integral(cap_a1, pts, 0.12)
+    assert unconverged == 0
+    # a single order cannot be compared with anything: every ball is flagged
+    assert balls_integral(cap_a1, pts, 0.12, max_resolution=32)[2] == 32
     for k in (0, 7, 31):
         ball = cq.RhoBall(cap_a1, cq.SpherePoint(pts[k]), 0.12)
         assert cq.rho_ball_volume(ball) == pytest.approx(vols[k], rel=1e-14)
@@ -189,3 +193,33 @@ def test_moments_match_rule_high_degree():
     basis = eval_basis_many(cq.PolySpace(2, n), rule.points)
     got = basis.T @ rule.weights
     assert np.abs(got - domain_moments(cap, n)).max() < 1e-12
+
+
+def _polar_point(theta, phi):
+    return np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                     math.cos(theta)])
+
+
+@pytest.mark.parametrize("domain, center, r", [
+    (cq.Cap(E2, 1.0), _polar_point(0.45, 0.3), 0.15),    # interior ball
+    (cq.Cap(E2, 1.0), _polar_point(0.95, -2.0), 0.2),    # touches the cap boundary
+    (cq.Cap(E2, 1.0), E2.coords, 0.1),                   # at the cap centre: holds the pole
+    (cq.Collar(E2, 0.5, 1.0), _polar_point(0.7, 1.0), 0.3),
+], ids=["cap-interior", "cap-boundary", "cap-centre", "collar"])
+def test_balls_integral_monte_carlo(domain, center, r):
+    # independent oracle: a 10^6-point rejection count over a geodesic cap
+    # around the center that holds the ball (rho <= r bounds the geodesic
+    # distance by alpha * r on caps and the chord by alpha * r on collars)
+    weight = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
+    vols, masses, unconverged = balls_integral(domain, center, r, weight.eval_b)
+    assert unconverged == 0
+    reach = 2 * math.asin(min(domain.alpha * r, 2.0) / 2) + 1e-3
+    pts = random_cap_points(cq.Cap(cq.SpherePoint(center), reach), 10**6, seed=321)
+    inside = contains(domain, pts) & (rho_many(domain, pts, center) <= r)
+    area = 2 * math.pi * (1 - math.cos(reach))
+    mc_vol = area * float(np.mean(inside))
+    b = boundary_distance_many(domain, pts)
+    mc_mass = area * float(np.mean(np.where(inside, weight.eval_b(b), 0.0)))
+    assert vols[0] == pytest.approx(mc_vol, rel=0.02)
+    assert masses[0] == pytest.approx(mc_mass, rel=0.02)
+

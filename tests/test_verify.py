@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import capquad as cq
-from capquad.verify import VerificationReport, node_ball_volumes
+from capquad.verify import VerificationReport
 
 E2 = cq.north_pole(2)
 
@@ -251,3 +251,16 @@ def test_estimate_doubling_power_zero_matches_constant(cap_a05):
     l1 = cq.estimate_doubling(cap_a05, const, radii_levels=3, probes=9)
     l2 = cq.estimate_doubling(cap_a05, bp0, radii_levels=3, probes=9)
     assert l1 == pytest.approx(l2, rel=1e-12)
+
+
+def test_doubling_weight_one_formula(cap_a05):
+    from conftest import random_cap_points
+
+    pts = random_cap_points(cap_a05, 50, seed=5)
+    b = cq.geometry.boundary_distance_many(cap_a05, pts)
+    t = np.linspace(-0.5, 0.5, 41)
+    for weight in (cq.DoublingWeight.constant(2.5), cq.DoublingWeight.boundary_power(1.5, n_ref=4)):
+        assert np.array_equal(weight.eval_on(cap_a05, pts), weight.eval_b(b))
+        assert np.array_equal(weight.eval_interval(0.5, t), weight.eval_b(0.5 - np.abs(t)))
+    bp = cq.DoublingWeight.boundary_power(1.5, n_ref=4)
+    assert np.allclose(bp.eval_b(np.array([0.0, 0.25])), [0.25**1.5, 0.5**1.5], rtol=1e-15)
