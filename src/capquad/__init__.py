@@ -53,7 +53,6 @@ from .solver import (
     CubatureRule,
     Infeasible,
     solve_weights,
-    solve_with_backoff,
     verify_exactness,
     weight_sharpness,
 )

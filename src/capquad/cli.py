@@ -3,9 +3,10 @@
 Exit codes: 0 success, 1 malformed flags or input, 2 infeasible solve,
 3 assertion failure under --assert.  Seeds and thread counts follow the
 precedence flags > environment (CAPQUAD_SEED, CAPQUAD_THREADS) >
-defaults, and an environment value gets its flag's check; thread count
-never changes numeric output.  A verify measurement that is not finite
-exits 1 without a report.
+defaults, and an environment value gets its flag's check.  The thread
+count is parsed and checked but changes no output: every measurement
+runs its trials as one batch of matrix products.  A verify measurement
+that is not finite exits 1 without a report.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _add_common(p):
     p.add_argument("--seed", type=_NONNEG_INT, default=None,
                    help="master seed (default: CAPQUAD_SEED or 0)")
     p.add_argument("--threads", type=_POSITIVE_INT, default=None,
-                   help="worker threads (does not change output)")
+                   help="thread count (default: CAPQUAD_THREADS or 1); checked, "
+                        "but does not change the output")
     p.add_argument("--timing", action="store_true",
                    help="embed wall time in reports (breaks byte reproducibility)")
 
@@ -191,8 +193,10 @@ def _weight_from_args(args):
 
 
 def _mz(args, rule, degree, run):
-    lo, hi = mz_bracket(rule, args.p, trial_degree=args.trial_degree, **run)
-    return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo}
+    diagnostics = {}
+    lo, hi = mz_bracket(rule, args.p, trial_degree=args.trial_degree,
+                        diagnostics=diagnostics, **run)
+    return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo, **diagnostics}
 
 
 def _osc(args, nodes, degree, run):
@@ -203,13 +207,18 @@ def _osc(args, nodes, degree, run):
 
 
 def _sieve(args, nodes, degree, run):
-    return {"estimate": large_sieve_constant(nodes, degree, args.p, **run)}
+    diagnostics = {}
+    estimate = large_sieve_constant(nodes, degree, args.p, diagnostics=diagnostics, **run)
+    return {"estimate": estimate, **diagnostics}
 
 
 def _maxmin(args, nodes, degree, run):
+    diagnostics = {}
     (mx_lo, mx_hi), (mn_lo, mn_hi) = maxmin_equivalence(
-        nodes, degree, args.p, beta=args.beta, ball_samples=args.ball_samples, **run)
-    return {"max_lo": mx_lo, "max_hi": mx_hi, "min_lo": mn_lo, "min_hi": mn_hi}
+        nodes, degree, args.p, beta=args.beta, ball_samples=args.ball_samples,
+        diagnostics=diagnostics, **run)
+    return {"max_lo": mx_lo, "max_hi": mx_hi, "min_lo": mn_lo, "min_hi": mn_hi,
+            **diagnostics}
 
 
 def _bernstein(args, _, degree, run):
@@ -305,7 +314,7 @@ def cmd_verify(args):
         fields.update(p=args.p, beta=args.beta, statistic=args.statistic)
         if "weight" in spec.grid:
             fields["weight"] = _weight_from_args(args).label()
-        run = {"trials": args.trials, "seed": args.seed, "threads": args.threads}
+        run = {"trials": args.trials, "seed": args.seed}
         measured = spec.measure(args, loaded, fields["n"], run)
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -212,19 +212,30 @@ def integrate(rule, f):
 _ADAPTIVE_ORDERS = (8, 16, 32, 64, 128, DEGREE_CAP)
 
 
-def double_until_stable(estimate, orders, tol):
-    """Evaluate ``estimate(order)`` along ``orders`` until two successive
-    values agree to ``tol`` relative.
+def double_until_stable(estimate, orders, tol, count=1):
+    """Evaluate ``estimate(order, cols)`` along ``orders`` until, column by
+    column, two successive values agree to ``tol`` relative.
 
-    Returns (converged, last two estimates); when ``orders`` runs out the
-    caller decides whether the final estimate is good enough.
+    ``estimate`` returns one value per column index in ``cols``; each
+    order sees only the columns still apart.  Returns (converged, previous,
+    last), arrays over the ``count`` columns: ``previous`` is the estimate
+    one order before ``last``.  When ``orders`` runs out the caller
+    decides whether the final estimates are good enough.
     """
-    last = []
+    converged = np.zeros(count, bool)
+    prev = np.full(count, np.nan)
+    last = np.full(count, np.nan)
+    active = np.arange(count)
     for order in orders:
-        last = (last + [estimate(order)])[-2:]
-        if len(last) == 2 and abs(last[1] - last[0]) <= tol * (abs(last[1]) + 1e-14):
-            return True, last
-    return False, last
+        prev[active] = last[active]
+        last[active] = estimate(order, active)
+        a, b = prev[active], last[active]
+        done = np.abs(b - a) <= tol * (np.abs(b) + 1e-14)
+        converged[active[done]] = True
+        active = active[~done]
+        if active.size == 0:
+            break
+    return converged, prev, last
 
 
 def integrate_adaptive(domain, f, tol=1e-10, on_fail="raise"):
@@ -238,14 +249,13 @@ def integrate_adaptive(domain, f, tol=1e-10, on_fail="raise"):
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
     fv = as_point_function(f)
-    converged, last = double_until_stable(
-        lambda order: integrate(build_rule(domain, order), fv), _ADAPTIVE_ORDERS, tol)
-    if converged or on_fail == "last":
-        return last[-1]
+    converged, prev, last = double_until_stable(
+        lambda order, _: integrate(build_rule(domain, order), fv), _ADAPTIVE_ORDERS, tol)
+    estimates = float(prev[0]), float(last[0])
+    if converged[0] or on_fail == "last":
+        return estimates[1]
     raise QuadratureError(
-        f"no convergence by order {DEGREE_CAP}: last estimates ({last[0]}, {last[1]})",
-        last,
-    )
+        f"no convergence by order {DEGREE_CAP}: last estimates {estimates}", estimates)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +342,8 @@ def _ball_boxes(domain, theta_c, sqrt_b_c, radius):
     angle into an annulus.  Integrating over that interval instead of a
     bounding cap keeps the ball a constant fraction of the integration
     region even hard against the boundary, where balls flatten into
-    slivers.
+    slivers.  On a cap the interval is then cut to the ball's own polar
+    extent (``_cap_polar_edge``).
     """
     alpha = domain.alpha
     shift = math.sqrt(alpha) * radius
@@ -343,6 +354,7 @@ def _ball_boxes(domain, theta_c, sqrt_b_c, radius):
         lo = np.maximum.reduce([np.zeros_like(theta_c), theta_c - dmax, alpha - b_hi])
         hi = np.minimum(np.minimum(np.full_like(theta_c, alpha), theta_c + dmax),
                         alpha - b_lo)
+        lo, hi = (_cap_polar_edge(alpha, theta_c, sqrt_b_c, radius, end) for end in (lo, hi))
     else:
         dmax = 2.0 * math.asin(0.5 * min(alpha * radius, 2.0))
         lo = np.maximum(np.maximum(np.full_like(theta_c, domain.alpha),
@@ -350,6 +362,34 @@ def _ball_boxes(domain, theta_c, sqrt_b_c, radius):
         hi = np.minimum(np.minimum(np.full_like(theta_c, domain.beta),
                                    theta_c + dmax), domain.beta - b_lo)
     return np.minimum(lo, theta_c), np.maximum(hi, theta_c)
+
+
+def _cap_polar_edge(alpha, theta_c, sqrt_b_c, radius, end, steps=60):
+    """The polar angle between ``theta_c`` and ``end`` where the rows of a
+    cap stop meeting the ball (``end`` itself when they meet it all the way).
+
+    A row of polar angle theta meets the ball iff its point nearest the
+    center, at geodesic distance |theta - theta_c|, lies in it.  On a cap
+    both terms of that point's squared metric, (theta - theta_c)^2 and
+    alpha * (sqrt(b) - sqrt(b_c))^2, grow with |theta - theta_c|, so the
+    meeting rows form one interval around theta_c and bisection finds its
+    end.  Ending the Gauss-Legendre interval there keeps the step of the
+    azimuth half-width (pi to 0 on a ball around the pole of the frame)
+    out of the interval.
+    """
+    reach = (alpha * (radius + 1e-12)) ** 2
+
+    def meets(theta):
+        return ((theta - theta_c) ** 2
+                + alpha * (np.sqrt(np.maximum(alpha - theta, 0.0)) - sqrt_b_c) ** 2 <= reach)
+
+    inside, outside = theta_c.copy(), end.copy()
+    for _ in range(steps):
+        mid = 0.5 * (inside + outside)
+        ok = meets(mid)
+        inside = np.where(ok, mid, inside)
+        outside = np.where(ok, outside, mid)
+    return np.where(meets(end), end, outside)
 
 
 def _eval_balls_d2(domain, theta_c, sqrt_b_c, radius, lo, hi, res, weight_fn):

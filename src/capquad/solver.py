@@ -184,25 +184,3 @@ def weight_sharpness(rule):
     ratios = rule.weights / prof
     return float(ratios.min()), float(ratios.max())
 
-
-def solve_with_backoff(domain, degree, delta, seed=0, tol=DEFAULT_TOL, max_backoffs=3):
-    """Generate a maximal set and solve, halving delta on infeasibility.
-
-    Returns (rule, delta_used, backoffs).  Degree stays fixed: node
-    density is the free parameter.
-    """
-    from .points import greedy_maximal_set
-
-    delta_used = float(delta)
-    for k in range(max_backoffs + 1):
-        nodes = greedy_maximal_set(domain, delta_used / degree, seed=seed,
-                                   degree=degree, delta=delta_used)
-        result = solve_weights(nodes, degree, tol=tol)
-        if isinstance(result, CubatureRule):
-            meta = dict(result.solver_meta)
-            meta["delta_backoffs"] = k
-            return CubatureRule(result.nodes, result.weights, result.degree,
-                                result.residual, meta), delta_used, k
-        delta_used *= 0.5
-    raise RuntimeError(f"no feasible rule after {max_backoffs} delta halvings "
-                       f"(last residual {result.residual:.3e})")

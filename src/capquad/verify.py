@@ -11,15 +11,17 @@ plus the ball center.  Under-sampling can only shrink a maximum, so
 measured constants are lower bounds, and reports say so via the
 ``ball_samples`` entry they carry.
 
-Trials are independent given per-trial generators derived from the
-master seed, so a thread pool can run them in any order without changing
-a single reported digit.
+Every measurement runs all trials at once: trial k is column k of a
+coefficient matrix drawn from its own generator, derived from the master
+seed, and each basis table meets that matrix in one matrix product (per
+fixed chunk of columns where the table is tall).  A degenerate column is
+redrawn from its own stream, so a trial's draws never depend on another
+trial.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from .quadrature import (
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 DEGENERATE_FLOOR = 1e-14
 MAX_REDRAWS = 100
+COLUMN_CHUNK = 16  # trial columns per product with a tall basis table
+INTEGRAL_ORDERS = (8, 16, 32, 64, 128, 200)
+INTEGRAL_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -162,25 +167,36 @@ def trial_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
-def run_trials(trials, trial, size, seed, threads=1):
-    """trial(c) for one standard-normal draw c of length ``size`` per trial.
+def run_trials(trials, measure, size, seed):
+    """Values of ``measure`` over ``trials`` standard-normal draws of length ``size``.
 
-    Trial k draws from ``trial_rng(seed, k)``.  A trial returning None
-    marks a degenerate draw, which is redrawn from the same stream (at
-    most MAX_REDRAWS times).  Values come back in trial order.
+    Trial k is column k of the (size, trials) coefficient matrix and
+    draws from ``trial_rng(seed, k)``.  ``measure(C)`` returns (values,
+    degenerate): an array whose last axis runs over the columns of C, and
+    a mask of the columns that are degenerate draws.  Each degenerate
+    column is redrawn from its own stream and measured again, at most
+    MAX_REDRAWS draws in all.  Values come back in trial order.
     """
-    def worker(k):
-        rng = trial_rng(seed, k)
-        for _ in range(MAX_REDRAWS):
-            value = trial(rng.standard_normal(size))
-            if value is not None:
-                return value
-        raise RuntimeError("persistent degenerate draws")
+    rngs = [trial_rng(seed, k) for k in range(trials)]
+    redo = np.arange(trials)
+    values = None
+    for _ in range(MAX_REDRAWS):
+        coeffs = np.column_stack([rngs[k].standard_normal(size) for k in redo])
+        # degenerate columns may divide by zero; their values are dropped
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got, degenerate = measure(coeffs)
+        if values is None:
+            values = np.array(got, dtype=float)
+        else:
+            values[..., redo] = got
+        redo = redo[np.asarray(degenerate, bool)]
+        if redo.size == 0:
+            return values
+    raise RuntimeError("persistent degenerate draws")
 
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            return list(pool.map(worker, range(trials)))
-    return [worker(k) for k in range(trials)]
+
+def _degenerate(integrals):
+    return ~(integrals >= DEGENERATE_FLOOR)
 
 
 def _bracket(values):
@@ -188,37 +204,49 @@ def _bracket(values):
     return float(arr.min()), float(arr.max())
 
 
-# ---------------------------------------------------------------------------
-# cached basis evaluation at quadrature points
+def _by_chunks(table, coeffs, reduce):
+    """reduce(table @ block) over fixed blocks of COLUMN_CHUNK columns of
+    ``coeffs``, joined along the last axis; bounds the memory of a tall
+    table's products whatever the trial count."""
+    return np.concatenate([reduce(table @ coeffs[:, j:j + COLUMN_CHUNK])
+                           for j in range(0, coeffs.shape[1], COLUMN_CHUNK)], axis=-1)
 
 
-class _BasisCache:
-    def __init__(self):
-        self._store = {}
-
-    def at_rule(self, space, rule):
-        key = (space.dim_sphere, space.degree, rule.domain, rule.target_degree)
-        if key not in self._store:
-            self._store[key] = eval_basis_many(space, rule.points)
-        return self._store[key]
+def _abs_power(values, p):
+    """|values|^p, computed in place."""
+    np.abs(values, out=values)
+    values **= p
+    return values
 
 
-def _abs_power_integral(domain, space, coeffs, p, cache, tol=1e-8):
-    """Adaptive integral of |f|^p over the domain, with cached basis tables.
+def _abs_power_integral(domain, space, coeffs, p):
+    """Adaptive integrals of |f|^p over the domain, one per column of coeffs.
 
-    Even p makes the integrand a polynomial and the doubling loop stops as
-    soon as two exact orders agree; odd p integrands have kinks along the
-    zero set of f, converge algebraically, and are accepted at the last
-    order when the cap is hit (the brackets this feeds only need a few
-    digits).
+    Returns (integrals, capped): ``capped`` is 0 for a column whose last
+    two orders agreed to INTEGRAL_TOL, and otherwise the last relative
+    change of a column accepted at the order cap.  Each order's basis
+    table is built once and meets only the columns still apart.  Even p
+    makes the integrand a polynomial and two exact orders agree at once;
+    odd p integrands have kinks along the zero set of f, converge
+    algebraically, and are accepted at the cap (the brackets this feeds
+    only need a few digits).
     """
-    def estimate(order):
+    def estimate(order, cols):
         rule = build_rule(domain, order)
-        vals = np.abs(cache.at_rule(space, rule) @ coeffs) ** p
-        return float(rule.weights @ vals)
+        table = eval_basis_many(space, rule.points)
+        return _by_chunks(table, coeffs[:, cols], lambda v: rule.weights @ _abs_power(v, p))
 
-    _, last = double_until_stable(estimate, (8, 16, 32, 64, 128, 200), tol)
-    return last[-1]
+    converged, prev, last = double_until_stable(estimate, INTEGRAL_ORDERS, INTEGRAL_TOL,
+                                                coeffs.shape[1])
+    change = np.abs(last - prev) / (np.abs(last) + 1e-14)
+    return last, np.where(converged, 0.0, change)
+
+
+def _order_cap_fields(capped):
+    """Report fields on the integrals accepted at the order cap without two
+    orders agreeing: how many, and their largest last relative change."""
+    return {"integral_order_cap_hits": int(np.count_nonzero(capped)),
+            "integral_last_rel_change": float(capped.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +298,10 @@ class _NodeBallTable:
         self.offsets = np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]]
 
     def group_max_min(self, values):
-        gmax = np.maximum.reduceat(values, self.offsets)
-        gmin = np.minimum.reduceat(values, self.offsets)
-        return gmax, gmin
+        """Per-node maxima and minima of sample values, reduced along axis 0
+        and stacked: out[0] the maxima, out[1] the minima."""
+        return np.stack([np.maximum.reduceat(values, self.offsets),
+                         np.minimum.reduceat(values, self.offsets)])
 
     def basis_table(self, space):
         return eval_basis_many(space, self.samples)
@@ -282,13 +311,15 @@ class _NodeBallTable:
 # the inequality measurements
 
 
-def mz_bracket(rule, p, trials, seed, trial_degree=None, threads=1):
+def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
     """(min, max) over trials of the discrete-sum to integral ratio.
 
     Draws f from the Gaussian ensemble at the rule's degree (or
     ``trial_degree``), compares the weighted node sum of |f|^p with the
     adaptive integral.  Degenerate draws with integral below 1e-14 are
-    redrawn from the same per-trial stream.
+    redrawn from the same per-trial stream.  A ``diagnostics`` dict, when
+    given, receives the order-cap fields of the integrals
+    (``_order_cap_fields``).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -297,22 +328,20 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, threads=1):
     degree = rule.degree if trial_degree is None else int(trial_degree)
     space = PolySpace(domain.dim, degree)
     basis_nodes = eval_basis_many(space, nodes.coords)
-    cache = _BasisCache()
-    weights = rule.weights
 
-    def trial(c):
-        integral = _abs_power_integral(domain, space, c, p, cache)
-        if not integral >= DEGENERATE_FLOOR:
-            return None
-        disc = float(weights @ np.abs(basis_nodes @ c) ** p)
-        return disc / integral
+    def measure(c):
+        integral, capped = _abs_power_integral(domain, space, c, p)
+        disc = rule.weights @ _abs_power(basis_nodes @ c, p)
+        return np.vstack([disc / integral, capped]), _degenerate(integral)
 
-    ratios = run_trials(trials, trial, space.size, seed, threads)
+    ratios, capped = run_trials(trials, measure, space.size, seed)
+    if diagnostics is not None:
+        diagnostics.update(_order_cap_fields(capped))
     return _bracket(ratios)
 
 
 def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
-                 seed=0, threads=1, trial_degree=None, diagnostics=None):
+                 seed=0, trial_degree=None, diagnostics=None):
     """Estimated oscillation constant: max over trials of (LHS/RHS)^{1/p} / delta.
 
     LHS sums, over nodes, the p-th power of the oscillation of f on the
@@ -320,8 +349,9 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     RHS is the integral of |f|^p.  ``trial_degree`` restricts the draw to
     a lower-degree subspace (degree 0 exercises the zero-oscillation case).
     A ``diagnostics`` dict, when given, receives
-    ``ball_quadrature_unconverged``: the number of ball measures that
-    stopped at the quadrature's order cap (see balls_integral).
+    ``ball_quadrature_unconverged`` (the number of ball measures that
+    stopped at the quadrature's order cap, see balls_integral) and the
+    order-cap fields of the integrals.
     """
     domain = nodes.domain
     eps = nodes.epsilon
@@ -330,56 +360,59 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     table = _NodeBallTable(nodes, beta * eps, ball_samples)
     basis_samples = table.basis_table(space)
     volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
+
+    def oscillation(vals):
+        gmax, gmin = table.group_max_min(vals)
+        return gmax - gmin
+
+    def measure(c):
+        integral, capped = _abs_power_integral(domain, space, c, p)
+        lhs = volumes @ _by_chunks(basis_samples, c, oscillation) ** p
+        return np.vstack([(lhs / integral) ** (1.0 / p) / delta, capped]), _degenerate(integral)
+
+    estimates, capped = run_trials(trials, measure, space.size, seed)
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = unconverged
-    cache = _BasisCache()
-
-    def trial(c):
-        integral = _abs_power_integral(domain, space, c, p, cache)
-        if not integral >= DEGENERATE_FLOOR:
-            return None
-        vals = basis_samples @ c
-        gmax, gmin = table.group_max_min(vals)
-        lhs = float(((gmax - gmin) ** p) @ volumes)
-        return (lhs / integral) ** (1.0 / p) / delta
-
-    return float(max(run_trials(trials, trial, space.size, seed, threads)))
+        diagnostics.update(_order_cap_fields(capped))
+    return float(estimates.max())
 
 
-def large_sieve_constant(nodes, degree, p, trials=200, seed=0, threads=1,
-                         probes=20000, trial_degree=None):
+def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
+                         trial_degree=None, diagnostics=None):
     """Max over trials of LHS / (tau * RHS) for the one-sided sieve bound.
 
     LHS weighs node values of |f|^p by the ball-volume surrogate at
     radius 1/n; tau is the peak node count of a 1/n ball.  No separation
     is assumed of the node set.  ``trial_degree`` restricts the draw (the
-    surrogate radius stays 1/degree).
+    surrogate radius stays 1/degree).  A ``diagnostics`` dict, when given,
+    receives the order-cap fields of the integrals.
     """
     domain = nodes.domain
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     basis_nodes = eval_basis_many(space, nodes.coords)
     surrogate = delta_r_many(domain, nodes.coords, 1.0 / degree)
     tau = tau_statistic(domain, nodes, degree, probes=probes)
-    cache = _BasisCache()
 
-    def trial(c):
-        integral = _abs_power_integral(domain, space, c, p, cache)
-        if not integral >= DEGENERATE_FLOOR:
-            return None
-        lhs = float(surrogate @ np.abs(basis_nodes @ c) ** p)
-        return lhs / (tau * integral)
+    def measure(c):
+        integral, capped = _abs_power_integral(domain, space, c, p)
+        lhs = surrogate @ _abs_power(basis_nodes @ c, p)
+        return np.vstack([lhs / (tau * integral), capped]), _degenerate(integral)
 
-    return float(max(run_trials(trials, trial, space.size, seed, threads)))
+    estimates, capped = run_trials(trials, measure, space.size, seed)
+    if diagnostics is not None:
+        diagnostics.update(_order_cap_fields(capped))
+    return float(estimates.max())
 
 
 def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
-                       seed=0, threads=1, trial_degree=None, return_trials=False):
+                       seed=0, trial_degree=None, return_trials=False, diagnostics=None):
     """Ratio brackets of the ball-max and ball-min sums against the integral.
 
     Returns ((max_lo, max_hi), (min_lo, min_hi)); per trial the max-sum
     ratio dominates the min-sum ratio by construction.  With
     ``return_trials`` the per-trial (max_ratio, min_ratio) pairs come
-    back as a third element for ordering checks.
+    back as a third element for ordering checks.  A ``diagnostics`` dict,
+    when given, receives the order-cap fields of the integrals.
     """
     domain = nodes.domain
     eps = nodes.epsilon
@@ -387,24 +420,19 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     table = _NodeBallTable(nodes, beta * eps, ball_samples)
     basis_samples = table.basis_table(space)
     surrogate = delta_r_many(domain, nodes.coords, eps)
-    cache = _BasisCache()
 
-    def trial(c):
-        integral = _abs_power_integral(domain, space, c, p, cache)
-        if not integral >= DEGENERATE_FLOOR:
-            return None
-        avals = np.abs(basis_samples @ c)
-        gmax, gmin = table.group_max_min(avals)
-        rmax = float((gmax**p) @ surrogate) / integral
-        rmin = float((gmin**p) @ surrogate) / integral
-        return rmax, rmin
+    def measure(c):
+        integral, capped = _abs_power_integral(domain, space, c, p)
+        extremes = _by_chunks(basis_samples, c, lambda v: table.group_max_min(np.abs(v)))
+        sums = surrogate @ extremes ** p
+        return np.vstack([sums / integral, capped]), _degenerate(integral)
 
-    pairs = run_trials(trials, trial, space.size, seed, threads)
-    rmaxs = [a for a, _ in pairs]
-    rmins = [b for _, b in pairs]
-    brackets = (min(rmaxs), max(rmaxs)), (min(rmins), max(rmins))
+    rmaxs, rmins, capped = run_trials(trials, measure, space.size, seed)
+    if diagnostics is not None:
+        diagnostics.update(_order_cap_fields(capped))
+    brackets = _bracket(rmaxs), _bracket(rmins)
     if return_trials:
-        return brackets[0], brackets[1], pairs
+        return brackets[0], brackets[1], [(float(a), float(b)) for a, b in zip(rmaxs, rmins)]
     return brackets
 
 
@@ -428,17 +456,21 @@ def _interval_quad_points(alpha, order):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _interval_adaptive(alpha, integrand, tol=1e-7):
-    def estimate(order):
+def _interval_adaptive(alpha, coeffs, p, factor, tol=1e-7):
+    """Adaptive integrals over [-alpha, alpha] of |T|^p * factor(t), one per
+    column T of trigonometric coefficients; each order's trig table meets
+    only the columns still apart."""
+    def estimate(order, cols):
         t, w = _interval_quad_points(alpha, order)
-        return float(w @ integrand(t))
+        vals = _abs_power(_trig_table(coeffs.shape[0] // 2, t) @ coeffs[:, cols], p)
+        return w @ (vals * factor(t)[:, None])
 
-    _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), tol)
-    return last[-1]
+    _, _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), tol, coeffs.shape[1])
+    return last
 
 
 def _trig_derivative(coeffs):
-    """Coefficient map of d/dt in the [const, cos k, sin k, ...] basis."""
+    """Coefficient map of d/dt in the [const, cos k, sin k, ...] basis (along axis 0)."""
     out = np.zeros_like(coeffs)
     n = (len(coeffs) - 1) // 2
     for k in range(1, n + 1):
@@ -449,17 +481,17 @@ def _trig_derivative(coeffs):
     return out
 
 
-def _trig_eval(coeffs, t):
-    n = (len(coeffs) - 1) // 2
-    vals = np.full(t.shape, coeffs[0] / math.sqrt(2.0 * math.pi))
-    inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for k in range(1, n + 1):
-        vals += (coeffs[2 * k - 1] * np.cos(k * t) + coeffs[2 * k] * np.sin(k * t)) * inv_sqrt_pi
-    return vals
+def _trig_table(n, t):
+    """Orthonormal [const, cos k, sin k, ...] basis up to degree n at the angles t."""
+    kt = np.outer(t, np.arange(1, n + 1))
+    table = np.empty((t.size, 2 * n + 1))
+    table[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+    table[:, 1::2] = np.cos(kt) / math.sqrt(math.pi)
+    table[:, 2::2] = np.sin(kt) / math.sqrt(math.pi)
+    return table
 
 
-def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, threads=1,
-                       statistic="max"):
+def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, statistic="max"):
     """Trial statistic of LHS / (n^p RHS) for the weighted derivative bound.
 
     LHS integrates |T'|^p W(t) (alpha/n + sqrt(alpha^2 - t^2))^p over the
@@ -478,20 +510,19 @@ def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, threads=1,
     n = int(degree)
     space = PolySpace(1, n)
 
-    def trial(c):
-        rhs = _interval_adaptive(alpha, lambda t:
-                                 np.abs(_trig_eval(c, t)) ** p * weight.eval_interval(alpha, t))
-        if not rhs >= DEGENERATE_FLOOR:
-            return None
-        dc = _trig_derivative(c)
-        lhs = _interval_adaptive(alpha, lambda t:
-                                 np.abs(_trig_eval(dc, t)) ** p
-                                 * weight.eval_interval(alpha, t)
-                                 * (alpha / n + np.sqrt(np.clip(alpha**2 - t**2, 0.0, None))) ** p)
-        return lhs / (n**p * rhs)
+    def rhs_factor(t):
+        return weight.eval_interval(alpha, t)
 
-    ratios = run_trials(trials, trial, space.size, seed, threads)
-    return float(max(ratios)) if statistic == "max" else float(np.mean(ratios))
+    def lhs_factor(t):
+        return rhs_factor(t) * (alpha / n + np.sqrt(np.clip(alpha**2 - t**2, 0.0, None))) ** p
+
+    def measure(c):
+        rhs = _interval_adaptive(alpha, c, p, rhs_factor)
+        lhs = _interval_adaptive(alpha, _trig_derivative(c), p, lhs_factor)
+        return lhs / (n**p * rhs), _degenerate(rhs)
+
+    ratios = run_trials(trials, measure, space.size, seed)
+    return float(ratios.max()) if statistic == "max" else float(np.mean(ratios))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +568,7 @@ def estimate_doubling(cap, weight, radii_levels=4, probes=25):
 
 
 def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
-                seed=0, threads=1, wn_resolution=32, trial_degree=None, diagnostics=None):
+                seed=0, wn_resolution=32, trial_degree=None, diagnostics=None):
     """Ratio brackets for the three weighted norm equivalences.
 
     Returns a dict with brackets (lo, hi) for: the weighted integral
@@ -556,9 +587,10 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     order = min(int(p) * degree + 16, 200)
     rule = build_rule(cap, order)
     basis_rule = eval_basis_many(space, rule.points)
-    w_vals = weight.eval_on(cap, rule.points)
+    w_vals = weight.eval_on(cap, rule.points)[:, None]
     wn_vals, wn_unconverged = balls_average(cap, rule.points, 1.0 / degree, weight.eval_b,
                                             resolution=wn_resolution)
+    wn_vals = wn_vals[:, None]
     table = _NodeBallTable(nodes, eps, ball_samples)
     basis_samples = table.basis_table(space)
     _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b,
@@ -566,28 +598,26 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged
 
-    def trial(c):
-        fp = np.abs(basis_rule @ c) ** p
-        int_w = float(rule.weights @ (fp * w_vals))
-        if not int_w >= DEGENERATE_FLOOR:
-            return None
-        int_wn = float(rule.weights @ (fp * wn_vals))
-        avals = np.abs(basis_samples @ c)
-        gmax, gmin = table.group_max_min(avals)
-        return (int_w / int_wn,
-                float((gmax**p) @ masses) / int_w,
-                float((gmin**p) @ masses) / int_w)
+    def weighted_integrals(vals):
+        fp = _abs_power(vals, p)
+        return np.stack([rule.weights @ (fp * w_vals), rule.weights @ (fp * wn_vals)])
 
-    triples = run_trials(trials, trial, space.size, seed, threads)
+    def measure(c):
+        int_w, int_wn = _by_chunks(basis_rule, c, weighted_integrals)
+        extremes = _by_chunks(basis_samples, c, lambda v: table.group_max_min(np.abs(v)))
+        sums = masses @ extremes ** p
+        return np.vstack([int_w / int_wn, sums / int_w]), _degenerate(int_w)
+
+    columns = run_trials(trials, measure, space.size, seed)
     return {name: _bracket(column)
-            for name, column in zip(("wn_equivalence", "max_sum", "min_sum"), zip(*triples))}
+            for name, column in zip(("wn_equivalence", "max_sum", "min_sum"), columns)}
 
 
 # ---------------------------------------------------------------------------
 # dilation identity
 
 
-def change_of_variables_check(cap, degree, trials=20, seed=0, threads=1):
+def change_of_variables_check(cap, degree, trials=20, seed=0):
     """Max relative gap between the cap integral of f and the dilated form.
 
     The dilated side integrates f(Tx) times the Jacobian polynomial over
@@ -603,11 +633,11 @@ def change_of_variables_check(cap, degree, trials=20, seed=0, threads=1):
     basis_big = eval_basis_many(space, rule_big.points)
     mapped = map_T_many(rule_small.points, cap.center.coords)
     basis_small = eval_basis_many(space, mapped)
-    jac = poly_D(d, np.clip(rule_small.points @ cap.center.coords, -1.0, 1.0))
+    jac = poly_D(d, np.clip(rule_small.points @ cap.center.coords, -1.0, 1.0))[:, None]
 
-    def trial(c):
-        lhs = float(rule_big.weights @ (basis_big @ c))
-        rhs = 8.0 * float(rule_small.weights @ ((basis_small @ c) * jac))
-        return abs(lhs - rhs) / (1.0 + abs(lhs))
+    def measure(c):
+        lhs = rule_big.weights @ (basis_big @ c)
+        rhs = 8.0 * (rule_small.weights @ ((basis_small @ c) * jac))
+        return np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), np.zeros(c.shape[1], bool)
 
-    return float(max(run_trials(trials, trial, space.size, seed, threads)))
+    return float(run_trials(trials, measure, space.size, seed).max())

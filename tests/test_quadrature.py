@@ -200,26 +200,31 @@ def _polar_point(theta, phi):
                      math.cos(theta)])
 
 
-@pytest.mark.parametrize("domain, center, r", [
-    (cq.Cap(E2, 1.0), _polar_point(0.45, 0.3), 0.15),    # interior ball
-    (cq.Cap(E2, 1.0), _polar_point(0.95, -2.0), 0.2),    # touches the cap boundary
-    (cq.Cap(E2, 1.0), E2.coords, 0.1),                   # at the cap centre: holds the pole
-    (cq.Collar(E2, 0.5, 1.0), _polar_point(0.7, 1.0), 0.3),
+@pytest.mark.parametrize("domain, center, r, batches, rel", [
+    (cq.Cap(E2, 1.0), _polar_point(0.45, 0.3), 0.15, 1, 0.02),    # interior ball
+    (cq.Cap(E2, 1.0), _polar_point(0.95, -2.0), 0.2, 1, 0.02),    # touches the cap boundary
+    # at the cap centre the ball holds the pole of the frame, where the
+    # row half-width steps from pi to 0 at the ball's polar edge
+    (cq.Cap(E2, 1.0), E2.coords, 0.1, 4, 0.005),
+    (cq.Collar(E2, 0.5, 1.0), _polar_point(0.7, 1.0), 0.3, 1, 0.02),
 ], ids=["cap-interior", "cap-boundary", "cap-centre", "collar"])
-def test_balls_integral_monte_carlo(domain, center, r):
-    # independent oracle: a 10^6-point rejection count over a geodesic cap
-    # around the center that holds the ball (rho <= r bounds the geodesic
-    # distance by alpha * r on caps and the chord by alpha * r on collars)
+def test_balls_integral_monte_carlo(domain, center, r, batches, rel):
+    # independent oracle: a rejection count of batches * 10^6 points over
+    # a geodesic cap around the center that holds the ball (rho <= r
+    # bounds the geodesic distance by alpha * r on caps and the chord by
+    # alpha * r on collars)
     weight = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
     vols, masses, unconverged = balls_integral(domain, center, r, weight.eval_b)
     assert unconverged == 0
     reach = 2 * math.asin(min(domain.alpha * r, 2.0) / 2) + 1e-3
-    pts = random_cap_points(cq.Cap(cq.SpherePoint(center), reach), 10**6, seed=321)
-    inside = contains(domain, pts) & (rho_many(domain, pts, center) <= r)
+    hits = mass = 0.0
+    for k in range(batches):
+        pts = random_cap_points(cq.Cap(cq.SpherePoint(center), reach), 10**6, seed=321 + k)
+        inside = contains(domain, pts) & (rho_many(domain, pts, center) <= r)
+        hits += float(np.mean(inside))
+        b = boundary_distance_many(domain, pts)
+        mass += float(np.mean(np.where(inside, weight.eval_b(b), 0.0)))
     area = 2 * math.pi * (1 - math.cos(reach))
-    mc_vol = area * float(np.mean(inside))
-    b = boundary_distance_many(domain, pts)
-    mc_mass = area * float(np.mean(np.where(inside, weight.eval_b(b), 0.0)))
-    assert vols[0] == pytest.approx(mc_vol, rel=0.02)
-    assert masses[0] == pytest.approx(mc_mass, rel=0.02)
+    assert vols[0] == pytest.approx(area * hits / batches, rel=rel)
+    assert masses[0] == pytest.approx(area * mass / batches, rel=rel)
 

@@ -101,13 +101,6 @@ def test_sharpness_single_node_degree0():
     assert lo > 0
 
 
-def test_solve_with_backoff(cap_a1):
-    rule, delta_used, backoffs = cq.solve_with_backoff(cap_a1, 6, 0.5, seed=0)
-    assert isinstance(rule, cq.CubatureRule)
-    assert delta_used <= 0.5
-    assert rule.solver_meta["delta_backoffs"] == backoffs
-
-
 def test_collar_solve(collar_std):
     ns = cq.greedy_maximal_set(collar_std, 0.25 / 6, seed=0, degree=6, delta=0.25)
     rule = cq.solve_weights(ns, 6)
@@ -128,13 +121,3 @@ def test_rejects_empty_and_bad_tol(nodes_a1_n8, cap_a1):
         cq.solve_weights(cq.NodeSet(cap_a1, np.empty((0, 3)), 0.0), 2)
     with pytest.raises(ValueError):
         cq.solve_weights(nodes_a1_n8, 4, tol=1e-13)
-
-
-def test_backoff_recovers_from_infeasible(cap_a1):
-    # start too sparse for the degree; halving the density target recovers
-    rule, delta_used, backoffs = cq.solve_with_backoff(cap_a1, 8, 2.0, seed=0,
-                                                       max_backoffs=4)
-    assert isinstance(rule, cq.CubatureRule)
-    assert backoffs >= 1
-    assert delta_used < 2.0
-    assert rule.residual <= 1e-10

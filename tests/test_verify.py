@@ -31,10 +31,105 @@ def test_mz_full_degree_bracket(rule_a1_n8):
     assert hi1 / lo1 <= 20
 
 
-def test_mz_threads_identical(rule_a1_n8):
-    a = cq.mz_bracket(rule_a1_n8, 2, trials=16, seed=5, threads=1)
-    b = cq.mz_bracket(rule_a1_n8, 2, trials=16, seed=5, threads=4)
-    assert a == b
+def test_mz_repeat_identical(rule_a1_n8):
+    runs = []
+    for _ in range(2):
+        diagnostics = {}
+        runs.append((cq.mz_bracket(rule_a1_n8, 1, trials=16, seed=5,
+                                   diagnostics=diagnostics), diagnostics))
+    assert runs[0] == runs[1]
+
+
+def test_run_trials_redraws_from_own_stream():
+    # column 2 is flagged on its first draw only: the second call must
+    # receive that column alone, drawn second from trial_rng(seed, 2)
+    from capquad.verify import run_trials, trial_rng
+
+    seen = []
+
+    def measure(c):
+        seen.append(c.copy())
+        flagged = np.zeros(c.shape[1], bool)
+        if len(seen) == 1:
+            flagged[2] = True
+        return c[0], flagged
+
+    values = run_trials(5, measure, 3, seed=7)
+    rng = trial_rng(7, 2)
+    first, second = rng.standard_normal(3), rng.standard_normal(3)
+    assert len(seen) == 2
+    assert np.array_equal(seen[0][:, 2], first)
+    assert seen[1].shape == (3, 1) and np.array_equal(seen[1][:, 0], second)
+    assert values[2] == second[0]
+    for k in (0, 1, 3, 4):
+        assert values[k] == trial_rng(7, k).standard_normal(3)[0]
+
+
+def test_run_trials_persistent_degenerate_raises():
+    from capquad.verify import MAX_REDRAWS, run_trials
+
+    calls = []
+
+    def measure(c):
+        calls.append(c.shape[1])
+        return c[0], np.arange(c.shape[1]) == 0
+
+    with pytest.raises(RuntimeError, match="persistent degenerate"):
+        run_trials(3, measure, 2, seed=1)
+    assert calls == [3] + [1] * (MAX_REDRAWS - 1)
+
+
+def _one_column_run_trials(trials, measure, size, seed):
+    """Reference engine: each trial's draws measured alone, as a one-column matrix."""
+    from capquad.verify import MAX_REDRAWS, trial_rng
+
+    def one(k):
+        rng = trial_rng(seed, k)
+        for _ in range(MAX_REDRAWS):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                values, degenerate = measure(rng.standard_normal(size)[:, None])
+            if not degenerate[0]:
+                return np.asarray(values)[..., 0]
+        raise RuntimeError("persistent degenerate draws")
+
+    return np.stack([one(k) for k in range(trials)], axis=-1)
+
+
+def _seven_measurements(rule_a1_n8, nodes_a1_n8, cap_a05, nodes_a05_n8, cap_a1):
+    # mz at p=1 stops every integral at the order cap, osc at p=3 stops
+    # them at different orders, the even-p ones at the same early order
+    bp = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
+    return {
+        "mz": lambda d: cq.mz_bracket(rule_a1_n8, 1, trials=4, seed=30, diagnostics=d),
+        "osc": lambda d: cq.osc_constant(nodes_a1_n8, 8, 3, trials=4, ball_samples=16,
+                                         seed=31, diagnostics=d),
+        "sieve": lambda d: cq.large_sieve_constant(nodes_a1_n8, 8, 2, trials=4, seed=32,
+                                                   probes=2000, diagnostics=d),
+        "maxmin": lambda d: cq.maxmin_equivalence(nodes_a1_n8, 8, 2, trials=4,
+                                                  ball_samples=16, seed=33, diagnostics=d),
+        "bernstein": lambda d: cq.bernstein_check_d1(0.5, 8, 1, bp, trials=4, seed=34),
+        "weighted-mz": lambda d: cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=4,
+                                                ball_samples=16, seed=35, diagnostics=d),
+        "cov": lambda d: cq.change_of_variables_check(cap_a1, 6, trials=4, seed=36),
+    }
+
+
+@pytest.mark.parametrize("name", ["mz", "osc", "sieve", "maxmin", "bernstein",
+                                  "weighted-mz", "cov"])
+def test_batched_matches_one_column_at_a_time(name, monkeypatch, rule_a1_n8, nodes_a1_n8,
+                                              cap_a05, nodes_a05_n8, cap_a1):
+    from capquad import verify
+
+    run = _seven_measurements(rule_a1_n8, nodes_a1_n8, cap_a05, nodes_a05_n8, cap_a1)[name]
+    batched_diag, single_diag = {}, {}
+    batched = run(batched_diag)
+    monkeypatch.setattr(verify, "run_trials", _one_column_run_trials)
+    single = run(single_diag)
+    if isinstance(batched, dict):
+        batched, single = list(batched.values()), list(single.values())
+    assert np.allclose(batched, single, rtol=1e-12, atol=0.0 if name != "cov" else 1e-15)
+    hits = "integral_order_cap_hits"
+    assert batched_diag.get(hits) == single_diag.get(hits)
 
 
 def test_osc_constant_zero_for_constants(nodes_a1_n8):
@@ -220,15 +315,15 @@ def test_weighted_mz_constant_trials_coincide(cap_a05, nodes_a05_n8):
 def test_bernstein_pure_mode_oracle():
     # T(t) = cos(n t): both sides reduce to elementary integrals; compare
     # the module's trial machinery pieces against direct dense quadrature
-    from capquad.verify import _interval_adaptive, _trig_derivative, _trig_eval
+    from capquad.verify import _interval_adaptive, _trig_derivative
 
     alpha, n, p = 0.5, 8, 2
-    c = np.zeros(2 * n + 1)
+    c = np.zeros((2 * n + 1, 1))
     c[2 * n - 1] = 1.0  # cos(n t) up to the 1/sqrt(pi) normalization
     dc = _trig_derivative(c)
-    lhs = _interval_adaptive(alpha, lambda t: _trig_eval(dc, t) ** p
-                             * (alpha / n + np.sqrt(np.clip(alpha**2 - t**2, 0, None))) ** p)
-    rhs = _interval_adaptive(alpha, lambda t: _trig_eval(c, t) ** p)
+    lhs = _interval_adaptive(alpha, dc, p, lambda t:
+                             (alpha / n + np.sqrt(np.clip(alpha**2 - t**2, 0, None))) ** p)[0]
+    rhs = _interval_adaptive(alpha, c, p, np.ones_like)[0]
     t = np.linspace(-alpha, alpha, 400_001)
     f_l = (n * np.sin(n * t)) ** 2 * (alpha / n + np.sqrt(alpha**2 - t**2)) ** 2 / np.pi
     f_r = np.cos(n * t) ** 2 / np.pi
