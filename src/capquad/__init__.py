@@ -23,7 +23,6 @@ from .geometry import (
     rho4,
     rho5,
     rho_ball_contains,
-    rho_ball_volume,
 )
 from .points import (
     NodeSet,
@@ -48,6 +47,7 @@ from .quadrature import (
     build_rule,
     integrate,
     integrate_adaptive,
+    rho_ball_volume,
 )
 from .solver import (
     CubatureRule,

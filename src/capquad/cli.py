@@ -151,11 +151,11 @@ def cmd_points(args):
             domain = Cap(center, args.alpha)
         else:
             domain = Collar(center, args.alpha, args.collar_beta)
+        nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=args.seed,
+                                   degree=args.degree, delta=args.delta)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=args.seed,
-                               degree=args.degree, delta=args.delta)
     cqio.write_canonical(args.out, cqio.points_to_dict(nodes))
     sys.stderr.write(f"wrote {len(nodes)} nodes to {args.out}\n")
     return 0
@@ -367,7 +367,11 @@ def main(argv=None):
             except argparse.ArgumentTypeError as exc:
                 sys.stderr.write(f"error: environment variable {var}: {exc}\n")
                 return 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # input files raise FormatError, so this is an output
+        sys.stderr.write(f"error: cannot write output: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -445,17 +445,13 @@ def rho_ball_contains(ball, y):
     return dist <= ball.radius + 1e-12
 
 
-def rho_ball_volume(ball, resolution=32):
-    """Quadrature measure of a rho-ball (see quadrature.balls_integral).
-
-    The rule order starts at ``resolution`` (at least 32) and doubles
-    until two successive estimates agree to 1%; the ball's edge defeats
-    fixed-order rules, and the volume claims this feeds only need
-    constant-factor accuracy.
-    """
-    from . import quadrature
-
-    return quadrature.ball_integral(ball, None, resolution=resolution)[0]
+def ball_reach(domain, radius):
+    """Geodesic distance from a rho-ball's center beyond which no point of
+    the ball lies: alpha*radius bounds the distance term of the metric,
+    which is geodesic on a cap and chordal on a collar."""
+    if isinstance(domain, Cap):
+        return min(domain.alpha * radius, math.pi)
+    return 2.0 * math.asin(0.5 * min(domain.alpha * radius, 2.0))
 
 
 # ---------------------------------------------------------------------------

@@ -72,10 +72,13 @@ def _field(data, key, default=_REQUIRED):
 
 
 def _numbers(data, key, default=_REQUIRED):
-    """data[key] as a float array of finite entries (None passes through)."""
+    """data[key] as a float array of finite entries; null is allowed only
+    where the default is None (the optional fields) and comes back as None."""
     raw = _field(data, key, default)
     if raw is None:
-        return None
+        if default is None:
+            return None
+        raise FormatError(f"field {key!r} is null")
     try:
         arr = np.asarray(raw, dtype=float)
     except (TypeError, ValueError):

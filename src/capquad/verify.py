@@ -29,6 +29,7 @@ from .geometry import (
     Cap,
     RhoBall,
     SpherePoint,
+    ball_reach,
     boundary_distance_many,
     contains,
     delta_r_many,
@@ -40,9 +41,9 @@ from .geometry import (
 from .points import product_grid, tau_statistic
 from .polys import PolySpace, eval_basis_many
 from .quadrature import (
+    ADAPTIVE_ORDERS,
     QuadratureError,
     ball_integral,
-    balls_average,
     balls_integral,
     build_rule,
     double_until_stable,
@@ -53,7 +54,6 @@ _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 DEGENERATE_FLOOR = 1e-14
 MAX_REDRAWS = 100
 COLUMN_CHUNK = 16  # trial columns per product with a tall basis table
-INTEGRAL_ORDERS = (8, 16, 32, 64, 128, 200)
 INTEGRAL_TOL = 1e-8
 
 
@@ -236,7 +236,7 @@ def _abs_power_integral(domain, space, coeffs, p):
         table = eval_basis_many(space, rule.points)
         return _by_chunks(table, coeffs[:, cols], lambda v: rule.weights @ _abs_power(v, p))
 
-    converged, prev, last = double_until_stable(estimate, INTEGRAL_ORDERS, INTEGRAL_TOL,
+    converged, prev, last = double_until_stable(estimate, ADAPTIVE_ORDERS, INTEGRAL_TOL,
                                                 coeffs.shape[1])
     change = np.abs(last - prev) / (np.abs(last) + 1e-14)
     return last, np.where(converged, 0.0, change)
@@ -268,12 +268,7 @@ class _NodeBallTable:
     def __init__(self, nodes, radius, count):
         domain, centers = nodes.domain, nodes.coords
         k = centers.shape[0]
-        alpha = domain.alpha
-        if isinstance(domain, Cap):
-            bound = min(alpha * radius, math.pi)
-        else:
-            chord = min(alpha * radius, 2.0)
-            bound = min(2.0 * math.asin(0.5 * chord), math.pi)
+        bound = ball_reach(domain, radius)
         j = np.arange(count)
         if domain.dim == 2:
             t = 1.0 - (1.0 - math.cos(bound)) * (j + 0.5) / count
@@ -456,16 +451,16 @@ def _interval_quad_points(alpha, order):
     return np.concatenate(ts), np.concatenate(ws)
 
 
-def _interval_adaptive(alpha, coeffs, p, factor, tol=1e-7):
+def _interval_adaptive(alpha, coeffs, p, factor):
     """Adaptive integrals over [-alpha, alpha] of |T|^p * factor(t), one per
     column T of trigonometric coefficients; each order's trig table meets
-    only the columns still apart."""
+    only the columns still apart; two orders agree at 1e-7 relative."""
     def estimate(order, cols):
         t, w = _interval_quad_points(alpha, order)
         vals = _abs_power(_trig_table(coeffs.shape[0] // 2, t) @ coeffs[:, cols], p)
         return w @ (vals * factor(t)[:, None])
 
-    _, _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), tol, coeffs.shape[1])
+    _, _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), 1e-7, coeffs.shape[1])
     return last
 
 
@@ -519,7 +514,7 @@ def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, statistic="
     def measure(c):
         rhs = _interval_adaptive(alpha, c, p, rhs_factor)
         lhs = _interval_adaptive(alpha, _trig_derivative(c), p, lhs_factor)
-        return lhs / (n**p * rhs), _degenerate(rhs)
+        return lhs / (np.float64(n) ** p * rhs), _degenerate(rhs)  # inf, not OverflowError
 
     ratios = run_trials(trials, measure, space.size, seed)
     return float(ratios.max()) if statistic == "max" else float(np.mean(ratios))
@@ -568,7 +563,7 @@ def estimate_doubling(cap, weight, radii_levels=4, probes=25):
 
 
 def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
-                seed=0, wn_resolution=32, trial_degree=None, diagnostics=None):
+                seed=0, trial_degree=None, diagnostics=None):
     """Ratio brackets for the three weighted norm equivalences.
 
     Returns a dict with brackets (lo, hi) for: the weighted integral
@@ -588,13 +583,14 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     rule = build_rule(cap, order)
     basis_rule = eval_basis_many(space, rule.points)
     w_vals = weight.eval_on(cap, rule.points)[:, None]
-    wn_vals, wn_unconverged = balls_average(cap, rule.points, 1.0 / degree, weight.eval_b,
-                                            resolution=wn_resolution)
-    wn_vals = wn_vals[:, None]
+    wn_vols, wn_masses, wn_unconverged = balls_integral(cap, rule.points, 1.0 / degree,
+                                                        weight.eval_b)
+    if np.any(wn_vols <= 0.0):
+        raise QuadratureError("empty rho-ball in weighted_mz", (wn_vols.min(), 0))
+    wn_vals = (wn_masses / wn_vols)[:, None]
     table = _NodeBallTable(nodes, eps, ball_samples)
     basis_samples = table.basis_table(space)
-    _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b,
-                                                 resolution=wn_resolution)
+    _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged
 

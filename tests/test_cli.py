@@ -103,6 +103,30 @@ def test_verify_non_finite_report_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, needle", [
+    (["points", "--d", "2", "--alpha", "0.5", "--degree", "2", "--delta", "0.5",
+      "--out", "{missing}"], "{missing}"),
+    (["solve", "--points", "{points}", "--degree", "2", "--out", "{missing}"], "{missing}"),
+    (["verify", "mz", "--rule", "{rule}", "--trials", "2", "--report", "{missing}"],
+     "{missing}"),
+    (["verify", "mz", "--rule", "{rule}", "--trials", "2", "--report", "{out}",
+      "--csv", "{missing}"], "{missing}"),
+    # the pool-limit check raises before anything is allocated
+    (["points", "--d", "2", "--alpha", "0.01", "--degree", "1000", "--delta", "0.01",
+      "--out", "{out}"], "pool limit"),
+    (["verify", "bernstein", "--alpha", "0.3", "--degree", "4", "--p", "1000",
+      "--report", "{out}"], "--p"),
+], ids=["points-out", "solve-out", "verify-report", "verify-csv", "points-pool-limit",
+        "bernstein-p-overflow"])
+def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_file, tmp_path):
+    paths = {"points": points_file, "rule": rule_file, "out": tmp_path / "out.json",
+             "missing": tmp_path / "missing" / "out.json"}
+    res = run_cli([a.format(**paths) for a in argv])
+    assert res.returncode == 1
+    assert needle.format(**paths) in res.stderr
+    assert "error:" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_points_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     args = ["points", "--d", "2", "--alpha", "0.6", "--degree", "4",
@@ -395,4 +419,13 @@ def test_malformed_rule_weights_rejected(tmp_path):
     for key in ("residual", "degree"):
         with pytest.raises(cqio.FormatError, match=key):
             cqio.rule_from_dict({k: v for k, v in rule.items() if k != key})
+    # null is legal only in the optional fields beta and delta
+    for key in ("alpha", "center", "nodes", "epsilon"):
+        for data, load in ((rule, cqio.rule_from_dict), (points, cqio.nodes_from_dict)):
+            with pytest.raises(cqio.FormatError, match=key):
+                load(dict(data, **{key: None}))
+    for key in ("weights", "residual"):
+        with pytest.raises(cqio.FormatError, match=key):
+            cqio.rule_from_dict(dict(rule, **{key: None}))
+    assert cqio.rule_from_dict(dict(rule, delta=None)).nodes.delta == 0.0
     assert len(cqio.rule_from_dict(rule).nodes) == 1

@@ -6,10 +6,12 @@ import pytest
 import capquad as cq
 from capquad.geometry import boundary_distance_many, contains, rho_many
 from capquad.polys import eval_basis_many
+from capquad import quadrature
 from capquad.quadrature import (
     QuadratureError,
     balls_integral,
     domain_moments,
+    double_until_stable,
     gauss_legendre,
     integrate_adaptive,
 )
@@ -166,15 +168,37 @@ def test_hemisphere_abs_zonal_monte_carlo():
     assert got == pytest.approx(mc, abs=5e-4)
 
 
-def test_balls_integral_batch_matches_single(cap_a1):
+def test_balls_integral_batch_matches_single(cap_a1, monkeypatch):
     pts = random_cap_points(cap_a1, 32, seed=31)
     vols, _, unconverged = balls_integral(cap_a1, pts, 0.12)
     assert unconverged == 0
     # a single order cannot be compared with anything: every ball is flagged
-    assert balls_integral(cap_a1, pts, 0.12, max_resolution=32)[2] == 32
+    with monkeypatch.context() as patch:
+        patch.setattr(quadrature, "_BALL_ORDERS", (32,))
+        assert balls_integral(cap_a1, pts, 0.12)[2] == 32
     for k in (0, 7, 31):
         ball = cq.RhoBall(cap_a1, cq.SpherePoint(pts[k]), 0.12)
         assert cq.rho_ball_volume(ball) == pytest.approx(vols[k], rel=1e-14)
+
+
+def test_double_until_stable_waits_for_every_row():
+    # column 0 agrees in both rows from order 2 on; column 1's first row
+    # agrees at once but its second row only from order 3 on, and
+    # column 2 never agrees in its second row
+    table = {1: [[1.0, 5.0, 7.0], [2.0, 3.0, 1.0]],
+             2: [[1.0, 5.0, 7.0], [2.0, 4.0, 2.0]],
+             3: [[1.0, 5.0, 7.0], [2.0, 4.0, 3.0]]}
+    seen = []
+
+    def estimate(order, cols):
+        seen.append(cols.tolist())
+        return np.asarray(table[order])[:, cols]
+
+    converged, prev, last = double_until_stable(estimate, (1, 2, 3), 1e-12, 3)
+    assert seen == [[0, 1, 2], [0, 1, 2], [1, 2]]
+    assert converged.tolist() == [True, True, False]
+    assert last.tolist() == [[1.0, 5.0, 7.0], [2.0, 4.0, 3.0]]
+    assert prev.tolist() == [[1.0, 5.0, 7.0], [2.0, 4.0, 2.0]]
 
 
 def test_ball_average_constant_is_exact(cap_a05):
