@@ -21,6 +21,7 @@ for d=2.  Every object is an immutable value and every function is pure.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,20 +47,18 @@ def _as_unit(coords):
     return out
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class SpherePoint:
     """A point of S^d, stored as a unit vector (renormalized on construction)."""
 
-    __slots__ = ("coords",)
+    coords: np.ndarray
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", _as_unit(coords))
+    def __post_init__(self):
+        object.__setattr__(self, "coords", _as_unit(self.coords))
 
     @property
     def dim(self):
         return self.coords.shape[0] - 1
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SpherePoint is immutable")
 
     def __eq__(self, other):
         return isinstance(other, SpherePoint) and np.array_equal(self.coords, other.coords)
@@ -108,55 +107,58 @@ def perp_direction(center):
     return h[:, 0].copy()
 
 
+def _as_point(center):
+    return center if isinstance(center, SpherePoint) else SpherePoint(center)
+
+
+@dataclass(frozen=True, slots=True)
 class Cap:
-    """Spherical cap: all points within geodesic distance alpha of center."""
+    """Spherical cap: all points within geodesic distance alpha of center.
 
-    __slots__ = ("center", "alpha")
+    ``polar_range`` is the interval of polar angles about the center,
+    (0, alpha); ``arcs`` are the same points on S^1 as signed angles.
+    """
 
-    def __init__(self, center, alpha):
-        if not isinstance(center, SpherePoint):
-            center = SpherePoint(center)
-        alpha = float(alpha)
+    center: SpherePoint
+    alpha: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "center", _as_point(self.center))
+        alpha = float(self.alpha)
         if not (0.0 < alpha <= ALPHA_MAX + 1e-12):
             raise ValueError(f"alpha must lie in (0, pi - 0.1], got {alpha}")
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "alpha", min(alpha, ALPHA_MAX))
 
     @property
     def dim(self):
         return self.center.dim
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cap is immutable")
+    @property
+    def polar_range(self):
+        return 0.0, self.alpha
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Cap)
-            and self.center == other.center
-            and self.alpha == other.alpha
-        )
-
-    def __hash__(self):
-        return hash(("Cap", self.center, self.alpha))
-
-    def __repr__(self):
-        return f"Cap(center={self.center!r}, alpha={self.alpha!r})"
+    @property
+    def arcs(self):
+        return ((-self.alpha, self.alpha),)
 
 
+@dataclass(frozen=True, slots=True)
 class Collar:
     """Spherical collar: points with geodesic distance to center in [alpha, beta].
 
     The two width scales must be comparable (alpha and beta - alpha within
     a factor 4 of each other); the metric below degrades outside that
-    regime.
+    regime.  ``polar_range`` is (alpha, beta); on S^1 the collar is the
+    two ``arcs`` on either side of the center.
     """
 
-    __slots__ = ("center", "alpha", "beta")
+    center: SpherePoint
+    alpha: float
+    beta: float
 
-    def __init__(self, center, alpha, beta):
-        if not isinstance(center, SpherePoint):
-            center = SpherePoint(center)
-        alpha, beta = float(alpha), float(beta)
+    def __post_init__(self):
+        object.__setattr__(self, "center", _as_point(self.center))
+        alpha, beta = float(self.alpha), float(self.beta)
         if not (0.0 < alpha < beta < math.pi - 0.1):
             raise ValueError(f"need 0 < alpha < beta < pi - 0.1, got ({alpha}, {beta})")
         width = beta - alpha
@@ -165,7 +167,6 @@ class Collar:
             raise ValueError(
                 f"alpha and beta - alpha must be within a factor 4, got ratio {ratio:.3g}"
             )
-        object.__setattr__(self, "center", center)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "beta", beta)
 
@@ -173,60 +174,46 @@ class Collar:
     def dim(self):
         return self.center.dim
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Collar is immutable")
+    @property
+    def polar_range(self):
+        return self.alpha, self.beta
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Collar)
-            and self.center == other.center
-            and (self.alpha, self.beta) == (other.alpha, other.beta)
-        )
-
-    def __hash__(self):
-        return hash(("Collar", self.center, self.alpha, self.beta))
-
-    def __repr__(self):
-        return f"Collar(center={self.center!r}, alpha={self.alpha!r}, beta={self.beta!r})"
+    @property
+    def arcs(self):
+        return (self.alpha, self.beta), (-self.beta, -self.alpha)
 
 
+@dataclass(frozen=True, slots=True)
 class Sphere:
-    """The whole of S^dim; used as an integration domain."""
+    """The whole of S^dim; used as an integration domain, centered at the
+    north pole: ``polar_range`` is (0, pi) and the one arc is (-pi, pi)."""
 
-    __slots__ = ("dim",)
+    dim: int
 
-    def __init__(self, dim):
-        if dim not in (1, 2):
+    def __post_init__(self):
+        if self.dim not in (1, 2):
             raise ValueError("dim must be 1 or 2")
-        object.__setattr__(self, "dim", int(dim))
+        object.__setattr__(self, "dim", int(self.dim))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Sphere is immutable")
+    @property
+    def center(self):
+        return north_pole(self.dim)
 
-    def __eq__(self, other):
-        return isinstance(other, Sphere) and self.dim == other.dim
+    @property
+    def polar_range(self):
+        return 0.0, math.pi
 
-    def __hash__(self):
-        return hash(("Sphere", self.dim))
-
-    def __repr__(self):
-        return f"Sphere(dim={self.dim})"
+    @property
+    def arcs(self):
+        return ((-math.pi, math.pi),)
 
 
 def domain_measure(domain):
-    """Surface measure of a cap, collar, or sphere."""
-    d = domain.dim
-    if isinstance(domain, Sphere):
-        return 4.0 * math.pi if d == 2 else 2.0 * math.pi
-    if isinstance(domain, Cap):
-        if d == 2:
-            return 2.0 * math.pi * (1.0 - math.cos(domain.alpha))
-        return 2.0 * domain.alpha
-    if isinstance(domain, Collar):
-        if d == 2:
-            return 2.0 * math.pi * (math.cos(domain.alpha) - math.cos(domain.beta))
-        return 2.0 * (domain.beta - domain.alpha)
-    raise TypeError(f"not a domain: {domain!r}")
+    """Surface measure of a cap, collar, or sphere: of its polar range."""
+    lo, hi = domain.polar_range
+    if domain.dim == 2:
+        return 2.0 * math.pi * (math.cos(lo) - math.cos(hi))
+    return 2.0 * (hi - lo)
 
 
 # ---------------------------------------------------------------------------
@@ -255,11 +242,8 @@ def polar_angles(domain, coords):
 def contains(domain, coords, tol=INSIDE_TOL):
     """Vectorized membership test for rows of ``coords``."""
     theta = polar_angles(domain, coords)
-    if isinstance(domain, Sphere):
-        return np.ones(theta.shape, bool)
-    if isinstance(domain, Cap):
-        return theta <= domain.alpha + tol
-    return (theta >= domain.alpha - tol) & (theta <= domain.beta + tol)
+    lo, hi = domain.polar_range
+    return (theta >= lo - tol) & (theta <= hi + tol)
 
 
 def boundary_distance_many(domain, coords):
@@ -398,41 +382,25 @@ def delta_r(domain, x, r):
     return float(delta_r_many(domain, xc.reshape(1, -1), r)[0])
 
 
+@dataclass(frozen=True, slots=True)
 class RhoBall:
     """A ball of the boundary-adapted metric inside a cap or collar."""
 
-    __slots__ = ("domain", "center", "radius")
+    domain: Cap | Collar
+    center: SpherePoint
+    radius: float
 
-    def __init__(self, domain, center, radius):
-        if not isinstance(domain, (Cap, Collar)):
+    def __post_init__(self):
+        if not isinstance(self.domain, (Cap, Collar)):
             raise TypeError("domain must be a Cap or Collar")
-        if not isinstance(center, SpherePoint):
-            center = SpherePoint(center)
-        radius = float(radius)
+        center = _as_point(self.center)
+        radius = float(self.radius)
         if not radius > 0:
             raise ValueError("radius must be positive")
-        if not bool(contains(domain, center.coords.reshape(1, -1))[0]):
+        if not bool(contains(self.domain, center.coords.reshape(1, -1))[0]):
             raise GeometryError("ball center outside the domain")
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RhoBall is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RhoBall)
-            and self.domain == other.domain
-            and self.center == other.center
-            and self.radius == other.radius
-        )
-
-    def __hash__(self):
-        return hash(("RhoBall", self.domain, self.center, self.radius))
-
-    def __repr__(self):
-        return f"RhoBall({self.domain!r}, {self.center!r}, {self.radius!r})"
 
 
 def rho_ball_contains(ball, y):

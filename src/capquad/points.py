@@ -157,12 +157,8 @@ def is_separable(domain, points, epsilon):
 
 def _grid_axes(domain, epsilon, resolution):
     """Polar angles (rows) and azimuths (columns) of the d=2 product grid."""
-    alpha = domain.alpha
-    step = epsilon * alpha
-    if isinstance(domain, Cap):
-        th_lo, th_hi = 0.0, alpha
-    else:
-        th_lo, th_hi = domain.alpha, domain.beta
+    step = epsilon * domain.alpha
+    th_lo, th_hi = domain.polar_range
     m_theta = resolution * max(1, math.ceil((th_hi - th_lo) / step))
     m_phi = resolution * max(1, math.ceil(2.0 * math.pi / step))
     if (m_theta + 1) * m_phi > _POOL_LIMIT:
@@ -180,12 +176,8 @@ def _arc_axes(domain, epsilon, resolution):
     """Angles u of the d=1 grid, one row per arc of the domain (a cap is
     one arc, a collar two of equal length), ascending within each row."""
     step = epsilon * domain.alpha
-    if isinstance(domain, Cap):
-        segments = [(-domain.alpha, domain.alpha)]
-    else:
-        segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
     rows = []
-    for lo, hi in segments:
+    for lo, hi in domain.arcs:
         m = resolution * max(1, math.ceil((hi - lo) / step))
         u = lo + np.arange(m + 1) * ((hi - lo) / m)
         u[-1] = hi

@@ -14,6 +14,7 @@ factorially, which keeps degree 64 comfortably inside double precision.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,20 +22,22 @@ from .geometry import SpherePoint, Sphere, map_T_many
 
 _SQRT2 = math.sqrt(2.0)
 PROJECTION_DEGREE_CAP = 99  # full-sphere rule degree 2*deg + 2 must stay <= 200
+MAX_TABLE_ENTRIES = 2**27  # 1 GiB of float64: the largest basis table built
 
 
+@dataclass(frozen=True, slots=True)
 class PolySpace:
     """Descriptor of the spherical polynomials of degree <= n on S^d."""
 
-    __slots__ = ("dim_sphere", "degree")
+    dim_sphere: int
+    degree: int
 
-    def __init__(self, dim_sphere, degree):
-        if dim_sphere not in (1, 2):
+    def __post_init__(self):
+        if self.dim_sphere not in (1, 2):
             raise ValueError("dim_sphere must be 1 or 2")
-        degree = int(degree)
+        degree = int(self.degree)
         if degree < 0:
             raise ValueError("degree must be >= 0")
-        object.__setattr__(self, "dim_sphere", dim_sphere)
         object.__setattr__(self, "degree", degree)
 
     @property
@@ -42,38 +45,21 @@ class PolySpace:
         n = self.degree
         return 2 * n + 1 if self.dim_sphere == 1 else (n + 1) ** 2
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolySpace is immutable")
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PolySpace)
-            and (self.dim_sphere, self.degree) == (other.dim_sphere, other.degree)
-        )
-
-    def __hash__(self):
-        return hash(("PolySpace", self.dim_sphere, self.degree))
-
-    def __repr__(self):
-        return f"PolySpace(dim_sphere={self.dim_sphere}, degree={self.degree})"
-
-
+@dataclass(frozen=True, slots=True, eq=False)
 class PolyCoeffs:
     """Coefficient vector in the orthonormal basis of a PolySpace."""
 
-    __slots__ = ("space", "coeffs")
+    space: PolySpace
+    coeffs: np.ndarray
 
-    def __init__(self, space, coeffs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (space.size,):
-            raise ValueError(f"expected {space.size} coefficients, got shape {coeffs.shape}")
+    def __post_init__(self):
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        if coeffs.shape != (self.space.size,):
+            raise ValueError(f"expected {self.space.size} coefficients, got shape {coeffs.shape}")
         coeffs = coeffs.copy()
         coeffs.setflags(write=False)
-        object.__setattr__(self, "space", space)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyCoeffs is immutable")
 
     def __repr__(self):
         return f"PolyCoeffs(space={self.space!r}, coeffs=<{self.coeffs.shape[0]} values>)"
@@ -129,10 +115,17 @@ def _basis_d2(coords, n):
 
 
 def eval_basis_many(space, coords):
-    """Basis values at every row of ``coords``; shape (npoints, dim)."""
+    """Basis values at every row of ``coords``; shape (npoints, dim).
+
+    A table of more than MAX_TABLE_ENTRIES entries is refused with
+    ValueError before it is allocated; every basis table is built here.
+    """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != space.dim_sphere + 1:
         raise ValueError("dimension mismatch between space and points")
+    if coords.shape[0] * space.size > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a basis table of {coords.shape[0]} x {space.size} entries exceeds "
+                         f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
     if space.dim_sphere == 1:
         return _basis_d1(coords, space.degree)
     return _basis_d2(coords, space.degree)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,26 +98,21 @@ def gauss_legendre_on(a, b, order):
     return mid + half * x, half * w
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class ProductRule:
     """Immutable positive rule with materialized points and weights."""
 
-    __slots__ = ("domain", "polar_nodes", "polar_weights", "azimuth_count",
-                 "points", "weights", "target_degree")
+    domain: Cap | Collar | Sphere
+    polar_nodes: np.ndarray
+    polar_weights: np.ndarray
+    azimuth_count: int
+    points: np.ndarray
+    weights: np.ndarray
+    target_degree: int
 
-    def __init__(self, domain, polar_nodes, polar_weights, azimuth_count,
-                 points, weights, target_degree):
-        for arr in (polar_nodes, polar_weights, points, weights):
+    def __post_init__(self):
+        for arr in (self.polar_nodes, self.polar_weights, self.points, self.weights):
             arr.setflags(write=False)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "polar_nodes", polar_nodes)
-        object.__setattr__(self, "polar_weights", polar_weights)
-        object.__setattr__(self, "azimuth_count", azimuth_count)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "target_degree", target_degree)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProductRule is immutable")
 
     def __repr__(self):
         return (f"ProductRule(domain={self.domain!r}, npoints={self.points.shape[0]}, "
@@ -129,8 +125,9 @@ def _d1_polar_order(target, half_width):
     return max(target + 2, int(math.ceil(0.75 * target * half_width)) + 26)
 
 
-def _materialize_d2(domain, t_lo, t_hi, polar_order, azimuth_count):
-    t, wt = gauss_legendre_on(t_lo, t_hi, polar_order)
+def _materialize_d2(domain, polar_order, azimuth_count):
+    lo, hi = domain.polar_range
+    t, wt = gauss_legendre_on(math.cos(hi), math.cos(lo), polar_order)
     phi = np.arange(azimuth_count) * (2.0 * math.pi / azimuth_count)
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     local = np.empty((polar_order * azimuth_count, 3))
@@ -138,27 +135,20 @@ def _materialize_d2(domain, t_lo, t_hi, polar_order, azimuth_count):
     local[:, 0] = np.outer(s, cos_phi).ravel()
     local[:, 1] = np.outer(s, sin_phi).ravel()
     local[:, 2] = np.repeat(t, azimuth_count)
-    if isinstance(domain, Sphere):
-        points = local
-    else:
-        points = local @ north_frame(domain.center)  # frame is symmetric
+    points = local @ north_frame(domain.center)  # frame is symmetric
     weights = np.repeat(wt * (2.0 * math.pi / azimuth_count), azimuth_count)
     return t, wt, points, weights
 
 
-def _materialize_d1(domain, segments, polar_order):
+def _materialize_d1(domain, polar_order):
     nodes, wts = [], []
-    for lo, hi in segments:
+    for lo, hi in domain.arcs:
         u, w = gauss_legendre_on(lo, hi, polar_order)
         nodes.append(u)
         wts.append(w)
     u = np.concatenate(nodes)
     w = np.concatenate(wts)
-    local = np.column_stack([np.sin(u), np.cos(u)])
-    if isinstance(domain, Sphere):
-        points = local
-    else:
-        points = local @ north_frame(domain.center)
+    points = np.column_stack([np.sin(u), np.cos(u)]) @ north_frame(domain.center)
     return u, w, points, w.copy()
 
 
@@ -171,36 +161,19 @@ def build_rule(domain, target_degree):
         raise ValueError(f"target degree {target_degree} exceeds cap {DEGREE_CAP}")
     if target_degree < 0:
         raise ValueError("target degree must be >= 0")
-    d = domain.dim
-    if d == 2:
+    if domain.dim == 2:
         azimuth = max(2 * target_degree + 1, 4)
-        polar = target_degree + 2
-        if isinstance(domain, Sphere):
-            t_lo, t_hi = -1.0, 1.0
-        elif isinstance(domain, Cap):
-            t_lo, t_hi = math.cos(domain.alpha), 1.0
-        elif isinstance(domain, Collar):
-            t_lo, t_hi = math.cos(domain.beta), math.cos(domain.alpha)
-        else:
-            raise TypeError(f"not a domain: {domain!r}")
-        t, wt, points, weights = _materialize_d2(domain, t_lo, t_hi, polar, azimuth)
+        t, wt, points, weights = _materialize_d2(domain, target_degree + 2, azimuth)
         return ProductRule(domain, t, wt, azimuth, points, weights, target_degree)
-    # d == 1
-    if isinstance(domain, Sphere):
+    if isinstance(domain, Sphere):  # periodic: the uniform rule is exact
         m = max(2 * target_degree + 2, 8)
         u = np.arange(m) * (2.0 * math.pi / m) - math.pi
         w = np.full(m, 2.0 * math.pi / m)
         points = np.column_stack([np.sin(u), np.cos(u)])
         return ProductRule(domain, u, w, 0, points, w.copy(), target_degree)
-    if isinstance(domain, Cap):
-        order = _d1_polar_order(target_degree, domain.alpha)
-        segments = [(-domain.alpha, domain.alpha)]
-    elif isinstance(domain, Collar):
-        order = _d1_polar_order(target_degree, 0.5 * (domain.beta - domain.alpha))
-        segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
-    else:
-        raise TypeError(f"not a domain: {domain!r}")
-    u, wu, points, weights = _materialize_d1(domain, segments, order)
+    arc_lo, arc_hi = domain.arcs[0]
+    order = _d1_polar_order(target_degree, 0.5 * (arc_hi - arc_lo))
+    u, wu, points, weights = _materialize_d1(domain, order)
     return ProductRule(domain, u, wu, 0, points, weights, target_degree)
 
 
@@ -302,38 +275,21 @@ def domain_moments(domain, n):
     Legendre antiderivative (d=2) or elementary sine integrals (d=1).
     """
     n = int(n)
-    d = domain.dim
-    if d == 2:
-        size = (n + 1) ** 2
-        out = np.zeros(size)
-        if isinstance(domain, Sphere):
-            out[0] = 4.0 * math.pi / math.sqrt(4.0 * math.pi)
-            return out
-        if isinstance(domain, Cap):
-            ints = _legendre_antiderivative(math.cos(domain.alpha), n)
-        else:
-            ints = (
-                _legendre_antiderivative(math.cos(domain.beta), n)
-                - _legendre_antiderivative(math.cos(domain.alpha), n)
-            )
+    lo, hi = domain.polar_range
+    if domain.dim == 2:
+        out = np.zeros((n + 1) ** 2)
+        ints = (_legendre_antiderivative(math.cos(hi), n)
+                - _legendre_antiderivative(math.cos(lo), n))
         for l in range(n + 1):
             out[l * l + l] = 2.0 * math.pi * math.sqrt((2 * l + 1) / (4.0 * math.pi)) * ints[l]
         return out
-    # d == 1: [const, cos k, sin k, ...] against arc length
+    # d == 1: [const, cos k, sin k, ...] against arc length, over the arcs
+    # u in +-[lo, hi]; the sine moments cancel between the two signs
     out = np.zeros(2 * n + 1)
-    if isinstance(domain, Sphere):
-        out[0] = 2.0 * math.pi / math.sqrt(2.0 * math.pi)
-        return out
+    out[0] = 2.0 * (hi - lo) / math.sqrt(2.0 * math.pi)
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    if isinstance(domain, Cap):
-        out[0] = 2.0 * domain.alpha / math.sqrt(2.0 * math.pi)
-        for k in range(1, n + 1):
-            out[2 * k - 1] = 2.0 * math.sin(k * domain.alpha) / k * inv_sqrt_pi
-    else:
-        a, b = domain.alpha, domain.beta
-        out[0] = 2.0 * (b - a) / math.sqrt(2.0 * math.pi)
-        for k in range(1, n + 1):
-            out[2 * k - 1] = 2.0 * (math.sin(k * b) - math.sin(k * a)) / k * inv_sqrt_pi
+    for k in range(1, n + 1):
+        out[2 * k - 1] = 2.0 * (math.sin(k * hi) - math.sin(k * lo)) / k * inv_sqrt_pi
     return out
 
 
@@ -438,15 +394,11 @@ def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, order, weight_fn):
     """One quadrature order for d=1 balls: union of arc segments."""
     alpha = domain.alpha
     dmax = ball_reach(domain, radius)
-    if isinstance(domain, Cap):
-        segments = [(-alpha, alpha)]
-    else:
-        segments = [(domain.alpha, domain.beta), (-domain.beta, -domain.alpha)]
     xi, wxi = gauss_legendre_on(0.0, 1.0, order)
     k = u_c.shape[0]
     vols = np.zeros(k)
     masses = np.zeros(k)
-    for seg_lo, seg_hi in segments:
+    for seg_lo, seg_hi in domain.arcs:
         lo = np.maximum(seg_lo, u_c - dmax)
         hi = np.minimum(seg_hi, u_c + dmax)
         ok = lo < hi

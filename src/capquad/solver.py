@@ -28,9 +28,12 @@ signals that it is too sparse for the degree.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .geometry import delta_r_many, domain_measure, north_frame
+from .points import NodeSet
 from .polys import PolySpace, eval_basis_many
 from .quadrature import domain_moments
 
@@ -58,28 +61,28 @@ class Infeasible:
         return f"Infeasible(residual={self.residual:.3e}, zeros={len(self.zero_nodes)})"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class CubatureRule:
     """Nodes, strictly positive weights, exactness degree, and a residual certificate."""
 
-    __slots__ = ("nodes", "weights", "degree", "residual", "solver_meta")
+    nodes: NodeSet
+    weights: np.ndarray
+    degree: int
+    residual: float
+    solver_meta: dict
 
-    def __init__(self, nodes, weights, degree, residual, solver_meta):
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (len(nodes),):
+    def __post_init__(self):
+        weights = np.asarray(self.weights, dtype=float)
+        if weights.shape != (len(self.nodes),):
             raise ValueError("one weight per node required")
-        floor = positivity_floor(nodes)
-        if np.any(weights < floor):
+        if np.any(weights < positivity_floor(self.nodes)):
             raise ValueError("weights must be strictly positive")
         weights = weights.copy()
         weights.setflags(write=False)
-        object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "degree", int(degree))
-        object.__setattr__(self, "residual", float(residual))
-        object.__setattr__(self, "solver_meta", dict(solver_meta))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CubatureRule is immutable")
+        object.__setattr__(self, "degree", int(self.degree))
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "solver_meta", dict(self.solver_meta))
 
     def __repr__(self):
         return (f"CubatureRule(n={len(self.nodes)}, degree={self.degree}, "

@@ -182,8 +182,9 @@ def run_trials(trials, measure, size, seed):
     values = None
     for _ in range(MAX_REDRAWS):
         coeffs = np.column_stack([rngs[k].standard_normal(size) for k in redo])
-        # degenerate columns may divide by zero; their values are dropped
-        with np.errstate(divide="ignore", invalid="ignore"):
+        # degenerate columns may divide by zero; their values are dropped.
+        # |f|^p may overflow to inf, which the CLI turns into exit 1 (non-finite)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             got, degenerate = measure(coeffs)
         if values is None:
             values = np.array(got, dtype=float)

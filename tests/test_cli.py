@@ -99,7 +99,7 @@ def test_verify_non_finite_report_exits_1(tmp_path):
                    "--report", str(out)])
     assert res.returncode == 1
     assert "verify mz" in res.stderr and "--p" in res.stderr
-    assert "Traceback" not in res.stderr
+    assert "Traceback" not in res.stderr and "RuntimeWarning" not in res.stderr
     assert not out.exists()
 
 
@@ -116,8 +116,11 @@ def test_verify_non_finite_report_exits_1(tmp_path):
       "--out", "{out}"], "pool limit"),
     (["verify", "bernstein", "--alpha", "0.3", "--degree", "4", "--p", "1000",
       "--report", "{out}"], "--p"),
+    # the ball-sample basis table would hold about 3e8 entries (2.4 GB)
+    (["verify", "osc", "--points", "{points}", "--degree", "100", "--trials", "2",
+      "--report", "{out}"], "lower the degree"),
 ], ids=["points-out", "solve-out", "verify-report", "verify-csv", "points-pool-limit",
-        "bernstein-p-overflow"])
+        "bernstein-p-overflow", "osc-table-limit"])
 def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_file, tmp_path):
     paths = {"points": points_file, "rule": rule_file, "out": tmp_path / "out.json",
              "missing": tmp_path / "missing" / "out.json"}
@@ -125,6 +128,7 @@ def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_f
     assert res.returncode == 1
     assert needle.format(**paths) in res.stderr
     assert "error:" in res.stderr and "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
 
 
 def test_points_deterministic(tmp_path):
