@@ -9,6 +9,18 @@ so the flat index of (l, m) is l*l + l + m.
 The associated Legendre values carry their normalization inside the
 three-term recurrence; entries stay O(sqrt(l)) instead of growing
 factorially, which keeps degree 64 comfortably inside double precision.
+
+The d=2 table is built in blocks of points.  For each block the
+recurrence runs over all orders m at once (a block costs O(n) NumPy
+calls, not one per (l, m), which keeps small blocks cheap at high
+degree) and writes every basis function as a contiguous row of a
+(size x block) scratch array, which is then copied into the
+point-major (npoints x size) table.  The scratch
+holds at most BLOCK_ENTRIES entries (1 MiB), so a table costs its own
+memory plus a bounded amount whatever its size.  Each value goes through
+the same floating-point operations in the same order as a
+column-at-a-time evaluation, so the table's bits do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -23,6 +35,7 @@ from .geometry import SpherePoint, Sphere, map_T_many
 _SQRT2 = math.sqrt(2.0)
 PROJECTION_DEGREE_CAP = 99  # full-sphere rule degree 2*deg + 2 must stay <= 200
 MAX_TABLE_ENTRIES = 2**27  # 1 GiB of float64: the largest basis table built
+BLOCK_ENTRIES = 2**17  # scratch entries (1 MiB) of one block of points of the d=2 kernel
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,40 +91,62 @@ def _basis_d1(coords, n):
 
 
 def _basis_d2(coords, n):
-    npts = coords.shape[0]
+    # blocks of points into a (size x block) scratch whose rows are the
+    # basis functions, each block copied into the point-major table
+    size = (n + 1) ** 2
+    block = max(1, BLOCK_ENTRIES // size)
+    steps = _recurrence_steps(n)
+    out = np.empty((coords.shape[0], size))
+    scratch = np.empty((size, min(block, coords.shape[0])))
+    for lo in range(0, coords.shape[0], block):
+        rows = scratch[:, :min(block, coords.shape[0] - lo)]
+        _harmonics_into(rows, coords[lo:lo + block], n, steps)
+        out[lo:lo + block] = rows.T
+    return out
+
+
+def _recurrence_steps(n):
+    """Factors of the Legendre recurrence p_l = a * (t p_{l-1} - b p_{l-2})
+    at each step k = l - m, as columns over the orders m = 0 .. n - k:
+    entry k >= 2 is (a, b); entry 1 is sqrt(2m + 3), of the first step
+    p_{m+1} = sqrt(2m + 3) * t * p_m.  Every operand before the division
+    is an exact integer, so these equal the scalar factors bit for bit."""
+    steps = [None, np.sqrt(2.0 * np.arange(n)[:, None] + 3.0)]
+    for k in range(2, n + 1):
+        m = np.arange(n + 1 - k, dtype=float)[:, None]
+        l = m + k
+        steps.append((np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)),
+                      np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))))
+    return steps
+
+
+def _harmonics_into(rows, coords, n, steps):
+    # row l*l + l + m of ``rows`` gets harmonic (l, m) at every point; the
+    # recurrence in l runs for all orders m at once (row m of each array)
     t = np.clip(coords[:, 2], -1.0, 1.0)
     s = np.hypot(coords[:, 0], coords[:, 1])
     phi = np.arctan2(coords[:, 1], coords[:, 0])
-    out = np.empty((npts, (n + 1) ** 2))
+    orders = np.arange(n + 1)
+    pmm = np.empty((n + 1, coords.shape[0]))
+    pmm[0] = 1.0 / math.sqrt(4.0 * math.pi)
+    for m in range(1, n + 1):
+        pmm[m] = pmm[m - 1] * s * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+    cos_m = np.cos(orders[1:, None] * phi) * _SQRT2
+    sin_m = np.sin(orders[1:, None] * phi) * _SQRT2
 
-    pmm = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
-    for m in range(n + 1):
-        if m > 0:
-            pmm = pmm * s * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        if m == 0:
-            cos_m = sin_m = None
-        else:
-            cos_m = np.cos(m * phi) * _SQRT2
-            sin_m = np.sin(m * phi) * _SQRT2
-
-        p_prev = np.zeros(npts)
-        p_curr = pmm
-        for l in range(m, n + 1):
-            if l == m:
-                pass
-            elif l == m + 1:
-                p_prev, p_curr = p_curr, math.sqrt(2.0 * m + 3.0) * t * p_curr
-            else:
-                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-                p_prev, p_curr = p_curr, a * (t * p_curr - b * p_prev)
-            base = l * l + l
-            if m == 0:
-                out[:, base] = p_curr
-            else:
-                out[:, base + m] = p_curr * cos_m
-                out[:, base - m] = p_curr * sin_m
-    return out
+    p_prev, p_curr = None, pmm
+    for k in range(n + 1):
+        j = n + 1 - k  # orders 0 .. j - 1 reach degree l = m + k
+        if k == 1:
+            p_prev, p_curr = p_curr[:j], steps[1] * t * p_curr[:j]
+        elif k > 1:
+            a, b = steps[k]
+            p_prev, p_curr = p_curr[:j], a * (t * p_curr[:j] - b * p_prev[:j])
+        m = orders[1:j]
+        base = (m + k) * (m + k) + m + k  # l*l + l at l = m + k
+        rows[k * k + k] = p_curr[0]
+        rows[base + m] = p_curr[1:] * cos_m[:j - 1]
+        rows[base - m] = p_curr[1:] * sin_m[:j - 1]
 
 
 def eval_basis_many(space, coords):

@@ -262,8 +262,20 @@ class _NodeBallTable:
     domain are dropped, and the node itself always leads its block, so a
     sample never over-reaches the ball.  The region depends only on the
     radius, so one spiral serves every node, turned by the node's frame,
-    and all nodes are filtered in one pass.  Blocks are concatenated in
-    node order; ``offsets`` marks where each starts.
+    and all nodes are filtered in one pass.
+
+    Rows are stored slot-major, so that the per-node reduction runs over
+    contiguous memory.  Nodes are sorted by block size, largest first
+    (stably), and run j holds sample j of every node with more than j
+    samples, in that order: each run is a prefix of the one before, and
+    ``runs`` lists their lengths.  Run 0 holds the centres, and
+    ``centre_rows`` gives each node's row there, which is also its
+    position in every later run.  The order does not change results: max
+    and min are exact, a basis table of the samples holds in each row the
+    bits of that sample, and one product of the whole table with a
+    coefficient matrix gave row-permuted bits on every benchmark shape
+    checked (products over slices of the rows need not, so the table
+    meets each chunk of columns whole).
     """
 
     def __init__(self, nodes, radius, count):
@@ -290,14 +302,30 @@ class _NodeBallTable:
                         np.repeat(sqrt_b_c, count))
         inside = contains(domain, flat) & (dist <= radius + 1e-12)
         keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
-        self.samples = np.concatenate([centers[:, None, :], pts], axis=1)[keep]
-        self.offsets = np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]]
+        sizes = keep.sum(axis=1)
+        order = np.argsort(-sizes, kind="stable")
+        # each node's kept samples moved to the front of its block, in
+        # sample order, then taken slot-major as rows of the flat blocks
+        front = np.argsort(~keep[order], axis=1, kind="stable")[:, :sizes.max()]
+        slots = np.arange(sizes.max())[:, None] < sizes[order]
+        rows = ((count + 1) * order[:, None] + front).T[slots]
+        self.runs = slots.sum(axis=1).tolist()
+        blocks = np.concatenate([centers[:, None, :], pts], axis=1)
+        self.samples = blocks.reshape(k * (count + 1), -1)[rows]
+        self.centre_rows = np.argsort(order)
 
     def group_max_min(self, values):
-        """Per-node maxima and minima of sample values, reduced along axis 0
-        and stacked: out[0] the maxima, out[1] the minima."""
-        return np.stack([np.maximum.reduceat(values, self.offsets),
-                         np.minimum.reduceat(values, self.offsets)])
+        """Per-node maxima and minima of sample values (rows of ``samples``),
+        stacked in node order: out[0] the maxima, out[1] the minima.  A
+        running maximum and minimum over the runs, gathered back to node
+        order."""
+        lo = self.runs[0]
+        out = np.stack([values[:lo], values[:lo]])
+        for run in self.runs[1:]:
+            np.maximum(out[0, :run], values[lo:lo + run], out=out[0, :run])
+            np.minimum(out[1, :run], values[lo:lo + run], out=out[1, :run])
+            lo += run
+        return out[:, self.centre_rows]
 
     def basis_table(self, space):
         return eval_basis_many(space, self.samples)

@@ -140,3 +140,63 @@ def test_eval_basis_dimension_mismatch():
         cq.eval_basis(cq.PolySpace(2, 2), cq.SpherePoint([0.6, 0.8]))
     with pytest.raises(ValueError):
         cq.PolyCoeffs(cq.PolySpace(2, 2), np.zeros(3))
+
+
+def _column_basis_d2(coords, n):
+    # the column-at-a-time d=2 kernel: the reference for the blocked one
+    npts = coords.shape[0]
+    t = np.clip(coords[:, 2], -1.0, 1.0)
+    s = np.hypot(coords[:, 0], coords[:, 1])
+    phi = np.arctan2(coords[:, 1], coords[:, 0])
+    out = np.empty((npts, (n + 1) ** 2))
+    pmm = np.full(npts, 1.0 / math.sqrt(4.0 * math.pi))
+    for m in range(n + 1):
+        if m > 0:
+            pmm = pmm * s * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
+            cos_m = np.cos(m * phi) * math.sqrt(2.0)
+            sin_m = np.sin(m * phi) * math.sqrt(2.0)
+        p_prev = np.zeros(npts)
+        p_curr = pmm
+        for l in range(m, n + 1):
+            if l == m + 1:
+                p_prev, p_curr = p_curr, math.sqrt(2.0 * m + 3.0) * t * p_curr
+            elif l > m + 1:
+                a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
+                b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
+                p_prev, p_curr = p_curr, a * (t * p_curr - b * p_prev)
+            base = l * l + l
+            if m == 0:
+                out[:, base] = p_curr
+            else:
+                out[:, base + m] = p_curr * cos_m
+                out[:, base - m] = p_curr * sin_m
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 20, 24])
+def test_basis_table_matches_column_reference(n):
+    space = cq.PolySpace(2, n)
+    block = max(1, cq.polys.BLOCK_ENTRIES // space.size)
+    rng = np.random.default_rng(n)
+    for npts in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+        pts = rng.standard_normal((npts, 3))
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts[:2] = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])[:npts]  # poles: s = 0, t = -1, 1
+        table = eval_basis_many(space, pts)
+        assert table.shape == (npts, space.size) and table.flags.c_contiguous
+        assert table.tobytes() == _column_basis_d2(pts, n).tobytes()
+
+
+def test_basis_table_memory_stays_near_table_size():
+    # the blocked kernel's scratch is bounded; a whole second table is not
+    import tracemalloc
+
+    space = cq.PolySpace(2, 6)
+    pts = random_cap_points(cq.Cap(E2, 3.0), 81002, seed=3)
+    tracemalloc.start()
+    try:
+        table = eval_basis_many(space, pts)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table.nbytes + 4 * 2**20

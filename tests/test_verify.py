@@ -143,6 +143,62 @@ def test_osc_constant_zero_for_constants(nodes_a1_n8):
     assert np.abs(gmax - gmin).max() == 0.0
 
 
+def _node_order_ball_samples(nodes, radius, count):
+    # the node-major layout of the ball samples: each node's block (its
+    # centre, then its kept samples in order), blocks in node order
+    from capquad import geometry as g
+    from capquad.verify import _GOLDEN
+
+    domain, centers = nodes.domain, nodes.coords
+    k = centers.shape[0]
+    bound = g.ball_reach(domain, radius)
+    j = np.arange(count)
+    if domain.dim == 2:
+        t = 1.0 - (1.0 - math.cos(bound)) * (j + 0.5) / count
+        phi = 2.0 * math.pi * np.mod(j / _GOLDEN, 1.0)
+        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
+        pts = np.matmul(local, np.array([g.north_frame(cq.SpherePoint(c)) for c in centers]))
+    else:
+        base = np.array([math.atan2(c[0], c[1]) for c in centers])
+        u = base[:, None] + bound * (2.0 * (j + 0.5) / count - 1.0)
+        pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
+    flat = pts.reshape(k * count, -1)
+    dist = g.rho_rows(domain, flat, np.repeat(centers, count, axis=0),
+                      np.sqrt(g.boundary_distance_many(domain, flat)),
+                      np.repeat(np.sqrt(g.boundary_distance_many(domain, centers)), count))
+    inside = g.contains(domain, flat) & (dist <= radius + 1e-12)
+    keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
+    samples = np.concatenate([centers[:, None, :], pts], axis=1)[keep]
+    return samples, np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]]
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
+
+
+def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
+    from capquad.verify import _NodeBallTable
+
+    arc = cq.Cap(cq.north_pole(1), 1.0)
+    nodes_d1 = cq.greedy_maximal_set(arc, 0.25 / 16, seed=0, degree=16, delta=0.25)
+    centre_only = 0
+    for nodes, count in ((nodes_a1_n8, 16), (nodes_a1_n8, 1), (nodes_d1, 16), (nodes_d1, 2)):
+        radius = nodes.epsilon
+        table = _NodeBallTable(nodes, radius, count)
+        ref_samples, offsets = _node_order_ball_samples(nodes, radius, count)
+        assert np.array_equal(_sorted_rows(table.samples), _sorted_rows(ref_samples))
+        centre_only += int(np.count_nonzero(np.diff(np.r_[offsets, len(ref_samples)]) == 1))
+        # values are row-wise functions of the sample, so both layouts hold
+        # the same bits in permuted rows; (N, 16) is one trial chunk
+        for f in (lambda x: np.sin(7.0 * x[:, 0]) + x[:, -1] ** 3,
+                  lambda x: np.cos(np.arange(1, 17) * x[:, :1] - x[:, -1:])):
+            want = np.stack([np.maximum.reduceat(f(ref_samples), offsets),
+                             np.minimum.reduceat(f(ref_samples), offsets)])
+            assert np.array_equal(table.group_max_min(f(table.samples)), want)
+    assert centre_only > 0
+
+
 def test_osc_constant_finite(nodes_a1_n8):
     est = cq.osc_constant(nodes_a1_n8, 8, 2, trials=10, ball_samples=32, seed=4)
     assert np.isfinite(est)
