@@ -86,14 +86,28 @@ def north_frame(center):
     inverse and maps the pole back to ``center``.
     """
     e = center.coords if isinstance(center, SpherePoint) else np.asarray(center, float)
-    n = e.shape[0]
+    return north_frames(e.reshape(1, -1))[0]
+
+
+def north_frames(coords):
+    """``north_frame`` of every row of ``coords``, stacked: (k, d+1, d+1).
+
+    Each v.v is one dot of a stack of 1 x (d+1) by (d+1) x 1 products, the
+    same dot as ``v @ v`` of a single vector, so a frame's bits do not
+    depend on the rows stacked with it.  Rows at the pole take the
+    identity.
+    """
+    coords = np.asarray(coords, dtype=float)
+    n = coords.shape[1]
     pole = np.zeros(n)
     pole[-1] = 1.0
-    v = e - pole
-    vv = float(v @ v)
-    if vv < 1e-28:
-        return np.eye(n)
-    return np.eye(n) - (2.0 / vv) * np.outer(v, v)
+    v = coords - pole
+    vv = np.matmul(v[:, None, :], v[:, :, None])
+    at_pole = vv[:, 0, 0] < 1e-28
+    vv[at_pole] = 1.0  # any nonzero value: these frames are replaced below
+    frames = np.eye(n) - (2.0 / vv) * (v[:, :, None] * v[:, None, :])
+    frames[at_pole] = np.eye(n)
+    return frames
 
 
 def perp_direction(center):
@@ -313,6 +327,16 @@ def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
         )
     dist = _dist_term_many(domain, coords, y)
     return rho_kernel(domain.alpha, dist * dist, sqrt_b, sqrt_b_y)
+
+
+def rho_from_chord(domain, chord, sqrt_b_x, sqrt_b_y):
+    """The metric from chordal distances: the distance term is the chord
+    itself on a collar and the geodesic 2*arcsin(chord/2) on a cap."""
+    if isinstance(domain, Collar):
+        dist = chord
+    else:
+        dist = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
+    return rho_kernel(domain.alpha, dist * dist, sqrt_b_x, sqrt_b_y)
 
 
 def rho_rows(domain, a_coords, b_coords, sqrt_b_a, sqrt_b_b):

@@ -18,8 +18,10 @@ equally spaced azimuths phi (on d=1, one row of ascending angles per
 arc).  Since chord <= alpha * rho, each insertion can only lower the
 running distances of candidates in an index window of rows and columns
 around the inserted point, and the greedy update touches that window
-alone.  Separation and probe scans use the same bound
-through a chordal KD-tree.
+alone.  Separation and probe scans use the same bound through KD-trees:
+separation by a pair query of growing radius, probe counts and
+coverage by blocked pair sweeps of the nodes against the probes, which
+give rho from the chords the sweeps return.
 """
 
 from __future__ import annotations
@@ -36,11 +38,13 @@ from .geometry import (
     boundary_distance_many,
     contains,
     north_frame,
+    rho_from_chord,
     rho_many,
     rho_rows,
 )
 
 _POOL_LIMIT = 25_000_000
+_PAIR_BLOCK = 256  # nodes per KD pair sweep of the probe scans
 
 
 class NodeSet:
@@ -375,19 +379,27 @@ def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
 
 
 def _node_neighbours(domain, probes, node_coords, radius):
-    """For each node, yield (probe indices, rho distances) over the probes in
-    the chordal ball that can possibly hold a probe at rho <= radius."""
-    tree = cKDTree(probes)
+    """Yield flat (node indices, probe indices, rho distances) arrays over
+    every node-probe pair within the chord that can hold rho <= radius.
+
+    Chord <= alpha * rho, so the pairs of each block of at most
+    _PAIR_BLOCK nodes come from one KD pair sweep against a tree of the
+    probes, and rho follows from the sweep's chords.  Blocks follow the
+    leaf order of a KD-tree of the nodes, so each covers a small patch
+    and its sweep prunes most of the probe tree; the block size bounds
+    the memory of the pair arrays.
+    """
+    probe_tree = cKDTree(probes)
     sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
     sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
     chord = min(domain.alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
-    for k in range(node_coords.shape[0]):
-        idx = tree.query_ball_point(node_coords[k], chord, return_sorted=False)
-        if not idx:
-            continue
-        idx = np.asarray(idx, dtype=np.intp)
-        yield idx, rho_many(domain, probes[idx], node_coords[k],
-                            sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
+    leaf_order = cKDTree(node_coords).indices
+    for k in range(0, leaf_order.size, _PAIR_BLOCK):
+        block = leaf_order[k:k + _PAIR_BLOCK]
+        pairs = cKDTree(node_coords[block]).sparse_distance_matrix(
+            probe_tree, chord, output_type="ndarray")
+        i, j = block[pairs["i"]], pairs["j"]
+        yield i, j, rho_from_chord(domain, pairs["v"], sqrt_b_probes[j], sqrt_b_nodes[i])
 
 
 def is_maximal_separable(domain, points, epsilon, probe_resolution=4):
@@ -405,16 +417,16 @@ def is_maximal_separable(domain, points, epsilon, probe_resolution=4):
         return False
     probes = product_grid(domain, epsilon, probe_resolution)
     best = np.full(probes.shape[0], np.inf)  # inf beyond every node's chordal ball
-    for idx, d in _node_neighbours(domain, probes, coords, epsilon):
-        np.minimum.at(best, idx, d)
+    for _, j, d in _node_neighbours(domain, probes, coords, epsilon):
+        np.minimum.at(best, j, d)
     return bool(np.all(best <= epsilon + 1e-7))
 
 
 def _count_within(domain, probes, node_coords, radius):
     """Per-probe count of nodes within rho <= radius."""
     counts = np.zeros(probes.shape[0], dtype=np.int64)
-    for idx, d in _node_neighbours(domain, probes, node_coords, radius):
-        counts[idx[d <= radius + 1e-12]] += 1
+    for _, j, d in _node_neighbours(domain, probes, node_coords, radius):
+        counts += np.bincount(j[d <= radius + 1e-12], minlength=probes.shape[0])
     return counts
 
 

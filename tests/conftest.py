@@ -69,3 +69,15 @@ def random_collar_points(collar, count, seed):
     s = np.sqrt(np.clip(1 - t * t, 0, None))
     local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
     return local @ frame
+
+
+def north_frame_per_node(e):
+    """The Householder frame of one unit vector, v.v taken by a 1-D dot:
+    the reference for the stacked ``geometry.north_frames``."""
+    pole = np.zeros(e.shape[0])
+    pole[-1] = 1.0
+    v = e - pole
+    vv = float(v @ v)
+    if vv < 1e-28:
+        return np.eye(e.shape[0])
+    return np.eye(e.shape[0]) - (2.0 / vv) * np.outer(v, v)

@@ -9,10 +9,11 @@ from capquad.geometry import (
     contains,
     delta_r_many,
     north_frame,
+    north_frames,
     rho_many,
 )
 
-from conftest import random_cap_points, random_collar_points
+from conftest import north_frame_per_node, random_cap_points, random_collar_points
 
 E2 = cq.north_pole(2)
 E1 = cq.north_pole(1)
@@ -375,3 +376,25 @@ def test_near_limit_alpha_pipeline():
     assert rule.residual <= 1e-10
     area = 2 * math.pi * (1 - math.cos(3.0))
     assert rule.weights.sum() == pytest.approx(area, rel=1e-9)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_north_frames_bit_equal_to_per_node_frames(dim):
+    rng = np.random.default_rng(9)
+    rand = rng.standard_normal((4000, dim + 1))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    pole = np.zeros(dim + 1)
+    pole[-1] = 1.0
+    near = pole.copy()
+    near[0] = 1e-14  # v.v = 1e-28: on the identity threshold
+    nearer = pole.copy()
+    nearer[0] = 5e-15
+    coords = np.vstack([rand, pole, near, nearer, -pole, rand[:3]])
+    want = np.array([north_frame_per_node(c) for c in coords])
+    assert north_frames(coords).tobytes() == want.tobytes()
+    assert np.array([north_frame(c) for c in coords]).tobytes() == want.tobytes()
+    assert (north_frames(np.vstack([pole, nearer])) == np.eye(dim + 1)).all()
+    if dim == 2:
+        nodes = cq.greedy_maximal_set(cq.Cap(E2, 1.0), 0.25 / 6, degree=6, delta=0.25)
+        want = np.array([north_frame_per_node(c) for c in nodes.coords])
+        assert north_frames(nodes.coords).tobytes() == want.tobytes()

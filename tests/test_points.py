@@ -1,13 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import capquad as cq
 from capquad.geometry import boundary_distance_many, rho_many
-from capquad.points import _seed_coords, product_grid
+from capquad.points import (
+    _PAIR_BLOCK,
+    _node_neighbours,
+    _probes_with_nodes,
+    _seed_coords,
+    product_grid,
+)
 
-from conftest import random_cap_points
+from conftest import random_cap_points, random_collar_points
 
 E2 = cq.north_pole(2)
 E1 = cq.north_pole(1)
@@ -148,3 +156,128 @@ def test_covering_multiplicity_d1():
     m3 = cq.covering_multiplicity(cap, ns, 3.0, probes=2000)
     assert 1 <= m1 <= 4
     assert m1 <= m3 <= m1 * 3**3 * 4
+
+
+def _per_node_neighbours(domain, probes, node_coords, radius):
+    """The per-node enumerator the blocked pair sweep replaced: one KD ball
+    query and one rho_many call per node, yielding (probe indices, rho)."""
+    tree = cKDTree(probes)
+    sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
+    sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
+    chord = min(domain.alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
+    for k in range(node_coords.shape[0]):
+        idx = tree.query_ball_point(node_coords[k], chord, return_sorted=False)
+        if not idx:
+            continue
+        idx = np.asarray(idx, dtype=np.intp)
+        yield idx, rho_many(domain, probes[idx], node_coords[k],
+                            sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
+
+
+def _per_probe(pairs, nprobes, radius):
+    """Per-probe node counts within rho <= radius and minimum rho."""
+    counts = np.zeros(nprobes, dtype=np.int64)
+    best = np.full(nprobes, np.inf)
+    for j, d in pairs:
+        np.add.at(counts, j[d <= radius + 1e-12], 1)
+        np.minimum.at(best, j, d)
+    return counts, best
+
+
+def _reference_count_max(domain, nodes, probe_eps, radius, probes):
+    pts = _probes_with_nodes(domain, nodes, probe_eps, probes)
+    pairs = _per_node_neighbours(domain, pts, nodes.coords, radius)
+    return int(_per_probe(pairs, pts.shape[0], radius)[0].max())
+
+
+def _reference_is_maximal(domain, nodes, epsilon):
+    if not cq.is_separable(domain, nodes, epsilon):
+        return False
+    probes = product_grid(domain, epsilon, 4)
+    pairs = _per_node_neighbours(domain, probes, nodes.coords, epsilon)
+    return bool(np.all(_per_probe(pairs, probes.shape[0], epsilon)[1] <= epsilon + 1e-7))
+
+
+def _random_nodes(domain, count, seed):
+    """count points of the domain, every tenth one repeated."""
+    if domain.dim == 2:
+        sample = random_cap_points if isinstance(domain, cq.Cap) else random_collar_points
+        coords = sample(domain, count, seed)
+    else:
+        arc = np.random.default_rng(seed).integers(len(domain.arcs), size=count)
+        lo, hi = np.array(domain.arcs).T
+        u = np.random.default_rng(seed + 1).uniform(lo[arc], hi[arc])
+        coords = np.column_stack([np.sin(u), np.cos(u)]) @ cq.geometry.north_frame(domain.center)
+    return cq.NodeSet(domain, np.vstack([coords, coords[::10]]), 0.0)
+
+
+_SWEEP_DOMAINS = [cq.Cap(E2, 1.0), cq.Collar(E2, 0.5, 1.0), cq.Cap(E1, 0.5),
+                  cq.Collar(E1, 0.5, 1.0)]
+_SWEEP_IDS = ["cap-d2", "collar-d2", "cap-d1", "collar-d1"]
+
+
+@pytest.mark.parametrize("domain", _SWEEP_DOMAINS, ids=_SWEEP_IDS)
+def test_pair_sweep_matches_per_node_scan(domain):
+    nodes = _random_nodes(domain, 3 * _PAIR_BLOCK, seed=5)
+    assert len(nodes) > 2 * _PAIR_BLOCK
+    pts = _probes_with_nodes(domain, nodes, 0.05, 3000)  # the nodes are probes too
+    # the largest radius's chord clamps at 2: every pair is enumerated
+    for radius in (0.02, 0.1, 0.4, 2.5 / domain.alpha):
+        sweep = ((j, d) for _, j, d in _node_neighbours(domain, pts, nodes.coords, radius))
+        counts, best = _per_probe(sweep, pts.shape[0], radius)
+        ref_counts, ref_best = _per_probe(
+            _per_node_neighbours(domain, pts, nodes.coords, radius), pts.shape[0], radius)
+        assert np.array_equal(counts, ref_counts)
+        # the reference takes a cap's geodesic distance as arccos of a
+        # rounded dot, which is off by up to 3e-8 near 0 (the sweep's
+        # 2 arcsin(chord/2) reads exactly 0 at a probe on a node); from
+        # rho 1e-2 on, both agree to 1e-12
+        atol = np.where(ref_best >= 1e-2, 1e-12, 1e-7)
+        assert np.isclose(best, ref_best, rtol=0.0, atol=atol).all()
+        assert (best[-len(nodes):] == 0.0).all()
+        assert counts.max() > 1
+
+
+def test_pair_sweep_yields_each_pair_once():
+    cap = cq.Cap(E2, 1.0)
+    nodes = _random_nodes(cap, 2 * _PAIR_BLOCK + 3, seed=8)
+    pts = _probes_with_nodes(cap, nodes, 0.05, 2000)
+    i, j, d = (np.concatenate(a) for a in zip(*_node_neighbours(cap, pts, nodes.coords, 0.1)))
+    assert np.unique(i * pts.shape[0] + j).size == i.size
+    want = cq.geometry.rho_pairwise(cap, nodes.coords[i], pts[j])
+    assert np.isclose(d, want, rtol=0.0, atol=np.where(want >= 1e-2, 1e-12, 1e-7)).all()
+
+
+@pytest.mark.parametrize("domain, eps", zip(_SWEEP_DOMAINS, (0.06, 0.1, 0.0025, 0.0025)),
+                         ids=_SWEEP_IDS)
+def test_probe_statistics_match_per_node_scan(domain, eps):
+    nodes = _random_nodes(domain, 2 * _PAIR_BLOCK, seed=11)
+    for n in (4, 12):
+        assert cq.tau_statistic(domain, nodes, n, probes=3000) == _reference_count_max(
+            domain, nodes, 1.0 / n, 1.0 / n, 3000)
+    greedy = cq.greedy_maximal_set(domain, eps)
+    assert len(greedy) > _PAIR_BLOCK
+    for beta in (1.0, 2.0):
+        assert cq.covering_multiplicity(domain, greedy, beta, probes=3000) == \
+            _reference_count_max(domain, greedy, eps, beta * eps, 3000)
+    thinned = cq.NodeSet(domain, greedy.coords[::7], eps)
+    for ns in (greedy, thinned):
+        assert cq.is_maximal_separable(domain, ns, eps) == _reference_is_maximal(domain, ns, eps)
+    assert cq.is_maximal_separable(domain, greedy, eps)
+    assert not cq.is_maximal_separable(domain, thinned, eps)
+
+
+def test_tau_statistic_memory_is_bounded():
+    # the benchmark's verify cap set: 1764 nodes against 20 000 probes;
+    # a sweep of all nodes at once holds about 66 MB of pairs
+    cap = cq.Cap(E2, 1.0)
+    nodes = cq.greedy_maximal_set(cap, 0.25 / 6, degree=6, delta=0.25)
+    assert len(nodes) == 1764
+    tracemalloc.start()
+    try:
+        tau = cq.tau_statistic(cap, nodes, 6, probes=20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tau >= 1
+    assert peak < 24 * 2**20

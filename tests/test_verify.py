@@ -6,6 +6,8 @@ import pytest
 import capquad as cq
 from capquad.verify import VerificationReport
 
+from conftest import north_frame_per_node
+
 E2 = cq.north_pole(2)
 
 
@@ -197,6 +199,44 @@ def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
                              np.minimum.reduceat(f(ref_samples), offsets)])
             assert np.array_equal(table.group_max_min(f(table.samples)), want)
     assert centre_only > 0
+
+
+def test_ball_table_samples_match_per_node_frames(monkeypatch, nodes_a1_n8):
+    # the constructor with the frames built one node at a time
+    from capquad import verify
+
+    collar = cq.Collar(E2, 0.5, 1.0)
+    nodes_collar = cq.greedy_maximal_set(collar, 0.25 / 4, degree=4, delta=0.25)
+    for nodes, count in ((nodes_a1_n8, 64), (nodes_collar, 64), (nodes_collar, 7)):
+        table = verify._NodeBallTable(nodes, nodes.epsilon, count)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "north_frames", lambda centers: np.array(
+                [north_frame_per_node(c) for c in centers]))
+            ref = verify._NodeBallTable(nodes, nodes.epsilon, count)
+        assert table.samples.tobytes() == ref.samples.tobytes()
+        assert table.runs == ref.runs
+        assert np.array_equal(table.centre_rows, ref.centre_rows)
+
+
+@pytest.mark.parametrize("domain, p, rows", [(cq.Cap(E2, 1.0), 1, 997),
+                                             (cq.Collar(E2, 0.5, 1.0), 3, 997),
+                                             (cq.Cap(cq.north_pole(1), 0.5), 1, 61)],
+                         ids=["cap-d2-p1", "collar-d2-p3", "cap-d1-p1"])
+def test_abs_power_integral_row_blocks_match_whole_tables(monkeypatch, domain, p, rows):
+    from capquad import polys, verify
+    from capquad.polys import PolySpace
+
+    space = PolySpace(domain.dim, 5)
+    coeffs = np.random.default_rng(2).standard_normal((space.size, 20))
+    whole, capped = verify._abs_power_integral(domain, space, coeffs, p)
+    sizes = []
+    monkeypatch.setattr(polys, "MAX_TABLE_ENTRIES", rows * space.size)
+    monkeypatch.setattr(verify, "eval_basis_many",
+                        lambda s, pts: sizes.append(len(pts)) or polys.eval_basis_many(s, pts))
+    blocked, capped_blocked = verify._abs_power_integral(domain, space, coeffs, p)
+    assert max(sizes) == rows and sizes.count(rows) > 1  # several tables split
+    assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
+    assert np.allclose(capped_blocked, capped, rtol=1e-6, atol=1e-15)
 
 
 def test_osc_constant_finite(nodes_a1_n8):
