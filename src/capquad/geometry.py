@@ -244,7 +244,14 @@ def geodesic_distance(x, y):
 
 
 def geodesic_many(coords, y):
-    """Geodesic distances from each row of ``coords`` to the vector ``y``."""
+    """Geodesic distances from each row of ``coords`` to the vector ``y``.
+
+    Taken as arccos of the rounded dot product, so distances near 0 have a
+    floor of about 3e-8: a dot one rounding step below 1 reads 1.5e-8 or
+    2.1e-8, a point equal to ``y`` can read that instead of 0, and two
+    nearby points keep only about half their digits.  A check at a level
+    below about 1e-7 needs 2 arcsin(chord / 2) (as in ``rho_from_chord``).
+    """
     return np.arccos(np.clip(coords @ y, -1.0, 1.0))
 
 

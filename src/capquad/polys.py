@@ -78,16 +78,22 @@ class PolyCoeffs:
         return f"PolyCoeffs(space={self.space!r}, coeffs=<{self.coeffs.shape[0]} values>)"
 
 
-def _basis_d1(coords, n):
-    # signed polar angle about (0, 1); basis is orthonormal in arc length
-    u = np.arctan2(coords[:, 0], coords[:, 1])
-    out = np.empty((coords.shape[0], 2 * n + 1))
-    out[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+def fourier_table(n, angles):
+    """Orthonormal [const, cos u, sin u, ..., cos nu, sin nu] basis at ``angles``;
+    shape (len(angles), 2n + 1), normalized against arc length."""
+    angles = np.asarray(angles, dtype=float)
+    ku = np.outer(angles, np.arange(1, n + 1))
     inv_sqrt_pi = 1.0 / math.sqrt(math.pi)
-    for k in range(1, n + 1):
-        out[:, 2 * k - 1] = np.cos(k * u) * inv_sqrt_pi
-        out[:, 2 * k] = np.sin(k * u) * inv_sqrt_pi
+    out = np.empty((angles.shape[0], 2 * n + 1))
+    out[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
+    out[:, 1::2] = np.cos(ku) * inv_sqrt_pi
+    out[:, 2::2] = np.sin(ku) * inv_sqrt_pi
     return out
+
+
+def _basis_d1(coords, n):
+    # signed polar angle about (0, 1)
+    return fourier_table(n, np.arctan2(coords[:, 0], coords[:, 1]))
 
 
 def _basis_d2(coords, n):
@@ -193,20 +199,18 @@ def random_polynomial(space, seed):
 
 
 def as_point_function(f):
-    """Wrap f so it maps an (N, d+1) coords array to an (N,) value array.
+    """Wrap a vectorized f so it maps an (N, d+1) coords array to (N,) values.
 
-    Accepts either an already-vectorized callable or one written against
-    single SpherePoint arguments.
+    ``f`` must take the whole array; an output of any other shape raises
+    ValueError, and an exception raised inside ``f`` propagates.
     """
     def wrapped(coords):
         coords = np.atleast_2d(coords)
-        try:
-            vals = np.asarray(f(coords), dtype=float)
-            if vals.shape == (coords.shape[0],):
-                return vals
-        except Exception:
-            pass
-        return np.array([float(f(SpherePoint(row))) for row in coords])
+        vals = np.asarray(f(coords), dtype=float)
+        if vals.shape != (coords.shape[0],):
+            raise ValueError(f"a point function must map coordinates of shape {coords.shape} "
+                             f"to values of shape ({coords.shape[0]},), got shape {vals.shape}")
+        return vals
 
     return wrapped
 

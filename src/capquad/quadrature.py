@@ -15,6 +15,11 @@ target; full circles use the uniform rule, which is exact.
 Gauss-Legendre nodes come from Newton iteration on the Legendre
 recurrence, converged to 1e-15 and symmetrized.
 
+A polynomial on a product rule's grid factors into a Legendre part at
+the polar nodes and a Fourier part at the azimuths (``rule_values``), so
+integrals of functions of it never build a basis table of the rule's
+points.
+
 rho-balls (measures and weighted masses, for the weighted inequalities)
 are integrated on their own: on S^2 every row of fixed polar angle meets
 a ball in one azimuth interval of closed-form length, leaving a 1-D
@@ -40,7 +45,7 @@ from .geometry import (
     polar_angles,
     rho_kernel,
 )
-from .polys import as_point_function
+from .polys import PolySpace, as_point_function, eval_basis_many, fourier_table
 
 DEGREE_CAP = 200
 
@@ -118,6 +123,13 @@ class ProductRule:
         return (f"ProductRule(domain={self.domain!r}, npoints={self.points.shape[0]}, "
                 f"target_degree={self.target_degree})")
 
+    def in_grid_order(self, per_point):
+        """``per_point`` (one entry per row of ``points``) in the row order of
+        ``rule_values``: azimuth-major at d=2, unchanged at d=1."""
+        if self.azimuth_count == 0:
+            return per_point
+        return per_point.reshape(-1, self.azimuth_count).T.ravel()
+
 
 def _d1_polar_order(target, half_width):
     # generous: geometric decay of Gauss error on analytic integrands gives
@@ -181,6 +193,115 @@ def integrate(rule, f):
     """Sum of weights times values; f maps an (N, d+1) array to (N,) values."""
     vals = as_point_function(f)(rule.points)
     return float(rule.weights @ vals)
+
+
+# ---------------------------------------------------------------------------
+# polynomials on a product rule's grid
+
+
+def rule_values(space, rule, coeffs):
+    """f = sum_k c_k Y_k at every point of a product rule, one column per
+    column of the (space.size, columns) ``coeffs``, from the rule's own factors.
+
+    Rows follow ``rule.in_grid_order``.  At d=2 a harmonic factors as
+    Y_lm(theta, phi) = P_l^|m|(cos theta) * trig_m(phi), so f on the grid
+    is one small product per Fourier column (a Legendre table at the polar
+    nodes meets the coefficients of that order m; one batched product)
+    followed by one product with the
+    Fourier table at the azimuths (sum factorization); at d=1 f is the
+    Fourier table at the rule's angles times the coefficients.  A domain
+    centred off the pole first has its coefficients mapped into the frame
+    in which the rule was built (``_canonical_map``).  No table of
+    (points x basis size) entries is built.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    maps = _canonical_map(rule.domain, space.degree)
+    if maps is not None:
+        coeffs = np.concatenate([block @ coeffs[rows] for rows, block in maps])
+    if space.dim_sphere == 1:
+        return fourier_table(space.degree, rule.polar_nodes) @ coeffs
+    legendre, index, fourier = _grid_factors(rule, space.degree)
+    padded = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])
+    per_order = np.matmul(legendre, padded[index])  # (2n + 1, polar nodes, columns)
+    values = fourier @ per_order.reshape(per_order.shape[0], -1)
+    return values.reshape(-1, coeffs.shape[1])
+
+
+@functools.lru_cache(maxsize=8)  # one measurement's ladder of orders
+def _grid_factors(rule, degree):
+    """(legendre, index, fourier) of a d=2 product rule at a degree n.
+
+    Fourier column q of the [const, cos phi, sin phi, ..., sin n phi] table
+    ``fourier`` (azimuths x (2n + 1)) carries the harmonics (l, m) with
+    m = 0 (q = 0), m = k (q = 2k - 1) or m = -k (q = 2k), l = |m| .. n.
+    ``index[q, j]`` is the flat index of the harmonic of degree |m| + j
+    (the zero row past the last coefficient where that passes n), and
+    ``legendre[q, :, j]`` its Legendre factor at the polar nodes, scaled
+    so that the product of the two factors is the harmonic.
+    """
+    n = degree
+    t = rule.polar_nodes
+    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+    # at azimuth 0, harmonic (l, m >= 0) is its Legendre factor (times sqrt 2 for m > 0)
+    table = eval_basis_many(PolySpace(2, n), np.column_stack([s, np.zeros_like(t), t]))
+    size = (n + 1) ** 2
+    index = np.full((2 * n + 1, n + 1), size)
+    legendre = np.zeros((2 * n + 1, t.shape[0], n + 1))
+    for q in range(2 * n + 1):
+        m = (q + 1) // 2
+        sign = -1 if q and q % 2 == 0 else 1
+        scale = math.sqrt(2.0 * math.pi) if m == 0 else math.sqrt(math.pi)
+        l = np.arange(m, n + 1)
+        index[q, :l.size] = l * l + l + sign * m
+        legendre[q, :, :l.size] = table[:, l * l + l + m] * scale
+    azimuths = np.arange(rule.azimuth_count) * (2.0 * math.pi / rule.azimuth_count)
+    factors = legendre, index, fourier_table(n, azimuths)
+    for arr in factors:  # cached: shared by every caller
+        arr.setflags(write=False)
+    return factors
+
+
+_MAP_BLOCK_ENTRIES = 2**18  # basis entries per block of rows while a frame map is summed
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_map(domain, degree):
+    """The coefficient map of a domain into the frame of its product rules,
+    or None when the domain is centred at the pole.
+
+    A rule's points are H y for canonical points y, with H the domain's
+    ``north_frame``, and f(H y) = sum_j (R c)_j Y_j(y) with
+    R_jk = integral over the sphere of Y_j(y) Y_k(H y).  The smallest
+    full-sphere rule exact to degree 2n gives it exactly: n + 1
+    Gauss-Legendre nodes in t by 2n + 1 azimuths, or 2n + 1 equal angles on
+    S^1 (built here, not by ``build_rule``, whose degree cap of 200 would
+    stop it at n = 100).  H is orthogonal, so R keeps each degree (l at
+    d=2, the frequency k at d=1) apart; the map is a tuple of (rows, block)
+    pairs, one block per degree, summed over blocks of the rule's rows.
+    """
+    frame = north_frame(domain.center)
+    if np.array_equal(frame, np.eye(frame.shape[0])):
+        return None
+    space = PolySpace(domain.dim, degree)
+    if domain.dim == 2:
+        rows = [slice(l * l, (l + 1) ** 2) for l in range(degree + 1)]
+        _, _, points, weights = _materialize_d2(Sphere(2), degree + 1, 2 * degree + 1)
+    else:
+        rows = [slice(0, 1)] + [slice(2 * k - 1, 2 * k + 1) for k in range(1, degree + 1)]
+        u = np.arange(2 * degree + 1) * (2.0 * math.pi / (2 * degree + 1))
+        points = np.column_stack([np.sin(u), np.cos(u)])
+        weights = np.full(u.size, 2.0 * math.pi / u.size)
+    blocks = [np.zeros((r.stop - r.start,) * 2) for r in rows]
+    step = max(1, _MAP_BLOCK_ENTRIES // space.size)
+    for lo in range(0, weights.shape[0], step):
+        pts = points[lo:lo + step]
+        plain = eval_basis_many(space, pts) * weights[lo:lo + step, None]
+        turned = eval_basis_many(space, pts @ frame)
+        for r, block in zip(rows, blocks):
+            block += plain[:, r].T @ turned[:, r]
+    for block in blocks:  # cached: shared by every caller
+        block.setflags(write=False)
+    return tuple(zip(rows, blocks))
 
 
 ADAPTIVE_ORDERS = (8, 16, 32, 64, 128, DEGREE_CAP)

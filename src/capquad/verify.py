@@ -14,9 +14,11 @@ measured constants are lower bounds, and reports say so via the
 Every measurement runs all trials at once: trial k is column k of a
 coefficient matrix drawn from its own generator, derived from the master
 seed, and each basis table meets that matrix in one matrix product (per
-fixed chunk of columns where the table is tall).  A degenerate column is
-redrawn from its own stream, so a trial's draws never depend on another
-trial.
+fixed chunk of columns where the table is tall).  The integrals over a
+domain take f on each product rule's grid from the rule's polar and
+azimuthal factors (``quadrature.rule_values``), so no basis table of a
+rule's points is built.  A degenerate column is redrawn from its own
+stream, so a trial's draws never depend on another trial.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from .geometry import (
     poly_D,
     rho_rows,
 )
-from . import polys
 from .points import product_grid, tau_statistic
-from .polys import PolySpace, eval_basis_many
+from .polys import PolySpace, eval_basis_many, fourier_table
 from .quadrature import (
     ADAPTIVE_ORDERS,
     QuadratureError,
@@ -49,6 +50,7 @@ from .quadrature import (
     build_rule,
     double_until_stable,
     gauss_legendre_on,
+    rule_values,
 )
 
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -206,18 +208,19 @@ def _bracket(values):
     return float(arr.min()), float(arr.max())
 
 
-def _by_chunks(table, coeffs, reduce):
-    """reduce(table @ block) over fixed blocks of COLUMN_CHUNK columns of
-    ``coeffs``, joined along the last axis; bounds the memory of a tall
-    table's products whatever the trial count."""
-    return np.concatenate([reduce(table @ coeffs[:, j:j + COLUMN_CHUNK])
+def _by_chunks(evaluate, coeffs, reduce):
+    """reduce(evaluate(block)) over fixed blocks of COLUMN_CHUNK columns of
+    ``coeffs``, joined along the last axis; bounds the memory of the values
+    on a tall table or a large rule whatever the trial count."""
+    return np.concatenate([reduce(evaluate(coeffs[:, j:j + COLUMN_CHUNK]))
                            for j in range(0, coeffs.shape[1], COLUMN_CHUNK)], axis=-1)
 
 
 def _abs_power(values, p):
-    """|values|^p, computed in place."""
+    """|values|^p, computed in place (no power at p = 1)."""
     np.abs(values, out=values)
-    values **= p
+    if p != 1:
+        values **= p
     return values
 
 
@@ -226,24 +229,18 @@ def _abs_power_integral(domain, space, coeffs, p):
 
     Returns (integrals, capped): ``capped`` is 0 for a column whose last
     two orders agreed to INTEGRAL_TOL, and otherwise the last relative
-    change of a column accepted at the order cap.  Each order's basis
-    table is built once and meets only the columns still apart.  Even p
-    makes the integrand a polynomial and two exact orders agree at once;
-    odd p integrands have kinks along the zero set of f, converge
-    algebraically, and are accepted at the cap (the brackets this feeds
-    only need a few digits).  A rule whose table would pass
-    ``polys.MAX_TABLE_ENTRIES`` is built and summed in blocks of rows
-    that fit; a table that fits stays one block.
+    change of a column accepted at the order cap.  Each order's rule
+    meets only the columns still apart, through ``rule_values`` (no basis
+    table of the rule's points is built).  Even p makes the integrand a
+    polynomial and two exact orders agree at once; odd p integrands have
+    kinks along the zero set of f, converge algebraically, and are
+    accepted at the cap (the brackets this feeds only need a few digits).
     """
     def estimate(order, cols):
         rule = build_rule(domain, order)
-        step = max(1, polys.MAX_TABLE_ENTRIES // space.size)
-        total = 0.0  # 0.0 + x is x: one block keeps the whole table's bits
-        for r in range(0, len(rule.weights), step):
-            weights = rule.weights[r:r + step]
-            table = eval_basis_many(space, rule.points[r:r + step])
-            total += _by_chunks(table, coeffs[:, cols], lambda v: weights @ _abs_power(v, p))
-        return total
+        weights = rule.in_grid_order(rule.weights)
+        return _by_chunks(lambda c: rule_values(space, rule, c), coeffs[:, cols],
+                          lambda v: weights @ _abs_power(v, p))
 
     converged, prev, last = double_until_stable(estimate, ADAPTIVE_ORDERS, INTEGRAL_TOL,
                                                 coeffs.shape[1])
@@ -401,7 +398,7 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
 
     def measure(c):
         integral, capped = _abs_power_integral(domain, space, c, p)
-        lhs = volumes @ _by_chunks(basis_samples, c, oscillation) ** p
+        lhs = volumes @ _by_chunks(lambda b: basis_samples @ b, c, oscillation) ** p
         return np.vstack([(lhs / integral) ** (1.0 / p) / delta, capped]), _degenerate(integral)
 
     estimates, capped = run_trials(trials, measure, space.size, seed)
@@ -457,7 +454,8 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
 
     def measure(c):
         integral, capped = _abs_power_integral(domain, space, c, p)
-        extremes = _by_chunks(basis_samples, c, lambda v: table.group_max_min(np.abs(v)))
+        extremes = _by_chunks(lambda b: basis_samples @ b, c,
+                              lambda v: table.group_max_min(np.abs(v)))
         sums = surrogate @ extremes ** p
         return np.vstack([sums / integral, capped]), _degenerate(integral)
 
@@ -496,7 +494,7 @@ def _interval_adaptive(alpha, coeffs, p, factor):
     only the columns still apart; two orders agree at 1e-7 relative."""
     def estimate(order, cols):
         t, w = _interval_quad_points(alpha, order)
-        vals = _abs_power(_trig_table(coeffs.shape[0] // 2, t) @ coeffs[:, cols], p)
+        vals = _abs_power(fourier_table(coeffs.shape[0] // 2, t) @ coeffs[:, cols], p)
         return w @ (vals * factor(t)[:, None])
 
     _, _, last = double_until_stable(estimate, (16, 32, 64, 128, 256), 1e-7, coeffs.shape[1])
@@ -506,23 +504,10 @@ def _interval_adaptive(alpha, coeffs, p, factor):
 def _trig_derivative(coeffs):
     """Coefficient map of d/dt in the [const, cos k, sin k, ...] basis (along axis 0)."""
     out = np.zeros_like(coeffs)
-    n = (len(coeffs) - 1) // 2
-    for k in range(1, n + 1):
-        a_k = coeffs[2 * k - 1]
-        b_k = coeffs[2 * k]
-        out[2 * k - 1] = k * b_k
-        out[2 * k] = -k * a_k
+    k = np.arange(1, (len(coeffs) - 1) // 2 + 1).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    out[1::2] = k * coeffs[2::2]
+    out[2::2] = -k * coeffs[1::2]
     return out
-
-
-def _trig_table(n, t):
-    """Orthonormal [const, cos k, sin k, ...] basis up to degree n at the angles t."""
-    kt = np.outer(t, np.arange(1, n + 1))
-    table = np.empty((t.size, 2 * n + 1))
-    table[:, 0] = 1.0 / math.sqrt(2.0 * math.pi)
-    table[:, 1::2] = np.cos(kt) / math.sqrt(math.pi)
-    table[:, 2::2] = np.sin(kt) / math.sqrt(math.pi)
-    return table
 
 
 def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, statistic="max"):
@@ -620,26 +605,24 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     order = min(int(p) * degree + 16, 200)
     rule = build_rule(cap, order)
-    basis_rule = eval_basis_many(space, rule.points)
-    w_vals = weight.eval_on(cap, rule.points)[:, None]
     wn_vols, wn_masses, wn_unconverged = balls_integral(cap, rule.points, 1.0 / degree,
                                                         weight.eval_b)
     if np.any(wn_vols <= 0.0):
         raise QuadratureError("empty rho-ball in weighted_mz", (wn_vols.min(), 0))
-    wn_vals = (wn_masses / wn_vols)[:, None]
+    # rule weights times the weight and times its ball average, in grid order
+    weighted = np.stack([rule.in_grid_order(rule.weights * weight.eval_on(cap, rule.points)),
+                         rule.in_grid_order(rule.weights * (wn_masses / wn_vols))])
     table = _NodeBallTable(nodes, eps, ball_samples)
     basis_samples = table.basis_table(space)
     _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged
 
-    def weighted_integrals(vals):
-        fp = _abs_power(vals, p)
-        return np.stack([rule.weights @ (fp * w_vals), rule.weights @ (fp * wn_vals)])
-
     def measure(c):
-        int_w, int_wn = _by_chunks(basis_rule, c, weighted_integrals)
-        extremes = _by_chunks(basis_samples, c, lambda v: table.group_max_min(np.abs(v)))
+        int_w, int_wn = _by_chunks(lambda b: rule_values(space, rule, b), c,
+                                   lambda v: weighted @ _abs_power(v, p))
+        extremes = _by_chunks(lambda b: basis_samples @ b, c,
+                              lambda v: table.group_max_min(np.abs(v)))
         sums = masses @ extremes ** p
         return np.vstack([int_w / int_wn, sums / int_w]), _degenerate(int_w)
 

@@ -200,3 +200,24 @@ def test_basis_table_memory_stays_near_table_size():
     finally:
         tracemalloc.stop()
     assert peak < table.nbytes + 4 * 2**20
+
+
+def test_as_point_function_takes_vectorized_callables_only():
+    from capquad.polys import as_point_function
+
+    pts = np.array([[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]])
+    assert np.array_equal(as_point_function(lambda x: x[:, 2])(pts), [1.0, 0.8])
+    with pytest.raises(ValueError, match=r"\(2,\).*\(\)"):
+        as_point_function(lambda x: 1.0)(pts)
+    with pytest.raises(ValueError, match=r"\(2,\).*\(2, 3\)"):
+        as_point_function(lambda x: x)(pts)
+    calls = []
+
+    def failing(x):
+        calls.append(x)
+        raise ZeroDivisionError("inside f")
+
+    # the exception of f propagates, with no second try one point at a time
+    with pytest.raises(ZeroDivisionError, match="inside f"):
+        as_point_function(failing)(pts)
+    assert len(calls) == 1

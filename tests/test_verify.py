@@ -218,25 +218,87 @@ def test_ball_table_samples_match_per_node_frames(monkeypatch, nodes_a1_n8):
         assert np.array_equal(table.centre_rows, ref.centre_rows)
 
 
-@pytest.mark.parametrize("domain, p, rows", [(cq.Cap(E2, 1.0), 1, 997),
-                                             (cq.Collar(E2, 0.5, 1.0), 3, 997),
-                                             (cq.Cap(cq.north_pole(1), 0.5), 1, 61)],
-                         ids=["cap-d2-p1", "collar-d2-p3", "cap-d1-p1"])
-def test_abs_power_integral_row_blocks_match_whole_tables(monkeypatch, domain, p, rows):
-    from capquad import polys, verify
+def _table_abs_power_integrals(domain, space, coeffs, powers):
+    """The adaptive |f|^p integrals at each p of ``powers`` from a basis
+    table of each rule's points (built once per order, in blocks of rows to
+    bound memory): the reference for ``verify._abs_power_integral``."""
+    from capquad import verify
+    from capquad.polys import eval_basis_many
+    from capquad.quadrature import ADAPTIVE_ORDERS, build_rule, double_until_stable
+
+    values = {}
+
+    def values_at(order):
+        if order not in values:
+            points = build_rule(domain, order).points
+            step = max(1, 2**20 // space.size)
+            values[order] = np.concatenate([eval_basis_many(space, points[r:r + step]) @ coeffs
+                                            for r in range(0, len(points), step)])
+        return values[order]
+
+    out = []
+    for p in powers:
+        converged, prev, last = double_until_stable(
+            lambda order, cols: build_rule(domain, order).weights
+            @ np.abs(values_at(order)[:, cols]) ** p,
+            ADAPTIVE_ORDERS, verify.INTEGRAL_TOL, coeffs.shape[1])
+        change = np.abs(last - prev) / (np.abs(last) + 1e-14)
+        out.append((last, np.where(converged, 0.0, change)))
+    return out
+
+
+_RULE_DOMAINS = {
+    "cap-a0.3": cq.Cap(E2, 0.3),
+    "cap-a1": cq.Cap(E2, 1.0),
+    "cap-a2.5": cq.Cap(E2, 2.5),
+    "collar": cq.Collar(E2, 0.5, 1.0),
+    "cap-off-pole": cq.Cap(cq.SpherePoint([0.4, -0.3, 0.87]), 1.0),
+    "arc": cq.Cap(cq.north_pole(1), 0.5),
+    "arc-off-pole": cq.Cap(cq.SpherePoint([0.6, 0.8]), 0.5),
+}
+
+
+@pytest.mark.parametrize("degree", [0, 1, 6, 20])
+@pytest.mark.parametrize("name", list(_RULE_DOMAINS))
+def test_rule_values_match_basis_table(name, degree):
+    from capquad import verify
+    from capquad.polys import PolySpace, eval_basis_many
+    from capquad.quadrature import build_rule, rule_values
+
+    domain = _RULE_DOMAINS[name]
+    space = PolySpace(domain.dim, degree)
+    coeffs = np.random.default_rng(degree).standard_normal((space.size, 3))
+    rule = build_rule(domain, 16)
+    want = rule.in_grid_order(np.arange(len(rule.weights)))
+    want = (eval_basis_many(space, rule.points) @ coeffs)[want]
+    got = rule_values(space, rule, coeffs)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    reference = _table_abs_power_integrals(domain, space, coeffs, (1, 2, 3))
+    for p, (ref, ref_capped) in zip((1, 2, 3), reference):
+        integrals, capped = verify._abs_power_integral(domain, space, coeffs, p)
+        assert np.allclose(integrals, ref, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(capped) == np.count_nonzero(ref_capped)
+
+
+def test_abs_power_integral_memory_is_bounded():
+    # the order-200 rule of a degree-20 odd-p integral has 81 002 points: a
+    # basis table of them would be 81 002 x 441 entries (286 MB)
+    import tracemalloc
+
+    from capquad import verify
     from capquad.polys import PolySpace
 
-    space = PolySpace(domain.dim, 5)
-    coeffs = np.random.default_rng(2).standard_normal((space.size, 20))
-    whole, capped = verify._abs_power_integral(domain, space, coeffs, p)
-    sizes = []
-    monkeypatch.setattr(polys, "MAX_TABLE_ENTRIES", rows * space.size)
-    monkeypatch.setattr(verify, "eval_basis_many",
-                        lambda s, pts: sizes.append(len(pts)) or polys.eval_basis_many(s, pts))
-    blocked, capped_blocked = verify._abs_power_integral(domain, space, coeffs, p)
-    assert max(sizes) == rows and sizes.count(rows) > 1  # several tables split
-    assert np.allclose(blocked, whole, rtol=1e-12, atol=0.0)
-    assert np.allclose(capped_blocked, capped, rtol=1e-6, atol=1e-15)
+    space = PolySpace(2, 20)
+    coeffs = np.random.default_rng(3).standard_normal((space.size, 2))
+    tracemalloc.start()
+    try:
+        _, capped = verify._abs_power_integral(cq.Cap(E2, 0.9), space, coeffs, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(capped) == 2  # both columns reached the order-200 rule
+    assert peak < 32 * 2**20
 
 
 def test_osc_constant_finite(nodes_a1_n8):
