@@ -12,7 +12,8 @@ where ``dist`` is geodesic distance on a cap (chordal on a collar) and
 boundary the square-root term dominates, so equal-radius balls flatten
 into thin annuli there; that is the shape a sampling set for polynomials
 has to follow, and every node generator and inequality check downstream
-measures distances with this ruler.
+measures distances with this ruler: ``rho_many`` on coordinates, or
+``rho_from_chord`` on the chords of a KD-tree sweep.
 
 All angles are radians.  Measures are arc length for d=1 and steradians
 for d=2.  Every object is an immutable value and every function is pure.
@@ -234,30 +235,29 @@ def domain_measure(domain):
 # distances
 
 
+def _arccos(dots):
+    """Geodesic distances arccos(dots), the dots clamped into [-1, 1].
+
+    From rounded dots, distances near 0 have a floor of about 3e-8: a dot
+    one rounding step below 1 reads 1.5e-8 or 2.1e-8, so equal points can
+    read that instead of 0 and nearby points keep about half their digits.
+    A check below about 1e-7 needs 2 arcsin(chord / 2) (``rho_from_chord``).
+    """
+    return np.arccos(np.clip(dots, -1.0, 1.0))
+
+
 def geodesic_distance(x, y):
     """Geodesic distance arccos(x . y), clamped into [0, pi]."""
     xc = x.coords if isinstance(x, SpherePoint) else np.asarray(x, float)
     yc = y.coords if isinstance(y, SpherePoint) else np.asarray(y, float)
     if xc.shape != yc.shape:
         raise ValueError("dimension mismatch")
-    return float(np.arccos(np.clip(xc @ yc, -1.0, 1.0)))
-
-
-def geodesic_many(coords, y):
-    """Geodesic distances from each row of ``coords`` to the vector ``y``.
-
-    Taken as arccos of the rounded dot product, so distances near 0 have a
-    floor of about 3e-8: a dot one rounding step below 1 reads 1.5e-8 or
-    2.1e-8, a point equal to ``y`` can read that instead of 0, and two
-    nearby points keep only about half their digits.  A check at a level
-    below about 1e-7 needs 2 arcsin(chord / 2) (as in ``rho_from_chord``).
-    """
-    return np.arccos(np.clip(coords @ y, -1.0, 1.0))
+    return float(_arccos(xc @ yc))
 
 
 def polar_angles(domain, coords):
     """Geodesic distance of each row of ``coords`` to the domain center."""
-    return geodesic_many(np.atleast_2d(coords), domain.center.coords)
+    return _arccos(np.atleast_2d(coords) @ domain.center.coords)
 
 
 def contains(domain, coords, tol=INSIDE_TOL):
@@ -300,12 +300,22 @@ def _require_inside(domain, coords_rows, what="point"):
         raise GeometryError(f"{what} outside the domain")
 
 
-def _dist_term_many(domain, coords, y):
-    """First metric ingredient: geodesic distance on caps, chordal on collars."""
+def _dist_term(domain, coords, y):
+    """First metric ingredient: geodesic distance on caps, chordal on collars.
+
+    ``y`` is one point or one point per row of ``coords``.  Cap dots keep
+    two forms because node bytes depend on them: ``coords @ y`` (a BLAS
+    GEMV) for one point, an elementwise ``einsum`` for rows.  They differ
+    in the last bit on many inputs, and greedy sets follow those bits
+    (1764 nodes become 1761 with the elementwise form for one point; see
+    the FOUND line on BLAS-dependent greedy sets in CHANGES.md).
+    """
     if isinstance(domain, Collar):
         diff = coords - y
         return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    return geodesic_many(coords, y)
+    if y.ndim == 1:
+        return _arccos(coords @ y)
+    return _arccos(np.einsum("ij,ij->i", coords, y))
 
 
 def rho_kernel(alpha, dist2, sqrt_b_x, sqrt_b_y):
@@ -321,7 +331,8 @@ def rho_kernel(alpha, dist2, sqrt_b_x, sqrt_b_y):
 
 
 def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
-    """Boundary-adapted distance from each row of ``coords`` to vector ``y``.
+    """Boundary-adapted distance from each row of ``coords`` to ``y``: one
+    point (a vector), or the matching row of a stack of points.
 
     ``sqrt_b`` and ``sqrt_b_y`` let hot loops reuse precomputed square
     roots of boundary distances.  No membership checks are done here.
@@ -329,10 +340,8 @@ def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
     if sqrt_b is None:
         sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
     if sqrt_b_y is None:
-        sqrt_b_y = math.sqrt(
-            float(boundary_distance_many(domain, y.reshape(1, -1))[0])
-        )
-    dist = _dist_term_many(domain, coords, y)
+        sqrt_b_y = np.sqrt(boundary_distance_many(domain, y))
+    dist = _dist_term(domain, coords, y)
     return rho_kernel(domain.alpha, dist * dist, sqrt_b, sqrt_b_y)
 
 
@@ -346,23 +355,14 @@ def rho_from_chord(domain, chord, sqrt_b_x, sqrt_b_y):
     return rho_kernel(domain.alpha, dist * dist, sqrt_b_x, sqrt_b_y)
 
 
-def rho_rows(domain, a_coords, b_coords, sqrt_b_a, sqrt_b_b):
-    """Row-wise distances between two equal stacks, boundary roots given."""
-    if isinstance(domain, Collar):
-        diff = a_coords - b_coords
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    else:
-        dist = np.arccos(np.clip(np.einsum("ij,ij->i", a_coords, b_coords), -1.0, 1.0))
-    return rho_kernel(domain.alpha, dist * dist, sqrt_b_a, sqrt_b_b)
-
-
 def rho_pairwise(domain, a_coords, b_coords):
     """Row-wise boundary-adapted distances between two stacks of points."""
-    a_coords = np.atleast_2d(a_coords)
-    b_coords = np.atleast_2d(b_coords)
-    return rho_rows(domain, a_coords, b_coords,
-                    np.sqrt(boundary_distance_many(domain, a_coords)),
-                    np.sqrt(boundary_distance_many(domain, b_coords)))
+    return rho_many(domain, np.atleast_2d(a_coords), np.atleast_2d(b_coords))
+
+
+def _metric(domain, x, y):
+    _require_inside(domain, np.vstack([x.coords, y.coords]))
+    return float(rho_many(domain, x.coords.reshape(1, -1), y.coords)[0])
 
 
 def rho(cap, x, y):
@@ -373,18 +373,14 @@ def rho(cap, x, y):
     """
     if not isinstance(cap, Cap):
         raise TypeError("rho is the cap metric; use collar_rho on collars")
-    xc, yc = x.coords, y.coords
-    _require_inside(cap, np.vstack([xc, yc]))
-    return float(rho_many(cap, xc.reshape(1, -1), yc)[0])
+    return _metric(cap, x, y)
 
 
 def collar_rho(collar, x, y):
     """Collar analogue of the cap metric, built on chordal distance."""
     if not isinstance(collar, Collar):
         raise TypeError("collar_rho needs a Collar")
-    xc, yc = x.coords, y.coords
-    _require_inside(collar, np.vstack([xc, yc]))
-    return float(rho_many(collar, xc.reshape(1, -1), yc)[0])
+    return _metric(collar, x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -567,8 +563,7 @@ def map_T_many(coords, e_coords, limit=math.pi / 8):
     same formula (the image then wraps around the sphere).
     """
     e = np.asarray(e_coords, float)
-    dots = np.clip(coords @ e, -1.0, 1.0)
-    theta = np.arccos(dots)
+    theta = _arccos(coords @ e)
     if limit is not None and np.any(theta > limit + 1e-12):
         raise GeometryError(f"polar angle exceeds {limit:.6g}")
     s = np.sin(theta)

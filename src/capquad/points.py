@@ -21,12 +21,13 @@ around the inserted point, and the greedy update touches that window
 alone.  Separation and probe scans use the same bound through KD-trees:
 separation by a pair query of growing radius, probe counts and
 coverage by blocked pair sweeps of the nodes against the probes, which
-give rho from the chords the sweeps return.
+give rho from their chords; every other distance here is ``rho_many``.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -40,27 +41,36 @@ from .geometry import (
     north_frame,
     rho_from_chord,
     rho_many,
-    rho_rows,
 )
 
 _POOL_LIMIT = 25_000_000
 _PAIR_BLOCK = 256  # nodes per KD pair sweep of the probe scans
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class NodeSet:
     """A finite tagged point set with its separation target and provenance.
 
     ``epsilon`` is the separation target delta/n; sets built from
     arbitrary points (no separation promise) carry epsilon = 0, which
-    makes the separation invariant vacuous.
+    makes the separation invariant vacuous.  ``epsilon`` and ``delta``
+    must be finite and nonnegative; ``validate`` checks membership and
+    separation.
     """
 
-    __slots__ = ("domain", "coords", "epsilon", "degree", "delta", "seed")
+    domain: Cap | Collar
+    coords: np.ndarray
+    epsilon: float
+    degree: int = 1
+    delta: float | None = None
+    seed: int = 0
+    validate: InitVar[bool] = True
 
-    def __init__(self, domain, coords, epsilon, degree=1, delta=None, seed=0, validate=True):
+    def __post_init__(self, validate):
+        domain = self.domain
         if not isinstance(domain, (Cap, Collar)):
             raise TypeError("domain must be a Cap or Collar")
-        coords = np.asarray(coords, dtype=float).copy()
+        coords = np.asarray(self.coords, dtype=float).copy()
         if coords.ndim != 2 or coords.shape[1] != domain.dim + 1:
             raise ValueError("coords must be (npoints, d+1)")
         if coords.shape[0]:
@@ -69,9 +79,12 @@ class NodeSet:
             if np.any(off):
                 coords[off] /= norms[off]
         coords.setflags(write=False)
-        epsilon = float(epsilon)
-        degree = int(degree)
-        delta = float(epsilon * degree) if delta is None else float(delta)
+        epsilon = float(self.epsilon)
+        degree = int(self.degree)
+        delta = float(epsilon * degree) if self.delta is None else float(self.delta)
+        for name, value in (("epsilon", epsilon), ("delta", delta)):
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if validate:
             if not np.all(contains(domain, coords)):
                 raise ValueError("node outside the domain")
@@ -79,12 +92,11 @@ class NodeSet:
                 sep = min_separation(domain, coords)
                 if sep < epsilon - 1e-12:
                     raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
-        object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def __len__(self):
         return self.coords.shape[0]
@@ -92,9 +104,6 @@ class NodeSet:
     @property
     def points(self):
         return [SpherePoint(row) for row in self.coords]
-
-    def __setattr__(self, name, value):
-        raise AttributeError("NodeSet is immutable")
 
     def __repr__(self):
         return (f"NodeSet({self.domain!r}, n={len(self)}, epsilon={self.epsilon!r}, "
@@ -130,7 +139,7 @@ def min_separation(domain, coords):
         pairs = tree.query_pairs(min(radius, 2.0), output_type="ndarray")
         if pairs.size:
             i, j = pairs[:, 0], pairs[:, 1]
-            diffs = rho_rows(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
+            diffs = rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
             best = float(diffs.min())
             # every rho below best/ (guaranteed) was within the chord radius
             if best <= radius / alpha or radius >= 2.0:

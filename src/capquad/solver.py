@@ -19,8 +19,9 @@ two paths that yields an acceptable rule:
     the positivity floor: ``w = base + profile * u`` with
     ``base = 0.5 * t * profile`` (``t`` fits the profile to the moments
     in one dimension) and ``u >= 0`` from a Lawson-Hanson active-set solve
-    of the residual moment system.  Every node keeps its base weight, so
-    positivity is structural.
+    of the residual moment system (``scipy.optimize.nnls``, imported only
+    on this path).  Every node keeps its base weight, so positivity is
+    structural.
 
 If neither path meets the target the set is declared infeasible, which
 signals that it is too sparse for the degree.
@@ -42,6 +43,7 @@ _RCOND = 1e-13  # singular-value cut-off of the minimum-norm solve, relative to 
 _BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class Infeasible:
     """Returned when no acceptable weight vector exists for (nodes, degree).
 
@@ -50,12 +52,12 @@ class Infeasible:
     is to halve delta and regenerate the set.
     """
 
-    __slots__ = ("residual", "zero_nodes", "message")
+    residual: float
+    zero_nodes: list
+    message: str
 
-    def __init__(self, residual, zero_nodes, message):
-        self.residual = float(residual)
-        self.zero_nodes = zero_nodes
-        self.message = message
+    def __post_init__(self):
+        object.__setattr__(self, "residual", float(self.residual))
 
     def __repr__(self):
         return f"Infeasible(residual={self.residual:.3e}, zeros={len(self.zero_nodes)})"
@@ -91,18 +93,6 @@ class CubatureRule:
 
 def positivity_floor(nodes):
     return 1e-14 * domain_measure(nodes.domain) / max(len(nodes), 1)
-
-
-def nnls(a, b):
-    """Active-set nonnegative least squares on ``min ||a x - b|| s.t. x >= 0``.
-
-    Thin wrapper over the library Lawson-Hanson-style solver; returns
-    (x, residual_norm, support_size).
-    """
-    from scipy.optimize import nnls as _lh_nnls
-
-    x, rnorm = _lh_nnls(np.asarray(a, float), np.asarray(b, float))
-    return x, float(rnorm), int(np.count_nonzero(x))
 
 
 def _moment_matrix(nodes, degree):
@@ -159,7 +149,9 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     if not (t_fit > 0 and np.isfinite(t_fit)):
         t_fit = domain_measure(nodes.domain) / float(profile.sum())
     base = _BASE_SHARE * t_fit * profile
-    u, _, _ = nnls(scaled, moments - a @ base)
+    from scipy.optimize import nnls  # late: importing scipy.optimize is slow
+
+    u = nnls(scaled, moments - a @ base)[0]
     weights = base + profile * u
     resid_nnls = moment_residual(a, weights, moments)
     if resid_nnls <= tol and np.all(weights >= floor):

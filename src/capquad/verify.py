@@ -24,6 +24,7 @@ stream, so a trial's draws never depend on another trial.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .geometry import (
     map_T_many,
     north_frames,
     poly_D,
-    rho_rows,
+    rho_many,
 )
 from .points import product_grid, tau_statistic
 from .polys import PolySpace, eval_basis_many, fourier_table
@@ -64,6 +65,7 @@ INTEGRAL_TOL = 1e-8
 # weights
 
 
+@dataclass(frozen=True, slots=True)
 class DoublingWeight:
     """Weight family for the weighted inequalities: constants and smoothed
     boundary powers (b_x + 1/n_ref)^gamma.
@@ -76,22 +78,24 @@ class DoublingWeight:
     b_t = alpha - |t|.
     """
 
-    __slots__ = ("kind", "gamma", "n_ref", "value")
+    kind: str
+    gamma: float = 0.0
+    n_ref: int = 8
+    value: float = 1.0
 
-    def __init__(self, kind, gamma=0.0, n_ref=8, value=1.0):
-        if kind not in ("constant", "boundary_power"):
+    def __post_init__(self):
+        if self.kind not in ("constant", "boundary_power"):
             raise ValueError("kind must be 'constant' or 'boundary_power'")
-        if kind == "boundary_power":
-            if gamma < 0 or gamma > 2:
+        if self.kind == "boundary_power":
+            if not 0 <= self.gamma <= 2:
                 raise ValueError("gamma must lie in [0, 2]")
-            if n_ref <= 0:
+            if self.n_ref <= 0:
                 raise ValueError("n_ref must be positive")
-        if value <= 0:
+        if not self.value > 0:
             raise ValueError("constant weights must be positive")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "gamma", float(gamma))
-        object.__setattr__(self, "n_ref", int(n_ref))
-        object.__setattr__(self, "value", float(value))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        object.__setattr__(self, "n_ref", int(self.n_ref))
+        object.__setattr__(self, "value", float(self.value))
 
     @classmethod
     def constant(cls, value=1.0):
@@ -100,9 +104,6 @@ class DoublingWeight:
     @classmethod
     def boundary_power(cls, gamma, n_ref=8):
         return cls("boundary_power", gamma=gamma, n_ref=n_ref)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DoublingWeight is immutable")
 
     def eval_b(self, b):
         b = np.asarray(b, dtype=float)
@@ -125,17 +126,22 @@ class DoublingWeight:
         return f"DoublingWeight.{self.label()}"
 
 
+@dataclass(frozen=True, slots=True, eq=False)
 class VerificationReport:
     """Per-inequality ratio statistics over a parameter grid."""
 
-    __slots__ = ("inequality", "grid", "cells", "seed", "wall_time_s")
+    inequality: str
+    grid: dict
+    cells: list
+    seed: int
+    wall_time_s: float = 0.0
 
-    def __init__(self, inequality, grid, cells, seed, wall_time_s=0.0):
-        self.inequality = str(inequality)
-        self.grid = dict(grid)
-        self.cells = [dict(c) for c in cells]
-        self.seed = int(seed)
-        self.wall_time_s = float(wall_time_s)
+    def __post_init__(self):
+        object.__setattr__(self, "inequality", str(self.inequality))
+        object.__setattr__(self, "grid", dict(self.grid))
+        object.__setattr__(self, "cells", [dict(c) for c in self.cells])
+        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "wall_time_s", float(self.wall_time_s))
 
     def to_dict(self):
         return {
@@ -248,11 +254,22 @@ def _abs_power_integral(domain, space, coeffs, p):
     return last, np.where(converged, 0.0, change)
 
 
-def _order_cap_fields(capped):
-    """Report fields on the integrals accepted at the order cap without two
-    orders agreeing: how many, and their largest last relative change."""
-    return {"integral_order_cap_hits": int(np.count_nonzero(capped)),
-            "integral_last_rel_change": float(capped.max())}
+def _integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics):
+    """Rows of ``ratio(C, integrals)`` over the trials, with the integrals of
+    |f|^p over the domain; a column whose integral is below DEGENERATE_FLOOR
+    is redrawn.  A ``diagnostics`` dict, when given, receives two fields on
+    the integrals accepted at the order cap without two orders agreeing:
+    how many, and their largest last relative change.
+    """
+    def measure(c):
+        integral, capped = _abs_power_integral(domain, space, c, p)
+        return np.vstack([ratio(c, integral), capped]), _degenerate(integral)
+
+    values = run_trials(trials, measure, space.size, seed)
+    if diagnostics is not None:
+        diagnostics.update(integral_order_cap_hits=int(np.count_nonzero(values[-1])),
+                           integral_last_rel_change=float(values[-1].max()))
+    return values[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +321,8 @@ class _NodeBallTable:
             pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
         flat = pts.reshape(k * count, -1)
         sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
-        dist = rho_rows(domain, flat, np.repeat(centers, count, axis=0),
-                        np.sqrt(boundary_distance_many(domain, flat)),
-                        np.repeat(sqrt_b_c, count))
+        dist = rho_many(domain, flat, np.repeat(centers, count, axis=0),
+                        sqrt_b_y=np.repeat(sqrt_b_c, count))
         inside = contains(domain, flat) & (dist <= radius + 1e-12)
         keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
         sizes = keep.sum(axis=1)
@@ -350,7 +366,7 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
     adaptive integral.  Degenerate draws with integral below 1e-14 are
     redrawn from the same per-trial stream.  A ``diagnostics`` dict, when
     given, receives the order-cap fields of the integrals
-    (``_order_cap_fields``).
+    (``_integral_ratio_trials``).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -360,15 +376,11 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
     space = PolySpace(domain.dim, degree)
     basis_nodes = eval_basis_many(space, nodes.coords)
 
-    def measure(c):
-        integral, capped = _abs_power_integral(domain, space, c, p)
+    def ratio(c, integral):
         disc = rule.weights @ _abs_power(basis_nodes @ c, p)
-        return np.vstack([disc / integral, capped]), _degenerate(integral)
+        return disc / integral
 
-    ratios, capped = run_trials(trials, measure, space.size, seed)
-    if diagnostics is not None:
-        diagnostics.update(_order_cap_fields(capped))
-    return _bracket(ratios)
+    return _bracket(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics))
 
 
 def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
@@ -396,16 +408,13 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
         gmax, gmin = table.group_max_min(vals)
         return gmax - gmin
 
-    def measure(c):
-        integral, capped = _abs_power_integral(domain, space, c, p)
+    def ratio(c, integral):
         lhs = volumes @ _by_chunks(lambda b: basis_samples @ b, c, oscillation) ** p
-        return np.vstack([(lhs / integral) ** (1.0 / p) / delta, capped]), _degenerate(integral)
+        return (lhs / integral) ** (1.0 / p) / delta
 
-    estimates, capped = run_trials(trials, measure, space.size, seed)
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = unconverged
-        diagnostics.update(_order_cap_fields(capped))
-    return float(estimates.max())
+    return float(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics).max())
 
 
 def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
@@ -424,15 +433,11 @@ def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
     surrogate = delta_r_many(domain, nodes.coords, 1.0 / degree)
     tau = tau_statistic(domain, nodes, degree, probes=probes)
 
-    def measure(c):
-        integral, capped = _abs_power_integral(domain, space, c, p)
+    def ratio(c, integral):
         lhs = surrogate @ _abs_power(basis_nodes @ c, p)
-        return np.vstack([lhs / (tau * integral), capped]), _degenerate(integral)
+        return lhs / (tau * integral)
 
-    estimates, capped = run_trials(trials, measure, space.size, seed)
-    if diagnostics is not None:
-        diagnostics.update(_order_cap_fields(capped))
-    return float(estimates.max())
+    return float(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics).max())
 
 
 def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
@@ -452,16 +457,13 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     basis_samples = table.basis_table(space)
     surrogate = delta_r_many(domain, nodes.coords, eps)
 
-    def measure(c):
-        integral, capped = _abs_power_integral(domain, space, c, p)
+    def ratio(c, integral):
         extremes = _by_chunks(lambda b: basis_samples @ b, c,
                               lambda v: table.group_max_min(np.abs(v)))
         sums = surrogate @ extremes ** p
-        return np.vstack([sums / integral, capped]), _degenerate(integral)
+        return sums / integral
 
-    rmaxs, rmins, capped = run_trials(trials, measure, space.size, seed)
-    if diagnostics is not None:
-        diagnostics.update(_order_cap_fields(capped))
+    rmaxs, rmins = _integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics)
     brackets = _bracket(rmaxs), _bracket(rmins)
     if return_trials:
         return brackets[0], brackets[1], [(float(a), float(b)) for a, b in zip(rmaxs, rmins)]

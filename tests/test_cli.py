@@ -103,6 +103,21 @@ def test_verify_non_finite_report_exits_1(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("subcommand, field, value", [
+    ("osc", "delta", -0.25), ("osc", "epsilon", -0.125), ("maxmin", "epsilon", -0.125)])
+def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp_path, capsys):
+    pts, bad, out = tmp_path / "p.json", tmp_path / "bad.json", tmp_path / "out.json"
+    assert main(["points", "--d", "2", "--alpha", "0.5", "--degree", "2",
+                 "--delta", "0.25", "--out", str(pts)]) == 0
+    data = json.loads(pts.read_text())
+    data[field] = value
+    bad.write_text(json.dumps(data))
+    assert main(["verify", subcommand, "--points", str(bad), "--trials", "3",
+                 "--report", str(out)]) == 1
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, needle", [
     (["points", "--d", "2", "--alpha", "0.5", "--degree", "2", "--delta", "0.5",
       "--out", "{missing}"], "{missing}"),

@@ -136,6 +136,35 @@ def test_delta_r_monotone_in_r():
     assert all(v > 0 for v in vals)
 
 
+@pytest.mark.parametrize("domain", [cq.Cap(E1, 0.8), cq.Cap(E2, 1.0), cq.Collar(E1, 0.5, 1.0),
+                                    cq.Collar(cq.SpherePoint([0.3, 0.2, 0.9]), 0.5, 1.0)],
+                         ids=repr)
+def test_rho_many_one_point_and_rows_keep_their_dot_forms(domain):
+    # one point meets the rows in a matrix-vector product, rows meet rows
+    # elementwise; the cap geodesics of the two differ in the last bit on
+    # many of these points (with OpenBLAS), and node bytes follow those bits
+    pts = cq.points.product_grid(domain, 0.05, 8 if domain.dim == 1 else 1)
+    other = pts[::-1]
+    y = pts[len(pts) // 3]
+    sqrt_b = np.sqrt(boundary_distance_many(domain, pts))
+    sqrt_b_other = np.sqrt(boundary_distance_many(domain, other))
+    sqrt_b_y = np.sqrt(boundary_distance_many(domain, y.reshape(1, -1)))[0]
+    if isinstance(domain, cq.Cap):
+        dist_one = np.arccos(np.clip(pts @ y, -1.0, 1.0))
+        dist_rows = np.arccos(np.clip(np.einsum("ij,ij->i", pts, other), -1.0, 1.0))
+    else:
+        dist_one = np.sqrt(np.einsum("ij,ij->i", pts - y, pts - y))
+        dist_rows = np.sqrt(np.einsum("ij,ij->i", pts - other, pts - other))
+
+    def reference(dist, sb_y):
+        return np.sqrt(dist * dist + domain.alpha * (sqrt_b - sb_y) ** 2) / domain.alpha
+
+    assert np.array_equal(rho_many(domain, pts, y), reference(dist_one, sqrt_b_y))
+    assert np.array_equal(rho_many(domain, pts, other), reference(dist_rows, sqrt_b_other))
+    assert np.array_equal(rho_many(domain, pts, other, sqrt_b, sqrt_b_other),
+                          reference(dist_rows, sqrt_b_other))
+
+
 def test_rho_ball_contains():
     cap = cq.Cap(E2, 1.0)
     ball = cq.RhoBall(cap, E2, 0.5)

@@ -115,6 +115,16 @@ def test_nodeset_validation(cap_a1):
     assert len(ns) == 2
 
 
+@pytest.mark.parametrize("field, value", [("epsilon", -0.125), ("epsilon", math.nan),
+                                          ("epsilon", math.inf), ("delta", -0.25),
+                                          ("delta", math.nan), ("delta", math.inf)])
+def test_nodeset_rejects_negative_or_non_finite_epsilon_and_delta(cap_a1, field, value):
+    # one node, so no separation check runs; zero stays legal (above)
+    fields = {"epsilon": 0.0, field: value}
+    with pytest.raises(ValueError, match=field):
+        cq.NodeSet(cap_a1, E2.coords.reshape(1, -1), **fields)
+
+
 def test_product_grid_nested(cap_a1):
     eps = 0.07
     coarse = product_grid(cap_a1, eps, 4)

@@ -38,7 +38,9 @@ def test_fields_are_frozen():
     values = [cq.SpherePoint([0.0, 0.0, 1.0]), cq.Cap(E2, 1.0), cq.Collar(E2, 0.5, 1.0),
               cq.Sphere(1), cq.RhoBall(cq.Cap(E2, 1.0), E2, 0.25), cq.PolySpace(1, 3),
               cq.PolyCoeffs(cq.PolySpace(1, 1), [1.0, 2.0, 3.0]), build_rule(cq.Sphere(2), 2),
-              cq.CubatureRule(nodes, [1.0], 0, 0.0, {})]
+              cq.CubatureRule(nodes, [1.0], 0, 0.0, {}), nodes,
+              cq.DoublingWeight.boundary_power(1.0), cq.Infeasible(1e-3, [0], "too sparse"),
+              cq.VerificationReport("mz", {"p": 2}, [{"ratio_min": 1.0}], 0)]
     for value in values:
         for field in dataclasses.fields(value):
             with pytest.raises(AttributeError):

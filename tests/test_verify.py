@@ -166,7 +166,7 @@ def _node_order_ball_samples(nodes, radius, count):
         u = base[:, None] + bound * (2.0 * (j + 0.5) / count - 1.0)
         pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
     flat = pts.reshape(k * count, -1)
-    dist = g.rho_rows(domain, flat, np.repeat(centers, count, axis=0),
+    dist = g.rho_many(domain, flat, np.repeat(centers, count, axis=0),
                       np.sqrt(g.boundary_distance_many(domain, flat)),
                       np.repeat(np.sqrt(g.boundary_distance_many(domain, centers)), count))
     inside = g.contains(domain, flat) & (dist <= radius + 1e-12)
@@ -357,6 +357,15 @@ def test_maxmin_ordering_and_bracket(nodes_a1_n8):
     assert mx_lo >= mn_lo and mx_hi >= mn_hi
     for v in (mx_lo, mx_hi, mn_lo, mn_hi):
         assert 1 / 20 <= v <= 20
+
+
+@pytest.mark.parametrize("make", [
+    lambda: cq.DoublingWeight.boundary_power(math.nan),
+    lambda: cq.DoublingWeight.constant(math.nan),
+], ids=["gamma", "value"])
+def test_doubling_weight_rejects_nan(make):
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_bernstein_trivials():
