@@ -122,7 +122,9 @@ def make_parser():
     p_ver.add_argument("--beta", type=_checked(float, 1.0), default=1.0)
     p_ver.add_argument("--trials", type=_POSITIVE_INT, default=200)
     p_ver.add_argument("--ball-samples", type=_POSITIVE_INT, default=64)
-    p_ver.add_argument("--trial-degree", type=_NONNEG_INT, default=None)
+    p_ver.add_argument("--trial-degree", type=_NONNEG_INT, default=None,
+                       help="degree of the trial polynomials (not bernstein/cov); "
+                            "recorded in the cell")
     p_ver.add_argument("--weight", choices=("constant", "boundary-power"), default="constant")
     p_ver.add_argument("--gamma", type=_checked(float, 0.0, 2.0), default=1.0)
     p_ver.add_argument("--n-ref", type=_POSITIVE_INT, default=8)
@@ -194,8 +196,7 @@ def _weight_from_args(args):
 
 def _mz(args, rule, degree, run):
     diagnostics = {}
-    lo, hi = mz_bracket(rule, args.p, trial_degree=args.trial_degree,
-                        diagnostics=diagnostics, **run)
+    lo, hi = mz_bracket(rule, args.p, diagnostics=diagnostics, **run)
     return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo, **diagnostics}
 
 
@@ -258,7 +259,8 @@ def _within(bound):
 # One row per subcommand.  source: what is measured, "rule" or "points" (the
 # file that flag names), "arc" (the d=1 interval of --alpha; --degree
 # required) or "cap" (--d and --alpha; --degree defaults to 8).  measure:
-# (args, loaded file or None, degree, trial kwargs) -> measured fields.
+# (args, loaded file or None, degree, trial kwargs: trials, seed and, when
+# --trial-degree is given, trial_degree) -> measured fields.
 # grid: the report's grid keys.  cell: flags copied into the cell beside
 # "trials".  accept: the --assert predicate on the measured fields.
 _Verify = collections.namedtuple("_Verify", "source measure grid cell accept")
@@ -315,6 +317,10 @@ def cmd_verify(args):
         if "weight" in spec.grid:
             fields["weight"] = _weight_from_args(args).label()
         run = {"trials": args.trials, "seed": args.seed}
+        if args.trial_degree is not None:
+            if name in ("bernstein", "cov"):
+                raise cqio.FormatError(f"--trial-degree does not apply to {name}")
+            run["trial_degree"] = args.trial_degree
         measured = spec.measure(args, loaded, fields["n"], run)
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
@@ -326,6 +332,8 @@ def cmd_verify(args):
         return 1
     elapsed = time.perf_counter() - t0
     cell = dict(measured, trials=args.trials, **{k: getattr(args, k) for k in spec.cell})
+    if args.trial_degree is not None:
+        cell["trial_degree"] = args.trial_degree
     report = VerificationReport(name, {k: fields[k] for k in spec.grid}, [cell], args.seed,
                                 elapsed if args.timing else 0.0)
     cqio.write_canonical(args.report, report.to_dict())

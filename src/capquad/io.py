@@ -14,12 +14,10 @@ import numpy as np
 
 from .geometry import Cap, Collar, SpherePoint
 from .points import NodeSet
-from .polys import PolyCoeffs, PolySpace
 from .solver import CubatureRule
 
 RULE_VERSION = "capquad-rule/1"
 POINTS_VERSION = "capquad-points/1"
-POLY_VERSION = "capquad-poly/1"
 
 
 class FormatError(ValueError):
@@ -41,16 +39,6 @@ def load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
-
-
-def _domain_to_fields(domain):
-    fields = {
-        "d": domain.dim,
-        "alpha": domain.alpha,
-        "center": [float(v) for v in domain.center.coords],
-    }
-    fields["beta"] = domain.beta if isinstance(domain, Collar) else None
-    return fields
 
 
 def _check_version(data, versions):
@@ -126,51 +114,56 @@ def _domain_from_fields(data):
 
 
 def points_to_dict(nodes):
-    out = _domain_to_fields(nodes.domain)
-    out.update({
+    domain = nodes.domain
+    return {
         "version": POINTS_VERSION,
+        "d": domain.dim,
+        "alpha": domain.alpha,
+        "beta": domain.beta if isinstance(domain, Collar) else None,
+        "center": [float(v) for v in domain.center.coords],
         "degree": nodes.degree,
         "delta": nodes.delta,
         "epsilon": nodes.epsilon,
         "nodes": [[float(v) for v in row] for row in nodes.coords],
         "generator": {"seed": nodes.seed, "algorithm": "greedy-fps"},
-    })
-    return out
+    }
 
 
 def nodes_from_dict(data):
+    """The node set of a points or rule file.  Once every field has parsed,
+    a points file must have degree >= 1 and, when epsilon > 0, delta equal
+    to epsilon * degree (a rule's degree is its own); both kinds need a
+    nonnegative generator seed."""
     _check_version(data, (POINTS_VERSION, RULE_VERSION))
     domain = _domain_from_fields(data)
     nodes = _numbers(data, "nodes")
     if nodes.ndim != 2 or nodes.shape[1] != domain.dim + 1:
         raise FormatError("nodes must be an array of unit vectors of length d+1")
-    return NodeSet(
-        domain,
-        nodes,
-        _scalar(data, "epsilon", 0.0),
-        degree=_integer(data, "degree", 1),
-        delta=_scalar(data, "delta", None),
-        seed=_integer(_generator(data), "seed", 0),
-    )
+    epsilon, degree = _scalar(data, "epsilon", 0.0), _integer(data, "degree", 1)
+    delta, seed = _scalar(data, "delta", None), _integer(_generator(data), "seed", 0)
+    if seed < 0:
+        raise FormatError(f"generator seed must be >= 0, got {seed}")
+    if data["version"] == POINTS_VERSION:
+        if degree < 1:
+            raise FormatError(f"degree must be >= 1, got {degree}")
+        if epsilon > 0 and delta is not None and (
+                abs(delta - epsilon * degree) > 1e-12 * max(1.0, delta)):
+            raise FormatError(f"delta {delta} differs from epsilon * degree = {epsilon * degree}")
+    return NodeSet(domain, nodes, epsilon, degree=degree, delta=delta, seed=seed)
 
 
 def rule_to_dict(rule):
-    nodes = rule.nodes
-    out = _domain_to_fields(nodes.domain)
+    """The points file of the rule's nodes, with the rule's degree, weights,
+    residual and solver."""
+    out = points_to_dict(rule.nodes)
     meta = rule.solver_meta
+    out["generator"].update(seed=int(meta.get("seed", rule.nodes.seed)),
+                            solver=meta.get("solver", "unknown"))
     out.update({
         "version": RULE_VERSION,
         "degree": rule.degree,
-        "delta": nodes.delta,
-        "epsilon": nodes.epsilon,
-        "nodes": [[float(v) for v in row] for row in nodes.coords],
         "weights": [float(w) for w in rule.weights],
         "residual": rule.residual,
-        "generator": {
-            "seed": int(meta.get("seed", nodes.seed)),
-            "algorithm": "greedy-fps",
-            "solver": meta.get("solver", "unknown"),
-        },
     })
     return out
 
@@ -190,23 +183,6 @@ def rule_from_dict(data):
     meta = {"seed": _integer(gen, "seed", 0), "solver": solver}
     return CubatureRule(nodes, weights, _integer(data, "degree"),
                         _scalar(data, "residual"), meta)
-
-
-def poly_to_dict(p):
-    # coefficient ordering: d=1 as [const, cos 1, sin 1, ...];
-    # d=2 lexicographic in (l, m) with m in [-l, l], index l*l + l + m
-    return {
-        "version": POLY_VERSION,
-        "d": p.space.dim_sphere,
-        "degree": p.space.degree,
-        "coeffs": [float(c) for c in p.coeffs],
-    }
-
-
-def poly_from_dict(data):
-    _check_version(data, (POLY_VERSION,))
-    space = PolySpace(int(data["d"]), int(data["degree"]))
-    return PolyCoeffs(space, np.asarray(data["coeffs"], float))
 
 
 def write_report_csv(path, report):

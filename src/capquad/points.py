@@ -26,6 +26,7 @@ give rho from their chords; every other distance here is ``rho_many``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import InitVar, dataclass
 
@@ -39,6 +40,7 @@ from .geometry import (
     boundary_distance_many,
     contains,
     north_frame,
+    north_pole,
     rho_from_chord,
     rho_many,
 )
@@ -101,13 +103,25 @@ class NodeSet:
     def __len__(self):
         return self.coords.shape[0]
 
-    @property
-    def points(self):
-        return [SpherePoint(row) for row in self.coords]
-
     def __repr__(self):
         return (f"NodeSet({self.domain!r}, n={len(self)}, epsilon={self.epsilon!r}, "
                 f"degree={self.degree}, delta={self.delta!r}, seed={self.seed})")
+
+
+def canonical(nodes):
+    """The set turned so that its domain is centred at the pole: the one
+    frame of the solver and of every measurement.
+
+    Coords go through the domain's ``north_frame``; a set already at the
+    pole comes back as the same object.
+    """
+    domain = nodes.domain
+    pole = north_pole(domain.dim)
+    if domain.center == pole:
+        return nodes
+    coords = nodes.coords @ north_frame(domain.center)
+    return NodeSet(dataclasses.replace(domain, center=pole), coords, nodes.epsilon,
+                   nodes.degree, nodes.delta, nodes.seed, validate=False)
 
 
 def _as_coords(points, dim):
@@ -128,32 +142,22 @@ def min_separation(domain, coords):
     separation level, so candidate pairs come from a KD-tree sweep with a
     growing radius instead of the full quadratic scan.
     """
-    n = coords.shape[0]
-    if n < 2:
+    if coords.shape[0] < 2:
         return math.inf
     tree = cKDTree(coords)
     alpha = domain.alpha
     sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
     radius = 0.05 * alpha
     while True:
-        pairs = tree.query_pairs(min(radius, 2.0), output_type="ndarray")
+        # past a chord of 2 the query holds every pair
+        pairs = tree.query_pairs(radius, output_type="ndarray")
         if pairs.size:
             i, j = pairs[:, 0], pairs[:, 1]
-            diffs = rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
-            best = float(diffs.min())
-            # every rho below best/ (guaranteed) was within the chord radius
-            if best <= radius / alpha or radius >= 2.0:
+            best = float(rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j]).min())
+            # every rho below radius/alpha was within the chord radius
+            if best <= radius / alpha or radius > 2.0:
                 return best
-        elif radius >= 2.0:
-            break
         radius *= 4.0
-    # fully scanned with no pairs: points are antipodal-ish / tiny set
-    best = math.inf
-    for k in range(n - 1):
-        d = rho_many(domain, coords[k + 1 :], coords[k],
-                     sqrt_b=sqrt_b[k + 1 :], sqrt_b_y=float(sqrt_b[k]))
-        best = min(best, float(d.min()))
-    return best
 
 
 def is_separable(domain, points, epsilon):

@@ -18,7 +18,9 @@ recurrence, converged to 1e-15 and symmetrized.
 A polynomial on a product rule's grid factors into a Legendre part at
 the polar nodes and a Fourier part at the azimuths (``rule_values``), so
 integrals of functions of it never build a basis table of the rule's
-points.
+points.  The factors hold in the canonical frame, where the domain is
+centred at the pole; the solver and the measurements work there too
+(``points.canonical``), so no coefficient is ever mapped between frames.
 
 rho-balls (measures and weighted masses, for the weighted inequalities)
 are integrated on their own: on S^2 every row of fixed polar angle meets
@@ -42,6 +44,7 @@ from .geometry import (
     boundary_distance_at,
     boundary_distance_many,
     north_frame,
+    north_pole,
     polar_angles,
     rho_kernel,
 )
@@ -68,24 +71,24 @@ def gauss_legendre(order):
         x1.setflags(write=False)
         w1.setflags(write=False)
         return x1, w1
-    i = np.arange(order)
-    x = np.cos(math.pi * (4 * i + 3) / (4 * order + 2))
-    for _ in range(100):
+
+    def legendre(x):  # P_order(x) and its derivative, by the recurrence
         p_prev = np.ones_like(x)
         p = x.copy()
         for k in range(2, order + 1):
             p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-        dp = order * (x * p - p_prev) / (x * x - 1.0)
+        return p, order * (x * p - p_prev) / (x * x - 1.0)
+
+    i = np.arange(order)
+    x = np.cos(math.pi * (4 * i + 3) / (4 * order + 2))
+    for _ in range(100):
+        p, dp = legendre(x)
         dx = p / dp
         x -= dx
         if np.max(np.abs(dx)) < 1e-15:
             break
     # one clean evaluation at the converged nodes for the weights
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(2, order + 1):
-        p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-    dp = order * (x * p - p_prev) / (x * x - 1.0)
+    dp = legendre(x)[1]
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     # enforce the +-x symmetry exactly
     x = 0.5 * (x - x[::-1])
@@ -137,33 +140,6 @@ def _d1_polar_order(target, half_width):
     return max(target + 2, int(math.ceil(0.75 * target * half_width)) + 26)
 
 
-def _materialize_d2(domain, polar_order, azimuth_count):
-    lo, hi = domain.polar_range
-    t, wt = gauss_legendre_on(math.cos(hi), math.cos(lo), polar_order)
-    phi = np.arange(azimuth_count) * (2.0 * math.pi / azimuth_count)
-    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    local = np.empty((polar_order * azimuth_count, 3))
-    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
-    local[:, 0] = np.outer(s, cos_phi).ravel()
-    local[:, 1] = np.outer(s, sin_phi).ravel()
-    local[:, 2] = np.repeat(t, azimuth_count)
-    points = local @ north_frame(domain.center)  # frame is symmetric
-    weights = np.repeat(wt * (2.0 * math.pi / azimuth_count), azimuth_count)
-    return t, wt, points, weights
-
-
-def _materialize_d1(domain, polar_order):
-    nodes, wts = [], []
-    for lo, hi in domain.arcs:
-        u, w = gauss_legendre_on(lo, hi, polar_order)
-        nodes.append(u)
-        wts.append(w)
-    u = np.concatenate(nodes)
-    w = np.concatenate(wts)
-    points = np.column_stack([np.sin(u), np.cos(u)]) @ north_frame(domain.center)
-    return u, w, points, w.copy()
-
-
 @functools.lru_cache(maxsize=512)
 def build_rule(domain, target_degree):
     """A rule integrating every member of the polynomial space of the given
@@ -175,7 +151,16 @@ def build_rule(domain, target_degree):
         raise ValueError("target degree must be >= 0")
     if domain.dim == 2:
         azimuth = max(2 * target_degree + 1, 4)
-        t, wt, points, weights = _materialize_d2(domain, target_degree + 2, azimuth)
+        lo, hi = domain.polar_range
+        t, wt = gauss_legendre_on(math.cos(hi), math.cos(lo), target_degree + 2)
+        phi = np.arange(azimuth) * (2.0 * math.pi / azimuth)
+        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
+        local = np.empty((t.size * azimuth, 3))
+        local[:, 0] = np.outer(s, np.cos(phi)).ravel()
+        local[:, 1] = np.outer(s, np.sin(phi)).ravel()
+        local[:, 2] = np.repeat(t, azimuth)
+        points = local @ north_frame(domain.center)  # frame is symmetric
+        weights = np.repeat(wt * (2.0 * math.pi / azimuth), azimuth)
         return ProductRule(domain, t, wt, azimuth, points, weights, target_degree)
     if isinstance(domain, Sphere):  # periodic: the uniform rule is exact
         m = max(2 * target_degree + 2, 8)
@@ -185,8 +170,10 @@ def build_rule(domain, target_degree):
         return ProductRule(domain, u, w, 0, points, w.copy(), target_degree)
     arc_lo, arc_hi = domain.arcs[0]
     order = _d1_polar_order(target_degree, 0.5 * (arc_hi - arc_lo))
-    u, wu, points, weights = _materialize_d1(domain, order)
-    return ProductRule(domain, u, wu, 0, points, weights, target_degree)
+    parts = [gauss_legendre_on(lo, hi, order) for lo, hi in domain.arcs]
+    u, w = (np.concatenate(column) for column in zip(*parts))
+    points = np.column_stack([np.sin(u), np.cos(u)]) @ north_frame(domain.center)
+    return ProductRule(domain, u, w, 0, points, w.copy(), target_degree)
 
 
 def integrate(rule, f):
@@ -207,20 +194,18 @@ def rule_values(space, rule, coeffs):
     Y_lm(theta, phi) = P_l^|m|(cos theta) * trig_m(phi), so f on the grid
     is one small product per Fourier column (a Legendre table at the polar
     nodes meets the coefficients of that order m; one batched product)
-    followed by one product with the
-    Fourier table at the azimuths (sum factorization); at d=1 f is the
-    Fourier table at the rule's angles times the coefficients.  A domain
-    centred off the pole first has its coefficients mapped into the frame
-    in which the rule was built (``_canonical_map``).  No table of
-    (points x basis size) entries is built.
+    followed by one product with the Fourier table at the azimuths (sum
+    factorization); at d=1 f is the Fourier table at the rule's angles
+    times the coefficients.  No table of (points x basis size) entries is
+    built.  The factors hold in the frame of the rule's domain, so the
+    domain must be centred at the pole (``points.canonical`` turns a node
+    set there); any other raises ValueError.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    maps = _canonical_map(rule.domain, space.degree)
-    if maps is not None:
-        coeffs = np.concatenate([block @ coeffs[rows] for rows, block in maps])
+    factors = _grid_factors(rule, space.degree)
     if space.dim_sphere == 1:
-        return fourier_table(space.degree, rule.polar_nodes) @ coeffs
-    legendre, index, fourier = _grid_factors(rule, space.degree)
+        return factors @ coeffs
+    legendre, index, fourier = factors
     padded = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])
     per_order = np.matmul(legendre, padded[index])  # (2n + 1, polar nodes, columns)
     values = fourier @ per_order.reshape(per_order.shape[0], -1)
@@ -229,7 +214,9 @@ def rule_values(space, rule, coeffs):
 
 @functools.lru_cache(maxsize=8)  # one measurement's ladder of orders
 def _grid_factors(rule, degree):
-    """(legendre, index, fourier) of a d=2 product rule at a degree n.
+    """The factors of a product rule at a degree n whose domain is centred
+    at the pole (ValueError otherwise): at d=1 the Fourier table at the
+    rule's angles, at d=2 (legendre, index, fourier).
 
     Fourier column q of the [const, cos phi, sin phi, ..., sin n phi] table
     ``fourier`` (azimuths x (2n + 1)) carries the harmonics (l, m) with
@@ -239,7 +226,13 @@ def _grid_factors(rule, degree):
     ``legendre[q, :, j]`` its Legendre factor at the polar nodes, scaled
     so that the product of the two factors is the harmonic.
     """
+    if rule.domain.center != north_pole(rule.domain.dim):
+        raise ValueError("rule_values needs a rule of a domain centred at the pole")
     n = degree
+    if rule.azimuth_count == 0:
+        table = fourier_table(n, rule.polar_nodes)
+        table.setflags(write=False)  # cached: shared by every caller
+        return table
     t = rule.polar_nodes
     s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
     # at azimuth 0, harmonic (l, m >= 0) is its Legendre factor (times sqrt 2 for m > 0)
@@ -259,49 +252,6 @@ def _grid_factors(rule, degree):
     for arr in factors:  # cached: shared by every caller
         arr.setflags(write=False)
     return factors
-
-
-_MAP_BLOCK_ENTRIES = 2**18  # basis entries per block of rows while a frame map is summed
-
-
-@functools.lru_cache(maxsize=64)
-def _canonical_map(domain, degree):
-    """The coefficient map of a domain into the frame of its product rules,
-    or None when the domain is centred at the pole.
-
-    A rule's points are H y for canonical points y, with H the domain's
-    ``north_frame``, and f(H y) = sum_j (R c)_j Y_j(y) with
-    R_jk = integral over the sphere of Y_j(y) Y_k(H y).  The smallest
-    full-sphere rule exact to degree 2n gives it exactly: n + 1
-    Gauss-Legendre nodes in t by 2n + 1 azimuths, or 2n + 1 equal angles on
-    S^1 (built here, not by ``build_rule``, whose degree cap of 200 would
-    stop it at n = 100).  H is orthogonal, so R keeps each degree (l at
-    d=2, the frequency k at d=1) apart; the map is a tuple of (rows, block)
-    pairs, one block per degree, summed over blocks of the rule's rows.
-    """
-    frame = north_frame(domain.center)
-    if np.array_equal(frame, np.eye(frame.shape[0])):
-        return None
-    space = PolySpace(domain.dim, degree)
-    if domain.dim == 2:
-        rows = [slice(l * l, (l + 1) ** 2) for l in range(degree + 1)]
-        _, _, points, weights = _materialize_d2(Sphere(2), degree + 1, 2 * degree + 1)
-    else:
-        rows = [slice(0, 1)] + [slice(2 * k - 1, 2 * k + 1) for k in range(1, degree + 1)]
-        u = np.arange(2 * degree + 1) * (2.0 * math.pi / (2 * degree + 1))
-        points = np.column_stack([np.sin(u), np.cos(u)])
-        weights = np.full(u.size, 2.0 * math.pi / u.size)
-    blocks = [np.zeros((r.stop - r.start,) * 2) for r in rows]
-    step = max(1, _MAP_BLOCK_ENTRIES // space.size)
-    for lo in range(0, weights.shape[0], step):
-        pts = points[lo:lo + step]
-        plain = eval_basis_many(space, pts) * weights[lo:lo + step, None]
-        turned = eval_basis_many(space, pts @ frame)
-        for r, block in zip(rows, blocks):
-            block += plain[:, r].T @ turned[:, r]
-    for block in blocks:  # cached: shared by every caller
-        block.setflags(write=False)
-    return tuple(zip(rows, blocks))
 
 
 ADAPTIVE_ORDERS = (8, 16, 32, 64, 128, DEGREE_CAP)

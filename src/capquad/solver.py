@@ -1,7 +1,9 @@
 """Strictly positive cubature weights on a node set, by moment matching.
 
 The weight vector must reproduce the analytic moments of the orthonormal
-basis over the cap (or collar) while staying strictly positive.  The
+basis over the cap (or collar) while staying strictly positive; both
+sides are taken in the canonical frame (``points.canonical``), where the
+domain is centred at the pole and the moments are closed-form.  The
 weights the paper predicts are comparable to the ball volumes
 |B_rho(omega, delta/n)|, approximated by ``profile`` (the ball-volume
 surrogate at the set's separation radius).  The solve takes the first of
@@ -33,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import delta_r_many, domain_measure, north_frame
-from .points import NodeSet
+from .geometry import delta_r_many, domain_measure
+from .points import NodeSet, canonical
 from .polys import PolySpace, eval_basis_many
 from .quadrature import domain_moments
 
@@ -96,14 +98,11 @@ def positivity_floor(nodes):
 
 
 def _moment_matrix(nodes, degree):
-    """Basis-at-nodes matrix and analytic moments, in the canonical frame."""
-    domain = nodes.domain
-    frame = north_frame(domain.center)
-    canon = nodes.coords @ frame
-    space = PolySpace(domain.dim, degree)
-    a = eval_basis_many(space, canon).T
-    moments = domain_moments(domain, degree)
-    return a, moments
+    """Basis-at-nodes matrix and analytic moments, in the canonical frame
+    (``points.canonical``), where the moments are those of the domain at the pole."""
+    nodes = canonical(nodes)
+    a = eval_basis_many(PolySpace(nodes.domain.dim, degree), nodes.coords).T
+    return a, domain_moments(nodes.domain, degree)
 
 
 def moment_residual(a, weights, moments):

@@ -19,6 +19,11 @@ domain take f on each product rule's grid from the rule's polar and
 azimuthal factors (``quadrature.rule_values``), so no basis table of a
 rule's points is built.  A degenerate column is redrawn from its own
 stream, so a trial's draws never depend on another trial.
+
+Each measurement first turns its node set into the canonical frame
+(``points.canonical``), where the domain is centred at the pole: the
+trials, the ball samples and the rules all live there, so a set turned
+off the pole measures what its pole copy measures, up to rounding.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from .geometry import (
     poly_D,
     rho_many,
 )
-from .points import product_grid, tau_statistic
+from .points import canonical, product_grid, tau_statistic
 from .polys import PolySpace, eval_basis_many, fourier_table
 from .quadrature import (
     ADAPTIVE_ORDERS,
@@ -350,9 +355,6 @@ class _NodeBallTable:
             lo += run
         return out[:, self.centre_rows]
 
-    def basis_table(self, space):
-        return eval_basis_many(space, self.samples)
-
 
 # ---------------------------------------------------------------------------
 # the inequality measurements
@@ -370,7 +372,7 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
     """
     if p < 1:
         raise ValueError("p must be >= 1")
-    nodes = rule.nodes
+    nodes = canonical(rule.nodes)
     domain = nodes.domain
     degree = rule.degree if trial_degree is None else int(trial_degree)
     space = PolySpace(domain.dim, degree)
@@ -396,12 +398,13 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     stopped at the quadrature's order cap, see balls_integral) and the
     order-cap fields of the integrals.
     """
+    nodes = canonical(nodes)
     domain = nodes.domain
     eps = nodes.epsilon
     delta = nodes.delta
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     table = _NodeBallTable(nodes, beta * eps, ball_samples)
-    basis_samples = table.basis_table(space)
+    basis_samples = eval_basis_many(space, table.samples)
     volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
 
     def oscillation(vals):
@@ -427,6 +430,7 @@ def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
     surrogate radius stays 1/degree).  A ``diagnostics`` dict, when given,
     receives the order-cap fields of the integrals.
     """
+    nodes = canonical(nodes)
     domain = nodes.domain
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     basis_nodes = eval_basis_many(space, nodes.coords)
@@ -450,11 +454,12 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     back as a third element for ordering checks.  A ``diagnostics`` dict,
     when given, receives the order-cap fields of the integrals.
     """
+    nodes = canonical(nodes)
     domain = nodes.domain
     eps = nodes.epsilon
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     table = _NodeBallTable(nodes, beta * eps, ball_samples)
-    basis_samples = table.basis_table(space)
+    basis_samples = eval_basis_many(space, table.samples)
     surrogate = delta_r_many(domain, nodes.coords, eps)
 
     def ratio(c, integral):
@@ -595,27 +600,31 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     Returns a dict with brackets (lo, hi) for: the weighted integral
     against its ball-averaged version ('wn_equivalence'), and the ball-max
     and ball-min node sums against the weighted integral ('max_sum',
-    'min_sum').  Ball radii equal the set's separation target.  A
+    'min_sum').  Ball radii equal the set's separation target.  ``cap``
+    must be the node set's own domain (ValueError otherwise).  A
     ``diagnostics`` dict, when given, receives
     ``ball_quadrature_unconverged``: the number of ball averages and node
     ball masses that stopped at the quadrature's order cap.
     """
     if cap.alpha > 0.5 + 1e-12:
         raise ValueError("weighted equivalences are measured for alpha <= 1/2")
+    if cap != nodes.domain:
+        raise ValueError("weighted_mz needs the cap of the node set")
+    nodes = canonical(nodes)
     domain = nodes.domain
     eps = nodes.epsilon
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     order = min(int(p) * degree + 16, 200)
-    rule = build_rule(cap, order)
-    wn_vols, wn_masses, wn_unconverged = balls_integral(cap, rule.points, 1.0 / degree,
+    rule = build_rule(domain, order)
+    wn_vols, wn_masses, wn_unconverged = balls_integral(domain, rule.points, 1.0 / degree,
                                                         weight.eval_b)
     if np.any(wn_vols <= 0.0):
         raise QuadratureError("empty rho-ball in weighted_mz", (wn_vols.min(), 0))
     # rule weights times the weight and times its ball average, in grid order
-    weighted = np.stack([rule.in_grid_order(rule.weights * weight.eval_on(cap, rule.points)),
+    weighted = np.stack([rule.in_grid_order(rule.weights * weight.eval_on(domain, rule.points)),
                          rule.in_grid_order(rule.weights * (wn_masses / wn_vols))])
     table = _NodeBallTable(nodes, eps, ball_samples)
-    basis_samples = table.basis_table(space)
+    basis_samples = eval_basis_many(space, table.samples)
     _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
     if diagnostics is not None:
         diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged

@@ -321,18 +321,6 @@ def test_verify_assert_violation_exit3(points_file, tmp_path):
     assert rep.exists()
 
 
-def test_poly_json_roundtrip(tmp_path):
-    p = cq.random_polynomial(cq.PolySpace(2, 3), seed=5)
-    path = tmp_path / "poly.json"
-    cqio.write_canonical(path, cqio.poly_to_dict(p))
-    back = cqio.poly_from_dict(json.loads(path.read_text()))
-    assert back.space == p.space
-    assert np.array_equal(back.coeffs, p.coeffs)
-    out2 = tmp_path / "poly2.json"
-    cqio.write_canonical(out2, cqio.poly_to_dict(back))
-    assert out2.read_bytes() == path.read_bytes()
-
-
 def test_solve_degree0_single_node(tmp_path):
     pts = {
         "version": "capquad-points/1", "d": 2, "alpha": 1.0, "beta": None,
@@ -448,3 +436,76 @@ def test_malformed_rule_weights_rejected(tmp_path):
             cqio.rule_from_dict(dict(rule, **{key: None}))
     assert cqio.rule_from_dict(dict(rule, delta=None)).nodes.delta == 0.0
     assert len(cqio.rule_from_dict(rule).nodes) == 1
+
+
+def _points_data(tmp_path, alpha=0.5, degree=2):
+    path = tmp_path / "pts.json"
+    assert main(["points", "--d", "2", "--alpha", str(alpha), "--degree", str(degree),
+                 "--delta", "0.25", "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit, needle", [
+    ({"degree": 0}, "degree"), ({"delta": 5.0}, "delta"),
+    ({"generator": {"seed": -5, "algorithm": "greedy-fps"}}, "seed")])
+def test_points_file_fields_must_agree(edit, needle, tmp_path, capsys):
+    # a points file's delta is epsilon * degree, its degree at least 1, its seed >= 0
+    data = _points_data(tmp_path)
+    data["delta"] += 1e-14  # within the tolerance of delta = epsilon * degree
+    assert len(cqio.nodes_from_dict(data)) > 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(data, **edit)))
+    with pytest.raises(cqio.FormatError, match=needle):
+        cqio.nodes_from_dict(json.loads(bad.read_text()))
+    capsys.readouterr()
+    for argv in (["solve", "--points", str(bad), "--degree", "2",
+                  "--out", str(tmp_path / "r.json")],
+                 ["verify", "osc", "--points", str(bad), "--trials", "3",
+                  "--report", str(tmp_path / "o.json")]):
+        assert main(argv) == 1
+        assert needle in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists() and not (tmp_path / "o.json").exists()
+
+
+def test_rule_file_seed_must_be_nonnegative(rule_file):
+    data = json.loads(rule_file.read_text())
+    data["generator"]["seed"] = -1
+    with pytest.raises(cqio.FormatError, match="seed"):
+        cqio.rule_from_dict(data)
+
+
+def test_verify_trial_degree_reaches_every_measurement(tmp_path):
+    # constants have no oscillation, and their ball maxima and minima coincide
+    data = _points_data(tmp_path, alpha=0.5, degree=2)
+    pts, rule = tmp_path / "p.json", tmp_path / "r.json"
+    pts.write_text(json.dumps(data))
+    assert main(["solve", "--points", str(pts), "--degree", "2", "--out", str(rule)]) == 0
+    cells = {}
+    for sub, src in (("mz", "--rule"), ("osc", "--points"), ("sieve", "--points"),
+                     ("maxmin", "--points"), ("weighted-mz", "--points")):
+        for flag in ([], ["--trial-degree", "0"]):
+            out = tmp_path / f"{sub}{len(flag)}.json"
+            assert main(["verify", sub, src, str(rule if src == "--rule" else pts),
+                         "--trials", "3", "--ball-samples", "8", "--report", str(out),
+                         *flag]) == 0
+            cells[sub, len(flag)] = json.loads(out.read_text())["cells"][0]
+    for sub in ("mz", "osc", "sieve", "maxmin", "weighted-mz"):
+        assert "trial_degree" not in cells[sub, 0]
+        assert cells[sub, 2]["trial_degree"] == 0
+    assert cells["osc", 2]["estimate"] == 0.0 < cells["osc", 0]["estimate"]
+    assert cells["mz", 2]["ratio_max"] == pytest.approx(1.0, abs=1e-9)
+    for sub, hi, lo in (("maxmin", "max_hi", "min_hi"),
+                        ("weighted-mz", "max_sum_hi", "min_sum_hi")):
+        assert cells[sub, 2][hi] == pytest.approx(cells[sub, 2][lo], rel=1e-12)
+        assert cells[sub, 0][hi] > cells[sub, 0][lo]
+    assert cells["sieve", 2]["estimate"] != cells["sieve", 0]["estimate"]
+
+
+@pytest.mark.parametrize("argv", [["bernstein", "--alpha", "0.5", "--degree", "4"],
+                                  ["cov", "--alpha", "1.0", "--degree", "2"]])
+def test_verify_trial_degree_refused_where_unused(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["verify", *argv, "--trials", "2", "--trial-degree", "2",
+                 "--report", str(out)]) == 1
+    assert "--trial-degree" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,4 +1,5 @@
-"""Source hygiene: every import in the package's modules is used."""
+"""Source hygiene: every import in the package's modules is used, and every
+module-level private name is referenced somewhere in the package."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,51 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def unreferenced_privates(tree, others=()):
+    """(line, name) of every private name (one leading underscore) bound at
+    the top level of ``tree`` that no name, attribute or import of ``tree``
+    or ``others`` reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            stack = list(node.targets) if isinstance(node, ast.Assign) else [node.target]
+            targets = []
+            while stack:
+                target = stack.pop()
+                if isinstance(target, ast.Name):
+                    targets.append(target.id)
+                elif isinstance(target, ast.Tuple):
+                    stack.extend(target.elts)
+        else:
+            continue
+        bound += [(node.lineno, name) for name in targets
+                  if name.startswith("_") and not name.startswith("__")]
+    read = set()
+    for other in (tree, *others):
+        for node in ast.walk(other):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.alias):
+                read.add(node.name)
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_unreferenced_privates_are_found():
+    tree = ast.parse("_A = 1\n_B, (_C, d) = 2, (3, 4)\n__all__ = []\n"
+                     "def _f():\n    return _A\ndef _g():\n    pass\n")
+    other = ast.parse("from .m import _g\nx = m._C\n")
+    assert unreferenced_privates(tree) == [(2, "_B"), (2, "_C"), (4, "_f"), (6, "_g")]
+    assert unreferenced_privates(tree, [other]) == [(2, "_B"), (4, "_f")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_names(path):
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    others = [tree for p, tree in trees.items() if p != path]
+    assert unreferenced_privates(trees[path], others) == []

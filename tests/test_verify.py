@@ -269,6 +269,13 @@ def test_rule_values_match_basis_table(name, degree):
     space = PolySpace(domain.dim, degree)
     coeffs = np.random.default_rng(degree).standard_normal((space.size, 3))
     rule = build_rule(domain, 16)
+    if name.endswith("off-pole"):
+        # the factors hold at the pole only; measurements turn their sets there
+        for call in (lambda: rule_values(space, rule, coeffs),
+                     lambda: verify._abs_power_integral(domain, space, coeffs, 2)):
+            with pytest.raises(ValueError, match="pole"):
+                call()
+        return
     want = rule.in_grid_order(np.arange(len(rule.weights)))
     want = (eval_basis_many(space, rule.points) @ coeffs)[want]
     got = rule_values(space, rule, coeffs)
@@ -526,3 +533,88 @@ def test_doubling_weight_one_formula(cap_a05):
         assert np.array_equal(weight.eval_interval(0.5, t), weight.eval_b(0.5 - np.abs(t)))
     bp = cq.DoublingWeight.boundary_power(1.5, n_ref=4)
     assert np.allclose(bp.eval_b(np.array([0.0, 0.25])), [0.25**1.5, 0.5**1.5], rtol=1e-15)
+
+
+def _turned(nodes, centre):
+    """``nodes`` turned so that the pole goes to ``centre``."""
+    import dataclasses
+
+    from capquad.geometry import north_frame
+
+    domain = dataclasses.replace(nodes.domain, center=centre)
+    return cq.NodeSet(domain, nodes.coords @ north_frame(centre), nodes.epsilon,
+                      nodes.degree, nodes.delta, nodes.seed, validate=False)
+
+
+_OFF_POLE = cq.SpherePoint([0.4, -0.3, 0.87])
+
+
+def test_canonical_turns_a_set_to_the_pole(nodes_a1_n8):
+    from capquad.points import canonical
+
+    assert canonical(nodes_a1_n8) is nodes_a1_n8
+    turned = _turned(nodes_a1_n8, _OFF_POLE)
+    back = canonical(turned)
+    assert back.domain == nodes_a1_n8.domain
+    assert np.abs(back.coords - nodes_a1_n8.coords).max() <= 1e-15
+    assert (back.epsilon, back.degree, back.delta, back.seed) == (
+        turned.epsilon, turned.degree, turned.delta, turned.seed)
+
+
+def test_turned_set_measures_like_the_pole_set(cap_a1):
+    # the constants do not depend on the cap centre: a set turned off the
+    # pole measures what its canonical copy measures, bit for bit, and what
+    # the pole set measures up to rounding
+    from capquad.points import canonical
+
+    pole = cq.greedy_maximal_set(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
+    turned = _turned(pole, _OFF_POLE)
+    rule_pole = cq.solve_weights(pole, 4)
+    rule = cq.CubatureRule(turned, rule_pole.weights, 4, rule_pole.residual,
+                           rule_pole.solver_meta)
+    copy = canonical(turned)
+    rule_copy = cq.CubatureRule(copy, rule.weights, 4, rule.residual, rule.solver_meta)
+    run = {"trials": 6, "seed": 9}
+
+    def measures(nodes, rule):
+        mx, mn = cq.maxmin_equivalence(nodes, 4, 2, ball_samples=16, **run)
+        return [*cq.mz_bracket(rule, 1, **run), *cq.mz_bracket(rule, 2, **run),
+                cq.osc_constant(nodes, 4, 2, ball_samples=16, **run),
+                cq.large_sieve_constant(nodes, 4, 2, probes=2000, **run), *mx, *mn]
+
+    got = measures(turned, rule)
+    assert got == measures(copy, rule_copy)
+    assert np.allclose(got, measures(pole, rule_pole), rtol=1e-8, atol=0.0)
+
+
+def test_turned_set_solves_like_the_pole_set(cap_a1):
+    pole = cq.greedy_maximal_set(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
+    rule_pole, rule = cq.solve_weights(pole, 4), cq.solve_weights(_turned(pole, _OFF_POLE), 4)
+    assert rule.solver_meta == rule_pole.solver_meta
+    assert rule.residual <= 1e-10
+    # a rounding-level move of a node on the boundary moves sqrt(b) in its
+    # profile by about 1e-8 (b ~ 1e-16): the weights agree to about 1e-7
+    assert np.allclose(rule.weights, rule_pole.weights, rtol=1e-6, atol=0.0)
+
+
+def test_turned_set_weighted_mz_like_the_pole_set(cap_a05, nodes_a05_n8):
+    from capquad.points import canonical
+
+    turned = _turned(nodes_a05_n8, _OFF_POLE)
+    weight = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
+    run = {"trials": 3, "seed": 4, "ball_samples": 8}
+    got = cq.weighted_mz(turned.domain, weight, turned, 4, 2, **run)
+    copy = canonical(turned)
+    assert got == cq.weighted_mz(copy.domain, weight, copy, 4, 2, **run)
+    want = cq.weighted_mz(cap_a05, weight, nodes_a05_n8, 4, 2, **run)
+    assert np.allclose([got[k] for k in sorted(got)], [want[k] for k in sorted(want)],
+                       rtol=1e-8, atol=0.0)
+
+
+def test_weighted_mz_refuses_another_cap(cap_a05, nodes_a05_n8):
+    weight = cq.DoublingWeight.constant()
+    with pytest.raises(ValueError, match="cap of the node set"):
+        cq.weighted_mz(cq.Cap(E2, 0.45), weight, nodes_a05_n8, 8, 2, trials=2)
+    turned = _turned(nodes_a05_n8, _OFF_POLE)
+    with pytest.raises(ValueError, match="cap of the node set"):
+        cq.weighted_mz(cap_a05, weight, turned, 8, 2, trials=2)
