@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import inspect
 import math
 import os
 import sys
@@ -23,17 +24,8 @@ from .geometry import ALPHA_MAX, Cap, Collar, north_pole
 from .points import greedy_maximal_set
 from .quadrature import domain_moments
 from .solver import Infeasible, solve_weights
-from .verify import (
-    DoublingWeight,
-    VerificationReport,
-    bernstein_check_d1,
-    change_of_variables_check,
-    large_sieve_constant,
-    maxmin_equivalence,
-    mz_bracket,
-    osc_constant,
-    weighted_mz,
-)
+from . import verify
+from .verify import DoublingWeight, VerificationReport
 
 
 class _Parser(argparse.ArgumentParser):
@@ -188,62 +180,14 @@ def cmd_solve(args):
 # verify: one table row per subcommand
 
 
-def _weight_from_args(args):
-    if args.weight == "constant":
-        return DoublingWeight.constant()
-    return DoublingWeight.boundary_power(args.gamma, n_ref=args.n_ref)
-
-
-def _mz(args, rule, degree, run):
-    diagnostics = {}
-    lo, hi = mz_bracket(rule, args.p, diagnostics=diagnostics, **run)
-    return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo, **diagnostics}
-
-
-def _osc(args, nodes, degree, run):
-    diagnostics = {}
-    estimate = osc_constant(nodes, degree, args.p, beta=args.beta,
-                            ball_samples=args.ball_samples, diagnostics=diagnostics, **run)
-    return {"estimate": estimate, **diagnostics}
-
-
-def _sieve(args, nodes, degree, run):
-    diagnostics = {}
-    estimate = large_sieve_constant(nodes, degree, args.p, diagnostics=diagnostics, **run)
-    return {"estimate": estimate, **diagnostics}
-
-
-def _maxmin(args, nodes, degree, run):
-    diagnostics = {}
-    (mx_lo, mx_hi), (mn_lo, mn_hi) = maxmin_equivalence(
-        nodes, degree, args.p, beta=args.beta, ball_samples=args.ball_samples,
-        diagnostics=diagnostics, **run)
-    return {"max_lo": mx_lo, "max_hi": mx_hi, "min_lo": mn_lo, "min_hi": mn_hi,
-            **diagnostics}
-
-
-def _bernstein(args, _, degree, run):
-    return {"estimate": bernstein_check_d1(args.alpha, degree, args.p, _weight_from_args(args),
-                                           statistic=args.statistic, **run)}
-
-
-def _weighted_mz(args, nodes, degree, run):
-    if not isinstance(nodes.domain, Cap):
+def _cap_nodes(values):
+    if not isinstance(values["cap"], Cap):
         raise cqio.FormatError("weighted-mz runs on cap node sets")
-    diagnostics = {}
-    brackets = weighted_mz(nodes.domain, _weight_from_args(args), nodes, degree, args.p,
-                           ball_samples=args.ball_samples, diagnostics=diagnostics, **run)
-    return {**{f"{name}_{tag}": val
-               for name, (lo, hi) in brackets.items()
-               for tag, val in (("lo", lo), ("hi", hi))},
-            **diagnostics}
 
 
-def _cov(args, _, degree, run):
-    if not (0.5 <= args.alpha <= ALPHA_MAX):
+def _dilation_alpha(values):
+    if not (0.5 <= values["cap"].alpha <= ALPHA_MAX):
         raise cqio.FormatError("dilation check needs alpha in [1/2, pi - 0.1]")
-    cap = Cap(north_pole(args.d), args.alpha)
-    return {"max_discrepancy": change_of_variables_check(cap, degree, **run)}
 
 
 def _positive(cell):
@@ -259,52 +203,71 @@ def _within(bound):
 # One row per subcommand.  source: what is measured, "rule" or "points" (the
 # file that flag names), "arc" (the d=1 interval of --alpha; --degree
 # required) or "cap" (--d and --alpha; --degree defaults to 8).  measure:
-# (args, loaded file or None, degree, trial kwargs: trials, seed and, when
-# --trial-degree is given, trial_degree) -> measured fields.
-# grid: the report's grid keys.  cell: flags copied into the cell beside
-# "trials".  accept: the --assert predicate on the measured fields.
-_Verify = collections.namedtuple("_Verify", "source measure grid cell accept")
+# the name of the verify function, looked up when called; it gets, by
+# parameter name, the values it takes of those _verify_input offers, and
+# returns the report cell.  grid: the report's grid keys.  cell: flags
+# copied into the cell beside "trials".  accept: the --assert predicate
+# on the measured cell.  check: None, or a check of the offered values
+# that raises FormatError.
+_Verify = collections.namedtuple("_Verify", "source measure grid cell accept check")
 _NODE_GRID = ("d", "alpha", "n", "delta", "p")
 _VERIFY = {
-    "mz": _Verify("rule", _mz, _NODE_GRID, (), lambda c: c["spread"] <= 20.0),
-    "osc": _Verify("points", _osc, _NODE_GRID + ("beta",), ("ball_samples",), _positive),
-    "sieve": _Verify("points", _sieve, ("d", "alpha", "n", "p"), (), _positive),
-    "maxmin": _Verify("points", _maxmin, _NODE_GRID + ("beta",), ("ball_samples",),
-                      _within(20)),
-    "bernstein": _Verify("arc", _bernstein, ("d", "alpha", "n", "p", "weight", "statistic"),
-                         (), _positive),
-    "weighted-mz": _Verify("points", _weighted_mz, _NODE_GRID + ("weight",),
-                           ("ball_samples",), _within(50)),
-    "cov": _Verify("cap", _cov, ("d", "alpha", "n"), (),
-                   lambda c: c["max_discrepancy"] <= 1e-9),
+    "mz": _Verify("rule", "mz_bracket", _NODE_GRID, (), lambda c: c["spread"] <= 20.0, None),
+    "osc": _Verify("points", "osc_constant", _NODE_GRID + ("beta",), ("ball_samples",),
+                   _positive, None),
+    "sieve": _Verify("points", "large_sieve_constant", ("d", "alpha", "n", "p"), (),
+                     _positive, None),
+    "maxmin": _Verify("points", "maxmin_equivalence", _NODE_GRID + ("beta",),
+                      ("ball_samples",), _within(20), None),
+    "bernstein": _Verify("arc", "bernstein_check_d1",
+                         ("d", "alpha", "n", "p", "weight", "statistic"), (), _positive, None),
+    "weighted-mz": _Verify("points", "weighted_mz", _NODE_GRID + ("weight",),
+                           ("ball_samples",), _within(50), _cap_nodes),
+    "cov": _Verify("cap", "change_of_variables_check", ("d", "alpha", "n"), (),
+                   lambda c: c["max_discrepancy"] <= 1e-9, _dilation_alpha),
 }
 _ALIASES = {"change-of-var": "cov"}
 VERIFY_SUBCOMMANDS = (*_VERIFY, *_ALIASES)
 
 
 def _verify_input(args, name, source):
-    """The loaded rule or node set (None otherwise) and the grid fields of
-    its domain and degree; --degree overrides a node set's own degree."""
+    """The values a measurement can take, by parameter name (the loaded
+    rule or node set, its domain as ``cap``, the degree and the flags),
+    and the grid fields; --degree overrides a node set's own degree and
+    does not apply to a rule, whose degree is its own."""
+    weight = (DoublingWeight.constant() if args.weight == "constant"
+              else DoublingWeight.boundary_power(args.gamma, n_ref=args.n_ref))
+    offered = {"p": args.p, "beta": args.beta, "ball_samples": args.ball_samples,
+               "weight": weight, "statistic": args.statistic,
+               "trials": args.trials, "seed": args.seed}
+    if args.trial_degree is not None:
+        offered["trial_degree"] = args.trial_degree
     if source in ("rule", "points"):
         path = getattr(args, source)
         if path is None:
             raise cqio.FormatError(f"--{source} is required for {name}")
+        if source == "rule" and args.degree is not None:
+            raise cqio.FormatError(f"--degree does not apply to {name}, which measures at "
+                                   "the rule's degree; use --trial-degree")
         data = cqio.load_json(path)
         if source == "rule":
-            loaded = cqio.rule_from_dict(data)
-            nodes, degree = loaded.nodes, loaded.degree
+            rule = offered["rule"] = cqio.rule_from_dict(data)
+            nodes, degree = rule.nodes, rule.degree
         else:
-            loaded = nodes = cqio.nodes_from_dict(data)
+            nodes = offered["nodes"] = cqio.nodes_from_dict(data)
             degree = nodes.degree if args.degree is None else args.degree
         domain = nodes.domain
-        return loaded, {"d": domain.dim, "alpha": domain.alpha, "n": degree,
-                        "delta": nodes.delta}
+        offered.update(cap=domain, degree=degree)
+        return offered, {"d": domain.dim, "alpha": domain.alpha, "n": degree,
+                         "delta": nodes.delta}
     if args.alpha is None:
         raise cqio.FormatError(f"--alpha is required for {name}")
     if source == "arc" and args.degree is None:
         raise cqio.FormatError(f"--degree is required for {name}")
     degree = 8 if args.degree is None else args.degree
-    return None, {"d": 1 if source == "arc" else args.d, "alpha": args.alpha, "n": degree}
+    d = 1 if source == "arc" else args.d
+    offered.update(alpha=args.alpha, cap=Cap(north_pole(d), args.alpha), degree=degree)
+    return offered, {"d": d, "alpha": args.alpha, "n": degree}
 
 
 def cmd_verify(args):
@@ -312,16 +275,14 @@ def cmd_verify(args):
     spec = _VERIFY[name]
     t0 = time.perf_counter()
     try:
-        loaded, fields = _verify_input(args, name, spec.source)
-        fields.update(p=args.p, beta=args.beta, statistic=args.statistic)
-        if "weight" in spec.grid:
-            fields["weight"] = _weight_from_args(args).label()
-        run = {"trials": args.trials, "seed": args.seed}
-        if args.trial_degree is not None:
-            if name in ("bernstein", "cov"):
-                raise cqio.FormatError(f"--trial-degree does not apply to {name}")
-            run["trial_degree"] = args.trial_degree
-        measured = spec.measure(args, loaded, fields["n"], run)
+        offered, grid = _verify_input(args, name, spec.source)
+        if spec.check is not None:
+            spec.check(offered)
+        measure = getattr(verify, spec.measure)  # at call time: tracers wrap the attribute
+        takes = inspect.signature(measure).parameters
+        if args.trial_degree is not None and "trial_degree" not in takes:
+            raise cqio.FormatError(f"--trial-degree does not apply to {name}")
+        measured = measure(**{k: v for k, v in offered.items() if k in takes})
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -334,7 +295,9 @@ def cmd_verify(args):
     cell = dict(measured, trials=args.trials, **{k: getattr(args, k) for k in spec.cell})
     if args.trial_degree is not None:
         cell["trial_degree"] = args.trial_degree
-    report = VerificationReport(name, {k: fields[k] for k in spec.grid}, [cell], args.seed,
+    grid.update(p=args.p, beta=args.beta, statistic=args.statistic,
+                weight=offered["weight"].label())
+    report = VerificationReport(name, {k: grid[k] for k in spec.grid}, [cell], args.seed,
                                 elapsed if args.timing else 0.0)
     cqio.write_canonical(args.report, report.to_dict())
     if args.csv:

@@ -111,17 +111,6 @@ def north_frames(coords):
     return frames
 
 
-def perp_direction(center):
-    """A fixed unit vector orthogonal to ``center`` (first column of the frame).
-
-    Used wherever a polar decomposition x = e*cos(theta) + xi*sin(theta)
-    leaves xi undefined at theta = 0; all formulas taking xi are
-    insensitive to the choice there.
-    """
-    h = north_frame(center)
-    return h[:, 0].copy()
-
-
 def _as_point(center):
     return center if isinstance(center, SpherePoint) else SpherePoint(center)
 
@@ -355,11 +344,6 @@ def rho_from_chord(domain, chord, sqrt_b_x, sqrt_b_y):
     return rho_kernel(domain.alpha, dist * dist, sqrt_b_x, sqrt_b_y)
 
 
-def rho_pairwise(domain, a_coords, b_coords):
-    """Row-wise boundary-adapted distances between two stacks of points."""
-    return rho_many(domain, np.atleast_2d(a_coords), np.atleast_2d(b_coords))
-
-
 def _metric(domain, x, y):
     _require_inside(domain, np.vstack([x.coords, y.coords]))
     return float(rho_many(domain, x.coords.reshape(1, -1), y.coords)[0])
@@ -495,8 +479,8 @@ def _polar_split(cap, x):
     e = cap.center.coords
     theta = geodesic_distance(cap.center, x)
     s = math.sin(theta)
-    if s < 1e-14:
-        xi = perp_direction(cap.center)
+    if s < 1e-14:  # xi is undefined; every formula taking it ignores it here
+        xi = north_frame(cap.center)[:, 0]
     else:
         xi = (x.coords - e * math.cos(theta)) / s
         xi = xi / np.linalg.norm(xi)
@@ -571,7 +555,7 @@ def map_T_many(coords, e_coords, limit=math.pi / 8):
     eta = np.empty_like(coords)
     eta[safe] = (coords[safe] - np.outer(np.cos(theta[safe]), e)) / s[safe][:, None]
     if np.any(~safe):
-        eta[~safe] = perp_direction(SpherePoint(e))
+        eta[~safe] = north_frame(SpherePoint(e))[:, 0]
     eta /= np.linalg.norm(eta, axis=1, keepdims=True)
     t8 = 8.0 * theta
     out = np.outer(np.cos(t8), e) + eta * np.sin(t8)[:, None]

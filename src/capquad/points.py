@@ -46,6 +46,7 @@ from .geometry import (
 )
 
 _POOL_LIMIT = 25_000_000
+_PROBE_RESOLUTION = 4  # probes per epsilon length of the coverage check
 _PAIR_BLOCK = 256  # nodes per KD pair sweep of the probe scans
 
 
@@ -372,19 +373,14 @@ def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
             k1 = ((r1 - 1) * shape[1] + c1 - 1) // width + 1
             blockmax[k0:k1] = blocks[k0:k1].max(axis=1)
 
-    coords = np.vstack(chosen)
-    if degree is None and delta is None:
-        degree_v, delta_v = 1, min(epsilon, 1.0)
-    elif degree is not None and delta is None:
-        degree_v, delta_v = int(degree), epsilon * int(degree)
-    elif degree is None:
-        raise ValueError("delta without degree is ambiguous")
-    else:
-        degree_v, delta_v = int(degree), float(delta)
-        if abs(delta_v / degree_v - epsilon) > 1e-12 * max(1.0, epsilon):
+    if delta is not None:
+        if degree is None:
+            raise ValueError("delta without degree is ambiguous")
+        if abs(float(delta) / int(degree) - epsilon) > 1e-12 * max(1.0, epsilon):
             raise ValueError("degree and delta must satisfy epsilon = delta/degree")
-    return NodeSet(domain, coords, epsilon, degree=degree_v, delta=delta_v,
-                   seed=seed, validate=False)
+    # NodeSet takes delta = epsilon * degree when it is missing
+    return NodeSet(domain, np.vstack(chosen), epsilon, degree=1 if degree is None else degree,
+                   delta=delta, seed=seed, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -415,53 +411,50 @@ def _node_neighbours(domain, probes, node_coords, radius):
         yield i, j, rho_from_chord(domain, pairs["v"], sqrt_b_probes[j], sqrt_b_nodes[i])
 
 
-def is_maximal_separable(domain, points, epsilon, probe_resolution=4):
+def is_maximal_separable(domain, points, epsilon):
     """Separated, and every probe of a dense grid lies within epsilon of a node.
 
-    The probe grid has about probe_resolution probes per epsilon length
-    (at least 4); a small additive slack absorbs grid-alignment rounding.
+    The probe grid has about _PROBE_RESOLUTION probes per epsilon length;
+    a small additive slack absorbs grid-alignment rounding.
     """
-    if probe_resolution < 4:
-        raise ValueError("probe_resolution must be >= 4")
     coords = _as_coords(points, domain.dim)
     if coords.shape[0] == 0:
         return False
     if not is_separable(domain, coords, epsilon):
         return False
-    probes = product_grid(domain, epsilon, probe_resolution)
+    probes = product_grid(domain, epsilon, _PROBE_RESOLUTION)
     best = np.full(probes.shape[0], np.inf)  # inf beyond every node's chordal ball
     for _, j, d in _node_neighbours(domain, probes, coords, epsilon):
         np.minimum.at(best, j, d)
     return bool(np.all(best <= epsilon + 1e-7))
 
 
-def _count_within(domain, probes, node_coords, radius):
-    """Per-probe count of nodes within rho <= radius."""
-    counts = np.zeros(probes.shape[0], dtype=np.int64)
-    for _, j, d in _node_neighbours(domain, probes, node_coords, radius):
-        counts += np.bincount(j[d <= radius + 1e-12], minlength=probes.shape[0])
-    return counts
+def _peak_count(domain, nodes, epsilon, radius, target_count):
+    """Largest number of nodes within rho <= radius of one probe.
 
-
-def _probes_with_nodes(domain, nodes, epsilon, target_count):
+    The probes are the shared product grid of about ``target_count``
+    points at spacing max(epsilon, 1e-3) plus the nodes themselves, so
+    coincident-node configurations are counted exactly.
+    """
     grid = _probe_grid_by_count(domain, max(epsilon, 1e-3), target_count)
-    return np.vstack([grid, nodes.coords])
+    probes = np.vstack([grid, nodes.coords])
+    counts = np.zeros(probes.shape[0], dtype=np.int64)
+    for _, j, d in _node_neighbours(domain, probes, nodes.coords, radius):
+        counts += np.bincount(j[d <= radius + 1e-12], minlength=probes.shape[0])
+    return int(counts.max())
 
 
 def covering_multiplicity(domain, nodes, beta=1.0, probes=20000):
     """Largest number of beta-dilated node balls covering one probe point.
 
     Balls have rho-radius beta times the set's separation target; the
-    probe set is the shared product grid plus the nodes themselves, so
-    coincident-node configurations are counted exactly.
+    probes are those of ``_peak_count``.
     """
     if beta < 1.0:
         raise ValueError("beta must be >= 1")
     if len(nodes) == 0:
         return 0
-    radius = beta * nodes.epsilon
-    pts = _probes_with_nodes(domain, nodes, nodes.epsilon, probes)
-    return int(_count_within(domain, pts, nodes.coords, radius).max())
+    return _peak_count(domain, nodes, nodes.epsilon, beta * nodes.epsilon, probes)
 
 
 def tau_statistic(domain, nodes, n, probes=20000):
@@ -469,5 +462,4 @@ def tau_statistic(domain, nodes, n, probes=20000):
     if len(nodes) == 0:
         return 0
     eps = nodes.epsilon if nodes.epsilon > 0 else 1.0 / n
-    pts = _probes_with_nodes(domain, nodes, eps, probes)
-    return int(_count_within(domain, pts, nodes.coords, 1.0 / n).max())
+    return _peak_count(domain, nodes, eps, 1.0 / n, probes)

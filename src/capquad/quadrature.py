@@ -61,22 +61,22 @@ class QuadratureError(RuntimeError):
         self.estimates = tuple(estimates)
 
 
+def _legendre(x, order):
+    """[P_0(x), ..., P_order(x)] by the three-term recurrence."""
+    values = [np.ones_like(x), x]
+    for k in range(2, order + 1):
+        values.append(((2 * k - 1) * x * values[-1] - (k - 1) * values[-2]) / k)
+    return values[:order + 1]
+
+
 @functools.lru_cache(maxsize=1024)
 def gauss_legendre(order):
     """Nodes and weights on [-1, 1], by Newton iteration on the recurrence."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    if order == 1:
-        x1, w1 = np.zeros(1), np.full(1, 2.0)
-        x1.setflags(write=False)
-        w1.setflags(write=False)
-        return x1, w1
 
-    def legendre(x):  # P_order(x) and its derivative, by the recurrence
-        p_prev = np.ones_like(x)
-        p = x.copy()
-        for k in range(2, order + 1):
-            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+    def legendre(x):  # P_order(x) and its derivative
+        *_, p_prev, p = _legendre(x, order)
         return p, order * (x * p - p_prev) / (x * x - 1.0)
 
     i = np.arange(order)
@@ -313,23 +313,12 @@ def integrate_adaptive(domain, f, tol=1e-10, on_fail="raise"):
 # analytic moments of the orthonormal basis
 
 
-def _legendre_values(c, lmax):
-    """P_0(c) .. P_{lmax}(c) by the three-term recurrence."""
-    vals = np.empty(lmax + 1)
-    vals[0] = 1.0
-    if lmax >= 1:
-        vals[1] = c
-    for l in range(2, lmax + 1):
-        vals[l] = ((2 * l - 1) * c * vals[l - 1] - (l - 1) * vals[l - 2]) / l
-    return vals
-
-
 def _legendre_antiderivative(c, lmax):
     """I_l = integral of P_l over [c, 1] for l = 0..lmax.
 
     I_0 = 1 - c and I_l = (P_{l-1}(c) - P_{l+1}(c)) / (2l + 1) for l >= 1.
     """
-    p = _legendre_values(c, lmax + 1)
+    p = _legendre(c, lmax + 1)
     out = np.empty(lmax + 1)
     out[0] = 1.0 - c
     for l in range(1, lmax + 1):
@@ -397,7 +386,7 @@ def _ball_boxes(domain, theta_c, sqrt_b_c, radius):
     return np.minimum(lo, theta_c), np.maximum(hi, theta_c)
 
 
-def _cap_polar_edge(alpha, theta_c, sqrt_b_c, radius, end, steps=60):
+def _cap_polar_edge(alpha, theta_c, sqrt_b_c, radius, end):
     """The polar angle between ``theta_c`` and ``end`` where the rows of a
     cap stop meeting the ball (``end`` itself when they meet it all the way).
 
@@ -417,7 +406,7 @@ def _cap_polar_edge(alpha, theta_c, sqrt_b_c, radius, end, steps=60):
                 + alpha * (np.sqrt(np.maximum(alpha - theta, 0.0)) - sqrt_b_c) ** 2 <= reach)
 
     inside, outside = theta_c.copy(), end.copy()
-    for _ in range(steps):
+    for _ in range(60):  # bisection steps
         mid = 0.5 * (inside + outside)
         ok = meets(mid)
         inside = np.where(ok, mid, inside)
@@ -541,13 +530,6 @@ def balls_integral(domain, centers, radius, weight_fn=None):
     return vols, masses, int(np.count_nonzero(~converged))
 
 
-def ball_integral(ball, weight_fn=None):
-    """(volume, weighted mass) of a single rho-ball; see balls_integral."""
-    vols, masses, _ = balls_integral(ball.domain, ball.center.coords.reshape(1, -1),
-                                     ball.radius, weight_fn)
-    return float(vols[0]), float(masses[0])
-
-
 def rho_ball_volume(ball):
     """Quadrature measure of a rho-ball (see balls_integral).
 
@@ -555,4 +537,5 @@ def rho_ball_volume(ball):
     to 1%; the ball's edge defeats fixed-order rules, and the volume
     claims this feeds only need constant-factor accuracy.
     """
-    return ball_integral(ball)[0]
+    vols, _, _ = balls_integral(ball.domain, ball.center.coords.reshape(1, -1), ball.radius)
+    return float(vols[0])

@@ -4,7 +4,9 @@ Every operation here measures a ratio bracket: draw random polynomials
 from the rotation-invariant Gaussian ensemble, evaluate both sides of an
 inequality, and record min/max/mean of the ratio over trials.  Nothing
 is proved; brackets and their stability across parameters are the
-product.
+product.  Each measurement returns its report cell: a dict of named
+fields (the bracket or estimate, and the diagnostics of its quadrature),
+which the CLI writes as it is, beside the trial settings.
 
 Ball maxima are approximated by deterministic low-discrepancy samples
 plus the ball center.  Under-sampling can only shrink a maximum, so
@@ -51,7 +53,6 @@ from .polys import PolySpace, eval_basis_many, fourier_table
 from .quadrature import (
     ADAPTIVE_ORDERS,
     QuadratureError,
-    ball_integral,
     balls_integral,
     build_rule,
     double_until_stable,
@@ -214,9 +215,9 @@ def _degenerate(integrals):
     return ~(integrals >= DEGENERATE_FLOOR)
 
 
-def _bracket(values):
-    arr = np.asarray(values, dtype=float)
-    return float(arr.min()), float(arr.max())
+def _bracket(name, values):
+    """The report fields ``<name>_lo`` and ``<name>_hi``: min and max of values."""
+    return {f"{name}_lo": float(values.min()), f"{name}_hi": float(values.max())}
 
 
 def _by_chunks(evaluate, coeffs, reduce):
@@ -259,22 +260,21 @@ def _abs_power_integral(domain, space, coeffs, p):
     return last, np.where(converged, 0.0, change)
 
 
-def _integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics):
-    """Rows of ``ratio(C, integrals)`` over the trials, with the integrals of
-    |f|^p over the domain; a column whose integral is below DEGENERATE_FLOOR
-    is redrawn.  A ``diagnostics`` dict, when given, receives two fields on
-    the integrals accepted at the order cap without two orders agreeing:
-    how many, and their largest last relative change.
+def _integral_ratio_trials(domain, space, p, ratio, trials, seed):
+    """(rows, fields): rows of ``ratio(C, integrals)`` over the trials, with
+    the integrals of |f|^p over the domain (a column whose integral is
+    below DEGENERATE_FLOOR is redrawn), and two report fields on the
+    integrals accepted at the order cap without two orders agreeing: how
+    many, and their largest last relative change.
     """
     def measure(c):
         integral, capped = _abs_power_integral(domain, space, c, p)
         return np.vstack([ratio(c, integral), capped]), _degenerate(integral)
 
     values = run_trials(trials, measure, space.size, seed)
-    if diagnostics is not None:
-        diagnostics.update(integral_order_cap_hits=int(np.count_nonzero(values[-1])),
-                           integral_last_rel_change=float(values[-1].max()))
-    return values[:-1]
+    capped = values[-1]
+    return values[:-1], {"integral_order_cap_hits": int(np.count_nonzero(capped)),
+                         "integral_last_rel_change": float(capped.max())}
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +282,8 @@ def _integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics):
 
 
 class _NodeBallTable:
-    """Deterministic low-discrepancy samples of the rho-ball at every node.
+    """Deterministic low-discrepancy samples of the rho-ball at every node,
+    with the basis table of ``space`` at the samples.
 
     A golden-angle spiral (d=2) or evenly spaced angles (d=1) fill the
     bounding geodesic region; points falling outside the ball or the
@@ -305,7 +306,7 @@ class _NodeBallTable:
     meets each chunk of columns whole).
     """
 
-    def __init__(self, nodes, radius, count):
+    def __init__(self, nodes, radius, count, space):
         domain, centers = nodes.domain, nodes.coords
         k = centers.shape[0]
         bound = ball_reach(domain, radius)
@@ -341,6 +342,7 @@ class _NodeBallTable:
         blocks = np.concatenate([centers[:, None, :], pts], axis=1)
         self.samples = blocks.reshape(k * (count + 1), -1)[rows]
         self.centre_rows = np.argsort(order)
+        self.basis = eval_basis_many(space, self.samples)
 
     def group_max_min(self, values):
         """Per-node maxima and minima of sample values (rows of ``samples``),
@@ -355,20 +357,29 @@ class _NodeBallTable:
             lo += run
         return out[:, self.centre_rows]
 
+    def extremes(self, coeffs, absolute):
+        """Per-node maxima (out[0]) and minima (out[1]) of f, or of |f| when
+        ``absolute``, over the samples: one column per column of coeffs,
+        the table meeting COLUMN_CHUNK columns at a time."""
+        def reduce(values):
+            return self.group_max_min(np.abs(values) if absolute else values)
+
+        return _by_chunks(lambda b: self.basis @ b, coeffs, reduce)
+
 
 # ---------------------------------------------------------------------------
 # the inequality measurements
 
 
-def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
-    """(min, max) over trials of the discrete-sum to integral ratio.
+def mz_bracket(rule, p, trials, seed, trial_degree=None):
+    """``ratio_min``, ``ratio_max`` and ``spread`` (max / min) over trials
+    of the discrete-sum to integral ratio.
 
     Draws f from the Gaussian ensemble at the rule's degree (or
     ``trial_degree``), compares the weighted node sum of |f|^p with the
     adaptive integral.  Degenerate draws with integral below 1e-14 are
-    redrawn from the same per-trial stream.  A ``diagnostics`` dict, when
-    given, receives the order-cap fields of the integrals
-    (``_integral_ratio_trials``).
+    redrawn from the same per-trial stream.  The cell also holds the
+    order-cap fields of the integrals (``_integral_ratio_trials``).
     """
     if p < 1:
         raise ValueError("p must be >= 1")
@@ -382,53 +393,50 @@ def mz_bracket(rule, p, trials, seed, trial_degree=None, diagnostics=None):
         disc = rule.weights @ _abs_power(basis_nodes @ c, p)
         return disc / integral
 
-    return _bracket(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics))
+    ratios, cell = _integral_ratio_trials(domain, space, p, ratio, trials, seed)
+    lo, hi = float(ratios.min()), float(ratios.max())
+    return {"ratio_min": lo, "ratio_max": hi, "spread": hi / lo, **cell}
 
 
 def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
-                 seed=0, trial_degree=None, diagnostics=None):
-    """Estimated oscillation constant: max over trials of (LHS/RHS)^{1/p} / delta.
+                 seed=0, trial_degree=None):
+    """``estimate``: max over trials of (LHS/RHS)^{1/p} / delta, the oscillation constant.
 
     LHS sums, over nodes, the p-th power of the oscillation of f on the
     beta-dilated ball times the quadrature measure of the undilated ball;
     RHS is the integral of |f|^p.  ``trial_degree`` restricts the draw to
     a lower-degree subspace (degree 0 exercises the zero-oscillation case).
-    A ``diagnostics`` dict, when given, receives
-    ``ball_quadrature_unconverged`` (the number of ball measures that
-    stopped at the quadrature's order cap, see balls_integral) and the
-    order-cap fields of the integrals.
+    The cell also holds ``ball_quadrature_unconverged`` (the number of
+    ball measures that stopped at the quadrature's order cap, see
+    balls_integral) and the order-cap fields of the integrals.
     """
     nodes = canonical(nodes)
     domain = nodes.domain
     eps = nodes.epsilon
     delta = nodes.delta
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
-    table = _NodeBallTable(nodes, beta * eps, ball_samples)
-    basis_samples = eval_basis_many(space, table.samples)
+    table = _NodeBallTable(nodes, beta * eps, ball_samples, space)
     volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
 
-    def oscillation(vals):
-        gmax, gmin = table.group_max_min(vals)
-        return gmax - gmin
-
     def ratio(c, integral):
-        lhs = volumes @ _by_chunks(lambda b: basis_samples @ b, c, oscillation) ** p
+        gmax, gmin = table.extremes(c, absolute=False)
+        lhs = volumes @ (gmax - gmin) ** p
         return (lhs / integral) ** (1.0 / p) / delta
 
-    if diagnostics is not None:
-        diagnostics["ball_quadrature_unconverged"] = unconverged
-    return float(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics).max())
+    estimates, cell = _integral_ratio_trials(domain, space, p, ratio, trials, seed)
+    return {"estimate": float(estimates.max()), "ball_quadrature_unconverged": unconverged,
+            **cell}
 
 
 def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
-                         trial_degree=None, diagnostics=None):
-    """Max over trials of LHS / (tau * RHS) for the one-sided sieve bound.
+                         trial_degree=None):
+    """``estimate``: max over trials of LHS / (tau * RHS) for the one-sided sieve bound.
 
     LHS weighs node values of |f|^p by the ball-volume surrogate at
     radius 1/n; tau is the peak node count of a 1/n ball.  No separation
     is assumed of the node set.  ``trial_degree`` restricts the draw (the
-    surrogate radius stays 1/degree).  A ``diagnostics`` dict, when given,
-    receives the order-cap fields of the integrals.
+    surrogate radius stays 1/degree).  The cell also holds the order-cap
+    fields of the integrals.
     """
     nodes = canonical(nodes)
     domain = nodes.domain
@@ -441,38 +449,37 @@ def large_sieve_constant(nodes, degree, p, trials=200, seed=0, probes=20000,
         lhs = surrogate @ _abs_power(basis_nodes @ c, p)
         return lhs / (tau * integral)
 
-    return float(_integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics).max())
+    estimates, cell = _integral_ratio_trials(domain, space, p, ratio, trials, seed)
+    return {"estimate": float(estimates.max()), **cell}
 
 
 def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
-                       seed=0, trial_degree=None, return_trials=False, diagnostics=None):
-    """Ratio brackets of the ball-max and ball-min sums against the integral.
+                       seed=0, trial_degree=None, return_trials=False):
+    """Brackets ``max_lo/hi`` and ``min_lo/hi`` of the ball-max and ball-min
+    sums against the integral.
 
-    Returns ((max_lo, max_hi), (min_lo, min_hi)); per trial the max-sum
-    ratio dominates the min-sum ratio by construction.  With
-    ``return_trials`` the per-trial (max_ratio, min_ratio) pairs come
-    back as a third element for ordering checks.  A ``diagnostics`` dict,
-    when given, receives the order-cap fields of the integrals.
+    Per trial the max-sum ratio dominates the min-sum ratio by
+    construction.  With ``return_trials`` the per-trial (max_ratio,
+    min_ratio) pairs come back beside the cell, as (cell, pairs), for
+    ordering checks.  The cell also holds the order-cap fields of the
+    integrals.
     """
     nodes = canonical(nodes)
     domain = nodes.domain
     eps = nodes.epsilon
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
-    table = _NodeBallTable(nodes, beta * eps, ball_samples)
-    basis_samples = eval_basis_many(space, table.samples)
+    table = _NodeBallTable(nodes, beta * eps, ball_samples, space)
     surrogate = delta_r_many(domain, nodes.coords, eps)
 
     def ratio(c, integral):
-        extremes = _by_chunks(lambda b: basis_samples @ b, c,
-                              lambda v: table.group_max_min(np.abs(v)))
-        sums = surrogate @ extremes ** p
+        sums = surrogate @ table.extremes(c, absolute=True) ** p
         return sums / integral
 
-    rmaxs, rmins = _integral_ratio_trials(domain, space, p, ratio, trials, seed, diagnostics)
-    brackets = _bracket(rmaxs), _bracket(rmins)
+    (rmaxs, rmins), cell = _integral_ratio_trials(domain, space, p, ratio, trials, seed)
+    cell = {**_bracket("max", rmaxs), **_bracket("min", rmins), **cell}
     if return_trials:
-        return brackets[0], brackets[1], [(float(a), float(b)) for a, b in zip(rmaxs, rmins)]
-    return brackets
+        return cell, [(float(a), float(b)) for a, b in zip(rmaxs, rmins)]
+    return cell
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +525,7 @@ def _trig_derivative(coeffs):
 
 
 def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, statistic="max"):
-    """Trial statistic of LHS / (n^p RHS) for the weighted derivative bound.
+    """``estimate``: trial statistic of LHS / (n^p RHS) for the weighted derivative bound.
 
     LHS integrates |T'|^p W(t) (alpha/n + sqrt(alpha^2 - t^2))^p over the
     interval; RHS integrates |T|^p W.  Only d=1 makes sense here.
@@ -548,25 +555,32 @@ def bernstein_check_d1(alpha, degree, p, weight, trials=200, seed=0, statistic="
         return lhs / (np.float64(n) ** p * rhs), _degenerate(rhs)  # inf, not OverflowError
 
     ratios = run_trials(trials, measure, space.size, seed)
-    return float(ratios.max()) if statistic == "max" else float(np.mean(ratios))
+    return {"estimate": float(ratios.max()) if statistic == "max" else float(np.mean(ratios))}
 
 
 # ---------------------------------------------------------------------------
 # doubling-weight machinery
 
 
-def compute_Wn(cap, weight, n, x):
-    """Ball average of the weight over the 1/n ball at x.
+def _ball_average(domain, weight, n, coords):
+    """(W_n, unconverged): the ball average of the weight over the 1/n ball
+    at each row of ``coords``, and the count of balls stopped at the
+    quadrature's order cap (see balls_integral).
 
     Computed as the ratio of weighted to unweighted mass over identical
     quadrature nodes, so a constant weight averages to exactly itself.
     """
+    vols, masses, unconverged = balls_integral(domain, coords, 1.0 / n, weight.eval_b)
+    if np.any(vols <= 0.0):
+        raise QuadratureError("empty rho-ball in the ball average of W", (vols.min(), 0))
+    return masses / vols, unconverged
+
+
+def compute_Wn(cap, weight, n, x):
+    """Ball average of the weight over the 1/n ball at x (see _ball_average)."""
     coords = x.coords if isinstance(x, SpherePoint) else np.asarray(x, float)
-    ball = RhoBall(cap, SpherePoint(coords), 1.0 / n)
-    vol, mass = ball_integral(ball, weight.eval_b)
-    if vol <= 0:
-        raise QuadratureError("degenerate ball in compute_Wn", (vol, mass))
-    return mass / vol
+    ball = RhoBall(cap, SpherePoint(coords), 1.0 / n)  # checks the centre and the radius
+    return float(_ball_average(cap, weight, n, ball.center.coords.reshape(1, -1))[0][0])
 
 
 def estimate_doubling(cap, weight, radii_levels=4, probes=25):
@@ -594,15 +608,14 @@ def estimate_doubling(cap, weight, radii_levels=4, probes=25):
 
 
 def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
-                seed=0, trial_degree=None, diagnostics=None):
-    """Ratio brackets for the three weighted norm equivalences.
+                seed=0, trial_degree=None):
+    """Ratio brackets ``<name>_lo/hi`` for the three weighted norm equivalences.
 
-    Returns a dict with brackets (lo, hi) for: the weighted integral
-    against its ball-averaged version ('wn_equivalence'), and the ball-max
-    and ball-min node sums against the weighted integral ('max_sum',
-    'min_sum').  Ball radii equal the set's separation target.  ``cap``
-    must be the node set's own domain (ValueError otherwise).  A
-    ``diagnostics`` dict, when given, receives
+    The names: the weighted integral against its ball-averaged version
+    ('wn_equivalence'), and the ball-max and ball-min node sums against
+    the weighted integral ('max_sum', 'min_sum').  Ball radii equal the
+    set's separation target.  ``cap`` must be the node set's own domain
+    (ValueError otherwise).  The cell also holds
     ``ball_quadrature_unconverged``: the number of ball averages and node
     ball masses that stopped at the quadrature's order cap.
     """
@@ -616,30 +629,23 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     order = min(int(p) * degree + 16, 200)
     rule = build_rule(domain, order)
-    wn_vols, wn_masses, wn_unconverged = balls_integral(domain, rule.points, 1.0 / degree,
-                                                        weight.eval_b)
-    if np.any(wn_vols <= 0.0):
-        raise QuadratureError("empty rho-ball in weighted_mz", (wn_vols.min(), 0))
+    wn, wn_unconverged = _ball_average(domain, weight, degree, rule.points)
     # rule weights times the weight and times its ball average, in grid order
     weighted = np.stack([rule.in_grid_order(rule.weights * weight.eval_on(domain, rule.points)),
-                         rule.in_grid_order(rule.weights * (wn_masses / wn_vols))])
-    table = _NodeBallTable(nodes, eps, ball_samples)
-    basis_samples = eval_basis_many(space, table.samples)
+                         rule.in_grid_order(rule.weights * wn)])
+    table = _NodeBallTable(nodes, eps, ball_samples, space)
     _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
-    if diagnostics is not None:
-        diagnostics["ball_quadrature_unconverged"] = wn_unconverged + mass_unconverged
 
     def measure(c):
         int_w, int_wn = _by_chunks(lambda b: rule_values(space, rule, b), c,
                                    lambda v: weighted @ _abs_power(v, p))
-        extremes = _by_chunks(lambda b: basis_samples @ b, c,
-                              lambda v: table.group_max_min(np.abs(v)))
-        sums = masses @ extremes ** p
+        sums = masses @ table.extremes(c, absolute=True) ** p
         return np.vstack([int_w / int_wn, sums / int_w]), _degenerate(int_w)
 
-    columns = run_trials(trials, measure, space.size, seed)
-    return {name: _bracket(column)
-            for name, column in zip(("wn_equivalence", "max_sum", "min_sum"), columns)}
+    wn_ratios, max_sums, min_sums = run_trials(trials, measure, space.size, seed)
+    return {**_bracket("wn_equivalence", wn_ratios), **_bracket("max_sum", max_sums),
+            **_bracket("min_sum", min_sums),
+            "ball_quadrature_unconverged": wn_unconverged + mass_unconverged}
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +653,7 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
 
 
 def change_of_variables_check(cap, degree, trials=20, seed=0):
-    """Max relative gap between the cap integral of f and the dilated form.
+    """``max_discrepancy``: max relative gap between the cap integral of f and the dilated form.
 
     The dilated side integrates f(Tx) times the Jacobian polynomial over
     the cap of radius alpha/8; both sides use reference rules exact for
@@ -669,4 +675,4 @@ def change_of_variables_check(cap, degree, trials=20, seed=0):
         rhs = 8.0 * (rule_small.weights @ ((basis_small @ c) * jac))
         return np.abs(lhs - rhs) / (1.0 + np.abs(lhs)), np.zeros(c.shape[1], bool)
 
-    return float(run_trials(trials, measure, space.size, seed).max())
+    return {"max_discrepancy": float(run_trials(trials, measure, space.size, seed).max())}

@@ -13,7 +13,7 @@ import pytest
 
 import capquad as cq
 from capquad.cli import main as cli_main
-from capquad.geometry import boundary_distance_many, rho_pairwise
+from capquad.geometry import boundary_distance_many, rho_many
 from capquad.points import product_grid
 
 from conftest import random_cap_points, random_collar_points
@@ -107,11 +107,10 @@ def test_criterion_04_mz_bracket(exactness_grid, rule_n16_a1):
     rules, _ = exactness_grid
     spreads = {}
     for n, rule in ((8, rules[(1.0, 8)]), (16, rule_n16_a1)):
-        lo, hi = cq.mz_bracket(rule, 2, trials=200, seed=1)
-        spreads[n] = hi / lo
-        collapse_lo, collapse_hi = cq.mz_bracket(rule, 2, trials=50, seed=2,
-                                                 trial_degree=n // 2)
-        dev = max(abs(collapse_lo - 1), abs(collapse_hi - 1))
+        cell = cq.mz_bracket(rule, 2, trials=200, seed=1)
+        spreads[n] = cell["ratio_max"] / cell["ratio_min"]
+        collapse = cq.mz_bracket(rule, 2, trials=50, seed=2, trial_degree=n // 2)
+        dev = max(abs(collapse["ratio_min"] - 1), abs(collapse["ratio_max"] - 1))
         assert dev <= 1e-9, f"exactness collapse broke at n={n}: {dev:.1e}"
     drift = max(spreads[8] / spreads[16], spreads[16] / spreads[8])
     ok = all(s <= 20 for s in spreads.values()) and drift < 2.0
@@ -126,7 +125,7 @@ def test_criterion_05_oscillation_stability(cap_a1):
         nodes = cq.greedy_maximal_set(cap_a1, delta / 8, seed=42, degree=8,
                                       delta=delta)
         ests[delta] = cq.osc_constant(nodes, 8, 2, beta=1.0, trials=200,
-                                      ball_samples=64, seed=3)
+                                      ball_samples=64, seed=3)["estimate"]
     vals = list(ests.values())
     spread = max(vals) / min(vals)
     _verdict(spread <= 4.0, "criterion-05 oscillation-constant",
@@ -140,9 +139,8 @@ def test_criterion_06_large_sieve(cap_a1, nodes_a1_n8):
                            0.0, degree=8)
     duplicated = cq.NodeSet(cap_a1, np.repeat(nodes_a1_n8.coords[:80], 3, axis=0),
                             0.0, degree=8)
-    cs = cq.large_sieve_constant(separated, 8, 2, trials=50, seed=5)
-    cc = cq.large_sieve_constant(clustered, 8, 2, trials=50, seed=5)
-    cd = cq.large_sieve_constant(duplicated, 8, 2, trials=50, seed=5)
+    cs, cc, cd = (cq.large_sieve_constant(nodes, 8, 2, trials=50, seed=5)["estimate"]
+                  for nodes in (separated, clustered, duplicated))
     dup_gap = abs(cd - cs)
     ok = all(np.isfinite(v) and v > 0 for v in (cs, cc, cd)) and dup_gap <= 1e-12
     _verdict(ok, "criterion-06 large-sieve",
@@ -151,9 +149,10 @@ def test_criterion_06_large_sieve(cap_a1, nodes_a1_n8):
 
 
 def test_criterion_07_maxmin(nodes_a1_n8):
-    (mx_lo, mx_hi), (mn_lo, mn_hi), pairs = cq.maxmin_equivalence(
+    cell, pairs = cq.maxmin_equivalence(
         nodes_a1_n8, 8, 2, beta=1.0, trials=200, ball_samples=64, seed=6,
         return_trials=True)
+    mx_lo, mx_hi, mn_lo, mn_hi = (cell[k] for k in ("max_lo", "max_hi", "min_lo", "min_hi"))
     ordered = all(a >= b for a, b in pairs)
     inside = all(1 / 20 <= v <= 20 for v in (mx_lo, mx_hi, mn_lo, mn_hi))
     _verdict(ordered and inside, "criterion-07 maxmin-equivalence",
@@ -180,7 +179,7 @@ def _cap_metric_sweep(alpha, n_pairs, seed):
     cap = cq.Cap(E2, alpha)
     pts = random_cap_points(cap, 2 * n_pairs, seed=seed)
     a, b = pts[0::2], pts[1::2]
-    r = rho_pairwise(cap, a, b)
+    r = rho_many(cap, a, b)
     keep = r > 1e-10
     r5 = np.array([cq.rho5(cap, cq.SpherePoint(x), cq.SpherePoint(y))
                    for x, y in zip(a[keep], b[keep])])
@@ -190,16 +189,16 @@ def _cap_metric_sweep(alpha, n_pairs, seed):
     outer = keep & (theta_a >= alpha / 12) & (theta_b >= alpha / 12)
     r4 = np.array([cq.rho4(cap, cq.SpherePoint(x), cq.SpherePoint(y))
                    for x, y in zip(a[outer], b[outer])])
-    ratios4 = rho_pairwise(cap, a[outer], b[outer]) / r4
+    ratios4 = rho_many(cap, a[outer], b[outer]) / r4
     return ratios5, ratios4
 
 
 def _axioms_vectorized(domain, pts, slack=1e-10):
     x, y, z = pts[0::3], pts[1::3], pts[2::3]
-    dxy = rho_pairwise(domain, x, y)
-    dyx = rho_pairwise(domain, y, x)
-    dyz = rho_pairwise(domain, y, z)
-    dxz = rho_pairwise(domain, x, z)
+    dxy = rho_many(domain, x, y)
+    dyx = rho_many(domain, y, x)
+    dyz = rho_many(domain, y, z)
+    dxz = rho_many(domain, x, z)
     sym = np.array_equal(dxy, dyx)
     nonneg = bool(np.all(dxy >= 0))
     triangle = bool(np.all(dxz <= dxy + dyz + slack))
@@ -258,7 +257,8 @@ def test_criterion_11_dilation_identity():
     worst = 0.0
     for alpha in (1.0, 2.5):
         cap = cq.Cap(E2, alpha)
-        worst = max(worst, cq.change_of_variables_check(cap, 8, trials=20, seed=12))
+        worst = max(worst, cq.change_of_variables_check(cap, 8, trials=20,
+                                                        seed=12)["max_discrepancy"])
     p = cq.random_polynomial(cq.PolySpace(2, 8), seed=13)
     f = cq.compose_with_T(p, E2, clip=False)
     _, resid = cq.project_onto(cq.PolySpace(2, 64), f)
@@ -271,10 +271,11 @@ def test_criterion_11_dilation_identity():
 def test_criterion_12_doubling_weight(cap_a05, nodes_a05_n8):
     const = cq.DoublingWeight.constant()
     unit = cq.weighted_mz(cap_a05, const, nodes_a05_n8, 8, 2, trials=20, seed=14)
-    unit_dev = max(abs(unit["wn_equivalence"][0] - 1),
-                   abs(unit["wn_equivalence"][1] - 1))
+    unit_dev = max(abs(unit["wn_equivalence_lo"] - 1),
+                   abs(unit["wn_equivalence_hi"] - 1))
     bp = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
-    out = cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=200, seed=14)
+    cell = cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=200, seed=14)
+    out = {k: (cell[f"{k}_lo"], cell[f"{k}_hi"]) for k in ("wn_equivalence", "max_sum", "min_sum")}
     inside = all(1 / 50 <= lo <= hi <= 50 for lo, hi in out.values())
     ok = unit_dev <= 1e-12 and inside
     detail = ", ".join(f"{k} [{v[0]:.2f},{v[1]:.2f}]" for k, v in out.items())
@@ -290,7 +291,7 @@ def test_criterion_13_bernstein():
     for weight, tag in ((cq.DoublingWeight.constant(), "W=1"),
                         (cq.DoublingWeight.boundary_power(1.0, n_ref=8), "W=bpow1")):
         ests = {n: cq.bernstein_check_d1(0.5, n, 2, weight, trials=200, seed=15,
-                                         statistic="mean")
+                                         statistic="mean")["estimate"]
                 for n in (8, 16, 32)}
         vals = list(ests.values())
         spread = max(vals) / min(vals)
@@ -312,16 +313,16 @@ def test_criterion_14_collar_suite(collar_std, collar_rules):
     spreads = {}
     for n in (8, 16):
         rule = collar_rules[n]
-        lo, hi = cq.mz_bracket(rule, 2, trials=200, seed=16)
-        spreads[n] = hi / lo
-        c_lo, c_hi = cq.mz_bracket(rule, 2, trials=50, seed=17, trial_degree=n // 2)
-        assert max(abs(c_lo - 1), abs(c_hi - 1)) <= 1e-9
+        cell = cq.mz_bracket(rule, 2, trials=200, seed=16)
+        spreads[n] = cell["ratio_max"] / cell["ratio_min"]
+        collapse = cq.mz_bracket(rule, 2, trials=50, seed=17, trial_degree=n // 2)
+        assert max(abs(collapse["ratio_min"] - 1), abs(collapse["ratio_max"] - 1)) <= 1e-9
     drift = max(spreads[8] / spreads[16], spreads[16] / spreads[8])
     mz_ok = all(s <= 20 for s in spreads.values()) and drift < 2.0
 
     pts = random_collar_points(collar_std, 20_000, seed=18)
     a, b = pts[0::2], pts[1::2]
-    r = rho_pairwise(collar_std, a, b)
+    r = rho_many(collar_std, a, b)
     keep = r > 1e-10
     r6 = np.array([cq.collar_rho6(collar_std, cq.SpherePoint(x), cq.SpherePoint(y))
                    for x, y in zip(a[keep], b[keep])])

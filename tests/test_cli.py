@@ -509,3 +509,68 @@ def test_verify_trial_degree_refused_where_unused(argv, tmp_path, capsys):
                  "--report", str(out)]) == 1
     assert "--trial-degree" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_mz_refuses_degree(rule_file, tmp_path, capsys):
+    # mz measures at the rule's degree; a lower trial degree has its own flag
+    out = tmp_path / "r.json"
+    assert main(["verify", "mz", "--rule", str(rule_file), "--degree", "2", "--trials", "3",
+                 "--report", str(out)]) == 1
+    assert "--trial-degree" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_cap_files(tmp_path_factory):
+    """Points and rule files of the cap of radius 1/2 at degree 2, and what they load to."""
+    tmp = tmp_path_factory.mktemp("small")
+    paths = {"points": tmp / "p.json", "rule": tmp / "r.json"}
+    assert main(["points", "--d", "2", "--alpha", "0.5", "--degree", "2", "--delta", "0.25",
+                 "--out", str(paths["points"])]) == 0
+    assert main(["solve", "--points", str(paths["points"]), "--degree", "2",
+                 "--out", str(paths["rule"])]) == 0
+    loaded = {"nodes": cqio.nodes_from_dict(cqio.load_json(paths["points"])),
+              "rule": cqio.rule_from_dict(cqio.load_json(paths["rule"]))}
+    return paths, loaded
+
+
+_BP = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
+_RUN = {"trials": 3, "seed": 4}
+# subcommand -> (flags, the measurement called as the CLI should call it,
+# the fields the CLI adds to its cell)
+_CELL_CASES = {
+    "mz": (["--rule", "{rule}", "--p", "1"],
+           lambda f: cq.mz_bracket(f["rule"], 1.0, **_RUN), {}),
+    "osc": (["--points", "{points}", "--beta", "1.5"],
+            lambda f: cq.osc_constant(f["nodes"], 2, 2.0, beta=1.5, ball_samples=8, **_RUN),
+            {"ball_samples": 8}),
+    "sieve": (["--points", "{points}", "--trial-degree", "1"],
+              lambda f: cq.large_sieve_constant(f["nodes"], 2, 2.0, trial_degree=1, **_RUN),
+              {"trial_degree": 1}),
+    "maxmin": (["--points", "{points}", "--degree", "3"],
+               lambda f: cq.maxmin_equivalence(f["nodes"], 3, 2.0, ball_samples=8, **_RUN),
+               {"ball_samples": 8}),
+    "bernstein": (["--alpha", "0.4", "--degree", "4", "--weight", "boundary-power",
+                   "--statistic", "mean"],
+                  lambda f: cq.bernstein_check_d1(0.4, 4, 2.0, _BP, statistic="mean", **_RUN),
+                  {}),
+    "weighted-mz": (["--points", "{points}", "--weight", "boundary-power"],
+                    lambda f: cq.weighted_mz(f["nodes"].domain, _BP, f["nodes"], 2, 2.0,
+                                             ball_samples=8, **_RUN),
+                    {"ball_samples": 8}),
+    "cov": (["--alpha", "1.0", "--degree", "2"],
+            lambda f: cq.change_of_variables_check(cq.Cap(cq.north_pole(2), 1.0), 2, **_RUN),
+            {}),
+}
+
+
+@pytest.mark.parametrize("name", list(_CELL_CASES))
+def test_verify_writes_the_measured_cell(name, small_cap_files, tmp_path):
+    # the report cell is the measurement's own cell plus the trial settings
+    paths, loaded = small_cap_files
+    flags, measure, added = _CELL_CASES[name]
+    out = tmp_path / "r.json"
+    assert main(["verify", name, *(a.format(**paths) for a in flags), "--trials", "3",
+                 "--ball-samples", "8", "--seed", "4", "--report", str(out)]) == 0
+    cell = json.loads(out.read_text())["cells"][0]
+    assert cell == {**measure(loaded), "trials": 3, **added}

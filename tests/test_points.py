@@ -10,7 +10,7 @@ from capquad.geometry import boundary_distance_many, rho_many
 from capquad.points import (
     _PAIR_BLOCK,
     _node_neighbours,
-    _probes_with_nodes,
+    _probe_grid_by_count,
     _seed_coords,
     product_grid,
 )
@@ -37,7 +37,7 @@ def test_single_center_ball_covers_cap(cap_a1):
 def test_greedy_output_separable_and_maximal(cap_a1, nodes_a1_n8):
     eps = nodes_a1_n8.epsilon
     assert cq.is_separable(cap_a1, nodes_a1_n8, eps)
-    assert cq.is_maximal_separable(cap_a1, nodes_a1_n8, eps, 4)
+    assert cq.is_maximal_separable(cap_a1, nodes_a1_n8, eps)
 
 
 def test_greedy_deterministic(cap_a1):
@@ -54,18 +54,33 @@ def test_greedy_huge_epsilon_single_point(cap_a1):
     assert len(ns) == 1
 
 
+def test_greedy_without_degree_round_trips(cap_a1):
+    # without degree and delta the set records degree 1 and delta = epsilon,
+    # which its own loader accepts also for epsilon > 1
+    from capquad import io as cqio
+
+    ns = cq.greedy_maximal_set(cap_a1, 3.0, seed=0)
+    assert (ns.degree, ns.delta) == (1, 3.0)
+    back = cqio.nodes_from_dict(cqio.points_to_dict(ns))
+    assert (back.epsilon, back.degree, back.delta) == (3.0, 1, 3.0)
+    assert np.array_equal(back.coords, ns.coords)
+    assert cq.greedy_maximal_set(cap_a1, 0.05, degree=4).delta == 0.05 * 4
+    with pytest.raises(ValueError, match="ambiguous"):
+        cq.greedy_maximal_set(cap_a1, 0.05, delta=0.2)
+
+
 def test_greedy_on_collar(collar_std):
     ns = cq.greedy_maximal_set(collar_std, 0.05, seed=0)
     assert len(ns) > 10
     assert cq.is_separable(collar_std, ns, 0.05)
-    assert cq.is_maximal_separable(collar_std, ns, 0.05, 4)
+    assert cq.is_maximal_separable(collar_std, ns, 0.05)
 
 
 def test_greedy_d1():
     cap = cq.Cap(E1, 0.5)
     ns = cq.greedy_maximal_set(cap, 0.03, seed=0, degree=8, delta=0.24)
     assert cq.is_separable(cap, ns, 0.03)
-    assert cq.is_maximal_separable(cap, ns, 0.03, 4)
+    assert cq.is_maximal_separable(cap, ns, 0.03)
     assert ns.delta == pytest.approx(0.24)
 
 
@@ -195,7 +210,8 @@ def _per_probe(pairs, nprobes, radius):
 
 
 def _reference_count_max(domain, nodes, probe_eps, radius, probes):
-    pts = _probes_with_nodes(domain, nodes, probe_eps, probes)
+    grid = _probe_grid_by_count(domain, max(probe_eps, 1e-3), probes)
+    pts = np.vstack([grid, nodes.coords])
     pairs = _per_node_neighbours(domain, pts, nodes.coords, radius)
     return int(_per_probe(pairs, pts.shape[0], radius)[0].max())
 
@@ -230,7 +246,7 @@ _SWEEP_IDS = ["cap-d2", "collar-d2", "cap-d1", "collar-d1"]
 def test_pair_sweep_matches_per_node_scan(domain):
     nodes = _random_nodes(domain, 3 * _PAIR_BLOCK, seed=5)
     assert len(nodes) > 2 * _PAIR_BLOCK
-    pts = _probes_with_nodes(domain, nodes, 0.05, 3000)  # the nodes are probes too
+    pts = np.vstack([_probe_grid_by_count(domain, 0.05, 3000), nodes.coords])  # nodes too
     # the largest radius's chord clamps at 2: every pair is enumerated
     for radius in (0.02, 0.1, 0.4, 2.5 / domain.alpha):
         sweep = ((j, d) for _, j, d in _node_neighbours(domain, pts, nodes.coords, radius))
@@ -251,10 +267,10 @@ def test_pair_sweep_matches_per_node_scan(domain):
 def test_pair_sweep_yields_each_pair_once():
     cap = cq.Cap(E2, 1.0)
     nodes = _random_nodes(cap, 2 * _PAIR_BLOCK + 3, seed=8)
-    pts = _probes_with_nodes(cap, nodes, 0.05, 2000)
+    pts = np.vstack([_probe_grid_by_count(cap, 0.05, 2000), nodes.coords])
     i, j, d = (np.concatenate(a) for a in zip(*_node_neighbours(cap, pts, nodes.coords, 0.1)))
     assert np.unique(i * pts.shape[0] + j).size == i.size
-    want = cq.geometry.rho_pairwise(cap, nodes.coords[i], pts[j])
+    want = rho_many(cap, nodes.coords[i], pts[j])
     assert np.isclose(d, want, rtol=0.0, atol=np.where(want >= 1e-2, 1e-12, 1e-7)).all()
 
 

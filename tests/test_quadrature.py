@@ -202,11 +202,11 @@ def test_double_until_stable_waits_for_every_row():
 
 
 def test_ball_average_constant_is_exact(cap_a05):
-    from capquad.quadrature import ball_integral
+    from capquad.quadrature import balls_integral
 
-    ball = cq.RhoBall(cap_a05, E2, 0.125)
-    vol, mass = ball_integral(ball, lambda pts: np.full(len(pts), 3.7))
-    avg = mass / vol
+    vols, masses, _ = balls_integral(cap_a05, E2.coords.reshape(1, -1), 0.125,
+                                     lambda pts: np.full(len(pts), 3.7))
+    avg = masses[0] / vols[0]
     assert avg == pytest.approx(3.7, rel=1e-15)
 
 

@@ -1,12 +1,16 @@
-"""Source hygiene: every import in the package's modules is used, and every
-module-level private name is referenced somewhere in the package."""
+"""Source hygiene: every import in the package's modules is used, every
+module-level private name is referenced somewhere in the package, and
+every function the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "capquad"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "capquad"
 
 # the package's __init__ imports are its exports, used by importers
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -83,3 +87,15 @@ def test_no_unreferenced_private_names(path):
     trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
     others = [tree for p, tree in trees.items() if p != path]
     assert unreferenced_privates(trees[path], others) == []
+
+
+def test_benchmark_trace_targets_resolve():
+    # the tracer skips a missing target silently, and that target's metrics
+    # then read 0; solver.nnls is a stale target (ROADMAP item 2)
+    spec = importlib.util.spec_from_file_location("perfbench_tracing",
+                                                  ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{module}.{name}" for module, name, _, _ in tracing.TARGETS
+               if not callable(getattr(importlib.import_module(f"capquad.{module}"), name, None))]
+    assert set(missing) <= {"solver.nnls"}

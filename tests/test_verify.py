@@ -11,34 +11,36 @@ from conftest import north_frame_per_node
 E2 = cq.north_pole(2)
 
 
+def _ratios(cell):
+    return cell["ratio_min"], cell["ratio_max"]
+
+
 def test_mz_constant_poly_ratio_one(rule_a1_n8):
-    lo, hi = cq.mz_bracket(rule_a1_n8, 2, trials=5, seed=1, trial_degree=0)
+    lo, hi = _ratios(cq.mz_bracket(rule_a1_n8, 2, trials=5, seed=1, trial_degree=0))
     assert lo == pytest.approx(1.0, abs=1e-9)
     assert hi == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mz_exactness_collapse(rule_a1_n8):
     # p * deg <= n makes |f|^p a polynomial the rule integrates exactly
-    lo, hi = cq.mz_bracket(rule_a1_n8, 2, trials=20, seed=2, trial_degree=4)
+    lo, hi = _ratios(cq.mz_bracket(rule_a1_n8, 2, trials=20, seed=2, trial_degree=4))
     assert max(abs(lo - 1), abs(hi - 1)) <= 1e-9
-    lo4, hi4 = cq.mz_bracket(rule_a1_n8, 4, trials=10, seed=2, trial_degree=2)
+    lo4, hi4 = _ratios(cq.mz_bracket(rule_a1_n8, 4, trials=10, seed=2, trial_degree=2))
     assert max(abs(lo4 - 1), abs(hi4 - 1)) <= 1e-9
 
 
 def test_mz_full_degree_bracket(rule_a1_n8):
-    lo, hi = cq.mz_bracket(rule_a1_n8, 2, trials=50, seed=3)
+    lo, hi = _ratios(cq.mz_bracket(rule_a1_n8, 2, trials=50, seed=3))
     assert 0 < lo <= hi
     assert hi / lo <= 20
-    lo1, hi1 = cq.mz_bracket(rule_a1_n8, 1, trials=20, seed=3)
+    lo1, hi1 = _ratios(cq.mz_bracket(rule_a1_n8, 1, trials=20, seed=3))
     assert hi1 / lo1 <= 20
 
 
 def test_mz_repeat_identical(rule_a1_n8):
-    runs = []
-    for _ in range(2):
-        diagnostics = {}
-        runs.append((cq.mz_bracket(rule_a1_n8, 1, trials=16, seed=5,
-                                   diagnostics=diagnostics), diagnostics))
+    # the cells hold the order-cap fields too
+    runs = [cq.mz_bracket(rule_a1_n8, 1, trials=16, seed=5) for _ in range(2)]
+    assert "integral_order_cap_hits" in runs[0]
     assert runs[0] == runs[1]
 
 
@@ -102,17 +104,16 @@ def _seven_measurements(rule_a1_n8, nodes_a1_n8, cap_a05, nodes_a05_n8, cap_a1):
     # them at different orders, the even-p ones at the same early order
     bp = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
     return {
-        "mz": lambda d: cq.mz_bracket(rule_a1_n8, 1, trials=4, seed=30, diagnostics=d),
-        "osc": lambda d: cq.osc_constant(nodes_a1_n8, 8, 3, trials=4, ball_samples=16,
-                                         seed=31, diagnostics=d),
-        "sieve": lambda d: cq.large_sieve_constant(nodes_a1_n8, 8, 2, trials=4, seed=32,
-                                                   probes=2000, diagnostics=d),
-        "maxmin": lambda d: cq.maxmin_equivalence(nodes_a1_n8, 8, 2, trials=4,
-                                                  ball_samples=16, seed=33, diagnostics=d),
-        "bernstein": lambda d: cq.bernstein_check_d1(0.5, 8, 1, bp, trials=4, seed=34),
-        "weighted-mz": lambda d: cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=4,
-                                                ball_samples=16, seed=35, diagnostics=d),
-        "cov": lambda d: cq.change_of_variables_check(cap_a1, 6, trials=4, seed=36),
+        "mz": lambda: cq.mz_bracket(rule_a1_n8, 1, trials=4, seed=30),
+        "osc": lambda: cq.osc_constant(nodes_a1_n8, 8, 3, trials=4, ball_samples=16, seed=31),
+        "sieve": lambda: cq.large_sieve_constant(nodes_a1_n8, 8, 2, trials=4, seed=32,
+                                                 probes=2000),
+        "maxmin": lambda: cq.maxmin_equivalence(nodes_a1_n8, 8, 2, trials=4,
+                                                ball_samples=16, seed=33),
+        "bernstein": lambda: cq.bernstein_check_d1(0.5, 8, 1, bp, trials=4, seed=34),
+        "weighted-mz": lambda: cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=4,
+                                              ball_samples=16, seed=35),
+        "cov": lambda: cq.change_of_variables_check(cap_a1, 6, trials=4, seed=36),
     }
 
 
@@ -123,15 +124,17 @@ def test_batched_matches_one_column_at_a_time(name, monkeypatch, rule_a1_n8, nod
     from capquad import verify
 
     run = _seven_measurements(rule_a1_n8, nodes_a1_n8, cap_a05, nodes_a05_n8, cap_a1)[name]
-    batched_diag, single_diag = {}, {}
-    batched = run(batched_diag)
+    batched = run()
     monkeypatch.setattr(verify, "run_trials", _one_column_run_trials)
-    single = run(single_diag)
-    if isinstance(batched, dict):
-        batched, single = list(batched.values()), list(single.values())
-    assert np.allclose(batched, single, rtol=1e-12, atol=0.0 if name != "cov" else 1e-15)
+    single = run()
+    assert batched.keys() == single.keys()
+    # the last relative change of a capped integral is a difference of
+    # nearby estimates, so it agrees to fewer digits than the values
+    keys = sorted(k for k in batched if k != "integral_last_rel_change")
+    assert np.allclose([batched[k] for k in keys], [single[k] for k in keys],
+                       rtol=1e-12, atol=0.0 if name != "cov" else 1e-15)
     hits = "integral_order_cap_hits"
-    assert batched_diag.get(hits) == single_diag.get(hits)
+    assert batched.get(hits) == single.get(hits)
 
 
 def test_osc_constant_zero_for_constants(nodes_a1_n8):
@@ -139,7 +142,7 @@ def test_osc_constant_zero_for_constants(nodes_a1_n8):
     from capquad.polys import PolySpace
     from capquad.verify import _NodeBallTable
 
-    table = _NodeBallTable(nodes_a1_n8, nodes_a1_n8.epsilon, 16)
+    table = _NodeBallTable(nodes_a1_n8, nodes_a1_n8.epsilon, 16, PolySpace(2, 0))
     vals = np.ones(table.samples.shape[0])
     gmax, gmin = table.group_max_min(vals)
     assert np.abs(gmax - gmin).max() == 0.0
@@ -180,6 +183,7 @@ def _sorted_rows(a):
 
 
 def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
+    from capquad.polys import PolySpace
     from capquad.verify import _NodeBallTable
 
     arc = cq.Cap(cq.north_pole(1), 1.0)
@@ -187,7 +191,7 @@ def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
     centre_only = 0
     for nodes, count in ((nodes_a1_n8, 16), (nodes_a1_n8, 1), (nodes_d1, 16), (nodes_d1, 2)):
         radius = nodes.epsilon
-        table = _NodeBallTable(nodes, radius, count)
+        table = _NodeBallTable(nodes, radius, count, PolySpace(nodes.domain.dim, 0))
         ref_samples, offsets = _node_order_ball_samples(nodes, radius, count)
         assert np.array_equal(_sorted_rows(table.samples), _sorted_rows(ref_samples))
         centre_only += int(np.count_nonzero(np.diff(np.r_[offsets, len(ref_samples)]) == 1))
@@ -204,15 +208,17 @@ def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
 def test_ball_table_samples_match_per_node_frames(monkeypatch, nodes_a1_n8):
     # the constructor with the frames built one node at a time
     from capquad import verify
+    from capquad.polys import PolySpace
 
     collar = cq.Collar(E2, 0.5, 1.0)
+    space = PolySpace(2, 0)
     nodes_collar = cq.greedy_maximal_set(collar, 0.25 / 4, degree=4, delta=0.25)
     for nodes, count in ((nodes_a1_n8, 64), (nodes_collar, 64), (nodes_collar, 7)):
-        table = verify._NodeBallTable(nodes, nodes.epsilon, count)
+        table = verify._NodeBallTable(nodes, nodes.epsilon, count, space)
         with monkeypatch.context() as m:
             m.setattr(verify, "north_frames", lambda centers: np.array(
                 [north_frame_per_node(c) for c in centers]))
-            ref = verify._NodeBallTable(nodes, nodes.epsilon, count)
+            ref = verify._NodeBallTable(nodes, nodes.epsilon, count, space)
         assert table.samples.tobytes() == ref.samples.tobytes()
         assert table.runs == ref.runs
         assert np.array_equal(table.centre_rows, ref.centre_rows)
@@ -309,7 +315,7 @@ def test_abs_power_integral_memory_is_bounded():
 
 
 def test_osc_constant_finite(nodes_a1_n8):
-    est = cq.osc_constant(nodes_a1_n8, 8, 2, trials=10, ball_samples=32, seed=4)
+    est = cq.osc_constant(nodes_a1_n8, 8, 2, trials=10, ball_samples=32, seed=4)["estimate"]
     assert np.isfinite(est)
     assert est > 0
 
@@ -318,7 +324,7 @@ def test_sieve_single_node_formula(cap_a1):
     # one node at the center with a constant polynomial: the ratio is
     # the ball surrogate over the cap measure, independently computable
     ns = cq.NodeSet(cap_a1, E2.coords.reshape(1, -1), 1.0, degree=8)
-    got = cq.large_sieve_constant(ns, 8, 2, trials=3, seed=6, trial_degree=0)
+    got = cq.large_sieve_constant(ns, 8, 2, trials=3, seed=6, trial_degree=0)["estimate"]
     want = cq.delta_r(cap_a1, E2, 1.0 / 8) / cq.domain_measure(cap_a1)
     assert got == pytest.approx(want, rel=1e-6)
 
@@ -326,22 +332,22 @@ def test_sieve_single_node_formula(cap_a1):
 def test_osc_zero_for_constant_trials(nodes_a1_n8):
     est = cq.osc_constant(nodes_a1_n8, 8, 2, trials=3, ball_samples=16,
                           seed=6, trial_degree=0)
-    assert est == 0.0
+    assert est["estimate"] == 0.0
 
 
 def test_maxmin_constant_trials_coincide(nodes_a1_n8):
-    (mx_lo, mx_hi), (mn_lo, mn_hi) = cq.maxmin_equivalence(
-        nodes_a1_n8, 8, 2, trials=3, ball_samples=16, seed=6, trial_degree=0)
-    assert mx_lo == pytest.approx(mn_lo, rel=1e-12)
-    assert mx_hi == pytest.approx(mn_hi, rel=1e-12)
+    cell = cq.maxmin_equivalence(nodes_a1_n8, 8, 2, trials=3, ball_samples=16, seed=6,
+                                 trial_degree=0)
+    assert cell["max_lo"] == pytest.approx(cell["min_lo"], rel=1e-12)
+    assert cell["max_hi"] == pytest.approx(cell["min_hi"], rel=1e-12)
 
 
 def test_sieve_duplication_invariance(cap_a1, nodes_a1_n8):
     base = cq.NodeSet(cap_a1, nodes_a1_n8.coords[:40], 0.0, degree=8)
     tripled = cq.NodeSet(cap_a1, np.repeat(nodes_a1_n8.coords[:40], 3, axis=0),
                          0.0, degree=8)
-    c1 = cq.large_sieve_constant(base, 8, 2, trials=10, seed=7)
-    c3 = cq.large_sieve_constant(tripled, 8, 2, trials=10, seed=7)
+    c1 = cq.large_sieve_constant(base, 8, 2, trials=10, seed=7)["estimate"]
+    c3 = cq.large_sieve_constant(tripled, 8, 2, trials=10, seed=7)["estimate"]
     assert c3 == pytest.approx(c1, abs=1e-12)
 
 
@@ -352,15 +358,15 @@ def test_sieve_clustered_vs_separated(cap_a1, nodes_a1_n8):
     from conftest import random_cap_points
     cluster = random_cap_points(cq.Cap(E2, 0.05), 60, seed=8)
     clustered = cq.NodeSet(cap_a1, cluster, 0.0, degree=8)
-    cs = cq.large_sieve_constant(separated, 8, 2, trials=20, seed=9)
-    cc = cq.large_sieve_constant(clustered, 8, 2, trials=20, seed=9)
+    cs = cq.large_sieve_constant(separated, 8, 2, trials=20, seed=9)["estimate"]
+    cc = cq.large_sieve_constant(clustered, 8, 2, trials=20, seed=9)["estimate"]
     assert np.isfinite(cs) and np.isfinite(cc)
     assert max(cs, cc) / min(cs, cc) <= 50
 
 
 def test_maxmin_ordering_and_bracket(nodes_a1_n8):
-    (mx_lo, mx_hi), (mn_lo, mn_hi) = cq.maxmin_equivalence(
-        nodes_a1_n8, 8, 2, trials=20, ball_samples=32, seed=10)
+    cell = cq.maxmin_equivalence(nodes_a1_n8, 8, 2, trials=20, ball_samples=32, seed=10)
+    mx_lo, mx_hi, mn_lo, mn_hi = (cell[k] for k in ("max_lo", "max_hi", "min_lo", "min_hi"))
     assert mx_lo >= mn_lo and mx_hi >= mn_hi
     for v in (mx_lo, mx_hi, mn_lo, mn_hi):
         assert 1 / 20 <= v <= 20
@@ -378,14 +384,15 @@ def test_doubling_weight_rejects_nan(make):
 def test_bernstein_trivials():
     w = cq.DoublingWeight.constant()
     # T = pure cosine of full degree: directly computable ratio, finite
-    est = cq.bernstein_check_d1(0.5, 8, 2, w, trials=5, seed=11)
+    est = cq.bernstein_check_d1(0.5, 8, 2, w, trials=5, seed=11)["estimate"]
     assert np.isfinite(est)
     assert 0 < est <= 2.0  # derivative gain is at most ~n, normalized away
 
 
 def test_bernstein_stability_across_n():
     w = cq.DoublingWeight.constant()
-    ests = [cq.bernstein_check_d1(0.5, n, 2, w, trials=20, seed=12) for n in (8, 16, 32)]
+    ests = [cq.bernstein_check_d1(0.5, n, 2, w, trials=20, seed=12)["estimate"]
+            for n in (8, 16, 32)]
     assert max(ests) / min(ests) <= 2.0
 
 
@@ -415,25 +422,23 @@ def test_estimate_doubling(cap_a05):
 def test_weighted_mz_unit_weight(cap_a05, nodes_a05_n8):
     const = cq.DoublingWeight.constant()
     out = cq.weighted_mz(cap_a05, const, nodes_a05_n8, 8, 2, trials=5, seed=14)
-    lo, hi = out["wn_equivalence"]
+    lo, hi = out["wn_equivalence_lo"], out["wn_equivalence_hi"]
     assert abs(lo - 1) <= 1e-12 and abs(hi - 1) <= 1e-12
-    assert out["max_sum"][1] >= out["min_sum"][0]
+    assert out["max_sum_hi"] >= out["min_sum_lo"]
 
 
 def test_weighted_mz_boundary_power(cap_a05, nodes_a05_n8):
     bp = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
     out = cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=10, seed=15)
-    for lo, hi in out.values():
-        assert 1 / 50 <= lo <= hi <= 50
+    for name in ("wn_equivalence", "max_sum", "min_sum"):
+        assert 1 / 50 <= out[f"{name}_lo"] <= out[f"{name}_hi"] <= 50
 
 
 def test_change_of_variables(cap_a1):
-    assert cq.change_of_variables_check(cap_a1, 8, trials=5, seed=16) <= 1e-9
-    big = cq.Cap(E2, 2.5)
-    assert cq.change_of_variables_check(big, 8, trials=5, seed=16) <= 1e-9
     # d=1: the jacobian polynomial is identically 1
-    arc = cq.Cap(cq.north_pole(1), 2.0)
-    assert cq.change_of_variables_check(arc, 8, trials=5, seed=16) <= 1e-9
+    for cap in (cap_a1, cq.Cap(E2, 2.5), cq.Cap(cq.north_pole(1), 2.0)):
+        cell = cq.change_of_variables_check(cap, 8, trials=5, seed=16)
+        assert cell["max_discrepancy"] <= 1e-9
 
 
 def test_report_roundtrip(tmp_path):
@@ -462,19 +467,19 @@ def test_d1_rule_mz_and_weighted():
     rule = cq.solve_weights(nodes, 6)
     assert isinstance(rule, cq.CubatureRule)
     assert rule.residual <= 1e-10
-    lo, hi = cq.mz_bracket(rule, 2, trials=20, seed=20)
+    lo, hi = _ratios(cq.mz_bracket(rule, 2, trials=20, seed=20))
     assert hi / lo <= 20
-    clo, chi = cq.mz_bracket(rule, 2, trials=10, seed=20, trial_degree=3)
+    clo, chi = _ratios(cq.mz_bracket(rule, 2, trials=10, seed=20, trial_degree=3))
     assert max(abs(clo - 1), abs(chi - 1)) <= 1e-9
     out = cq.weighted_mz(cap, cq.DoublingWeight.constant(), nodes, 6, 2,
                          trials=5, seed=21)
-    lo_u, hi_u = out["wn_equivalence"]
+    lo_u, hi_u = out["wn_equivalence_lo"], out["wn_equivalence_hi"]
     assert abs(lo_u - 1) <= 1e-12 and abs(hi_u - 1) <= 1e-12
 
 
 def test_osc_single_node_finite(cap_a1):
     ns = cq.NodeSet(cap_a1, E2.coords.reshape(1, -1), 1.0, degree=8, delta=1.0)
-    est = cq.osc_constant(ns, 8, 2, trials=5, ball_samples=32, seed=22)
+    est = cq.osc_constant(ns, 8, 2, trials=5, ball_samples=32, seed=22)["estimate"]
     assert np.isfinite(est) and est > 0
 
 
@@ -482,8 +487,8 @@ def test_weighted_mz_constant_trials_coincide(cap_a05, nodes_a05_n8):
     bp = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
     out = cq.weighted_mz(cap_a05, bp, nodes_a05_n8, 8, 2, trials=3, seed=23,
                          trial_degree=0)
-    assert out["max_sum"][0] == pytest.approx(out["min_sum"][0], rel=1e-12)
-    assert out["max_sum"][1] == pytest.approx(out["min_sum"][1], rel=1e-12)
+    assert out["max_sum_lo"] == pytest.approx(out["min_sum_lo"], rel=1e-12)
+    assert out["max_sum_hi"] == pytest.approx(out["min_sum_hi"], rel=1e-12)
 
 
 def test_bernstein_pure_mode_oracle():
@@ -577,10 +582,12 @@ def test_turned_set_measures_like_the_pole_set(cap_a1):
     run = {"trials": 6, "seed": 9}
 
     def measures(nodes, rule):
-        mx, mn = cq.maxmin_equivalence(nodes, 4, 2, ball_samples=16, **run)
-        return [*cq.mz_bracket(rule, 1, **run), *cq.mz_bracket(rule, 2, **run),
-                cq.osc_constant(nodes, 4, 2, ball_samples=16, **run),
-                cq.large_sieve_constant(nodes, 4, 2, probes=2000, **run), *mx, *mn]
+        cells = (cq.mz_bracket(rule, 1, **run), cq.mz_bracket(rule, 2, **run),
+                 cq.osc_constant(nodes, 4, 2, ball_samples=16, **run),
+                 cq.large_sieve_constant(nodes, 4, 2, probes=2000, **run),
+                 cq.maxmin_equivalence(nodes, 4, 2, ball_samples=16, **run))
+        # the brackets and estimates, not the quadrature diagnostics
+        return [c[k] for c in cells for k in sorted(c) if not k.startswith(("integral", "ball"))]
 
     got = measures(turned, rule)
     assert got == measures(copy, rule_copy)
