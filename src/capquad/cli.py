@@ -6,7 +6,8 @@ precedence flags > environment (CAPQUAD_SEED, CAPQUAD_THREADS) >
 defaults, and an environment value gets its flag's check.  The thread
 count is parsed and checked but changes no output: every measurement
 runs its trials as one batch of matrix products.  A verify measurement
-that is not finite exits 1 without a report.
+that is not finite, or a verify flag its measurement does not take,
+exits 1 without a report.
 """
 
 from __future__ import annotations
@@ -59,6 +60,11 @@ def _checked(kind, lo=None, hi=None, open_lo=False):
 
 
 _ALPHA = _checked(float, 0.0, ALPHA_MAX, open_lo=True)
+# verify flags by attribute, and the measurement parameter each shapes: set
+# off its default for a measurement that does not take it, a flag exits 1
+_SHAPING = {"p": "p", "beta": "beta", "ball_samples": "ball_samples", "statistic": "statistic",
+            "trial_degree": "trial_degree", "weight": "weight", "gamma": "weight",
+            "n_ref": "weight"}
 _POSITIVE_INT = _checked(int, 1)
 _NONNEG_INT = _checked(int, 0)
 
@@ -127,6 +133,7 @@ def make_parser():
     p_ver.add_argument("--assert", dest="enforce", action="store_true",
                        help="enforce acceptance thresholds; exit 3 on violation")
     _add_common(p_ver)
+    p_ver.set_defaults(flag_defaults={attr: p_ver.get_default(attr) for attr in _SHAPING})
 
     p_mom = sub.add_parser("moments", help="print analytic cap moments of the basis")
     p_mom.set_defaults(func=cmd_moments)
@@ -280,8 +287,9 @@ def cmd_verify(args):
             spec.check(offered)
         measure = getattr(verify, spec.measure)  # at call time: tracers wrap the attribute
         takes = inspect.signature(measure).parameters
-        if args.trial_degree is not None and "trial_degree" not in takes:
-            raise cqio.FormatError(f"--trial-degree does not apply to {name}")
+        for attr, param in _SHAPING.items():
+            if getattr(args, attr) != args.flag_defaults[attr] and param not in takes:
+                raise cqio.FormatError(f"--{attr.replace('_', '-')} does not apply to {name}")
         measured = measure(**{k: v for k, v in offered.items() if k in takes})
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

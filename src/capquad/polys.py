@@ -21,6 +21,9 @@ memory plus a bounded amount whatever its size.  Each value goes through
 the same floating-point operations in the same order as a
 column-at-a-time evaluation, so the table's bits do not depend on the
 block size.
+
+``eval_domain_basis`` is the basis of the same space orthonormal on a
+cap, collar or sphere centred at the pole, in which the solver works.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import SpherePoint, Sphere, map_T_many
+from .geometry import SpherePoint, Sphere, map_T_many, north_pole
 
 _SQRT2 = math.sqrt(2.0)
 PROJECTION_DEGREE_CAP = 99  # full-sphere rule degree 2*deg + 2 must stay <= 200
@@ -155,21 +158,86 @@ def _harmonics_into(rows, coords, n, steps):
         rows[base - m] = p_curr[1:] * sin_m[:j - 1]
 
 
+def _check_table_size(rows, columns):
+    if rows * columns > MAX_TABLE_ENTRIES:
+        raise ValueError(f"a basis table of {rows} x {columns} entries exceeds "
+                         f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
+
+
 def eval_basis_many(space, coords):
     """Basis values at every row of ``coords``; shape (npoints, dim).
 
     A table of more than MAX_TABLE_ENTRIES entries is refused with
-    ValueError before it is allocated; every basis table is built here.
+    ValueError before it is allocated; every basis table is built here or
+    in ``eval_domain_basis``.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != space.dim_sphere + 1:
         raise ValueError("dimension mismatch between space and points")
-    if coords.shape[0] * space.size > MAX_TABLE_ENTRIES:
-        raise ValueError(f"a basis table of {coords.shape[0]} x {space.size} entries exceeds "
-                         f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
+    _check_table_size(coords.shape[0], space.size)
     if space.dim_sphere == 1:
         return _basis_d1(coords, space.degree)
     return _basis_d2(coords, space.degree)
+
+
+def eval_domain_basis(domain, degree, coords):
+    """The basis of the polynomials of degree <= ``degree`` orthonormal on
+    a domain centred at the pole, at every row of ``coords``; shape
+    (npoints, size of the PolySpace), the first function 1/sqrt(|D|).
+
+    d=2: (l, m), at the harmonics' index l*l + l + m, is s^|m| q(t) times
+    the ``fourier_table`` factor of order |m| at phi (sin for m < 0), with
+    q of degree l - |m| orthonormal for (1 - t^2)^|m| on the domain's
+    t = cos(theta) interval, whose Gauss-Legendre rule of 2n + 8 points is
+    exact for it.  d=1: q_l(cos u) at index 2l - 1 and sin(u) r_{l-1}(cos u)
+    at 2l, orthonormal for arc length, from a Gauss-Legendre rule of 2n + 16
+    points in u on [lo, hi] with doubled weights.  On the sphere these are
+    the harmonic and Fourier bases up to sign.
+    """
+    from . import quadrature
+
+    space = PolySpace(domain.dim, degree)
+    n = space.degree
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    if coords.shape[1] != domain.dim + 1:
+        raise ValueError("dimension mismatch between domain and points")
+    if domain.center != north_pole(domain.dim):
+        raise ValueError("the domain basis needs a domain centred at the pole")
+    _check_table_size(coords.shape[0], space.size)
+    lo, hi = domain.polar_range
+    if domain.dim == 1:  # the even (m = 0) and the odd (m = 1) part, in c = cos(u)
+        u, w = quadrature.gauss_legendre_on(lo, hi, 2 * n + 16)
+        nodes, w, s_nodes = np.cos(u), 2.0 * w, np.sin(u)
+        x, s, orders = coords[:, 1], coords[:, 0], np.arange(min(n, 1) + 1)
+    else:
+        nodes, w = quadrature.gauss_legendre_on(math.cos(hi), math.cos(lo), 2 * n + 8)
+        s_nodes = np.sqrt(np.clip(1.0 - nodes * nodes, 0.0, None))
+        x, s = np.clip(coords[:, 2], -1.0, 1.0), np.hypot(coords[:, 0], coords[:, 1])
+        orders = np.arange(n + 1)
+        fourier = fourier_table(n, np.arctan2(coords[:, 1], coords[:, 0])).T
+        cos_m, sin_m = fourier[np.maximum(2 * orders - 1, 0)], fourier[2::2]
+    # discretized Stieltjes (Gautschi 2004, section 2.2), all orders at once:
+    # the recurrence coefficients come from the node columns of v, and the
+    # point columns, led by s^m, run through the same recurrence
+    size, xs = nodes.shape[0], np.concatenate([nodes, x])
+    v = np.concatenate([s_nodes, s]) ** orders[:, None]
+    v[:, :size] *= np.sqrt(w)
+    v_prev, b = np.zeros_like(v), np.zeros((orders.size, 1))
+    rows = np.empty((space.size, coords.shape[0]))
+    for k in range(n + 1):
+        m = orders[:np.count_nonzero(orders <= n - k)]  # orders reaching degree m + k
+        if k:
+            a = np.einsum("fi,fi->f", v[:m.size, :size] * nodes, v[:m.size, :size])[:, None]
+            v_prev, v = v[:m.size], (xs - a) * v[:m.size] - b[:m.size] * v_prev[:m.size]
+        b = np.sqrt(np.einsum("fi,fi->f", v[:, :size], v[:, :size]))[:, None]
+        v /= b
+        p, l = v[:, size:], m + k
+        if domain.dim == 1:
+            rows[np.maximum(2 * l - 1 + m, 0)] = p
+        else:
+            rows[l * l + l + m] = p * cos_m[:m.size]
+            rows[(l * l + l - m)[1:]] = p[1:] * sin_m[:m.size - 1]
+    return rows.T
 
 
 def eval_basis(space, x):

@@ -1,9 +1,9 @@
 """Strictly positive cubature weights on a node set, by moment matching.
 
-The weight vector must reproduce the analytic moments of the orthonormal
-basis over the cap (or collar) while staying strictly positive; both
-sides are taken in the canonical frame (``points.canonical``), where the
-domain is centred at the pole and the moments are closed-form.  The
+The weight vector must reproduce the moments sqrt(|D|) e_0 of the basis
+orthonormal on the domain (``polys.eval_domain_basis``) while staying
+strictly positive, both taken in the canonical frame (``points.canonical``),
+so a rule's ``residual`` is its error on polynomials of unit norm.  The
 weights the paper predicts are comparable to the ball volumes
 |B_rho(omega, delta/n)|, approximated by ``profile`` (the ball-volume
 surrogate at the set's separation radius).  The solve takes the first of
@@ -11,9 +11,10 @@ two paths that yields an acceptable rule:
 
 ``"min-norm"``
     the minimum profile-weighted-norm solution of the moment system,
-    ``w = sqrt(profile) * lstsq(A diag(sqrt(profile)), m)``, by
-    truncated-SVD least squares (relative cut-off 1e-13, since the
-    moment matrix is numerically rank-deficient).  It spreads the
+    ``w = P A^T c`` with ``(A P A^T) c = m``, ``P = diag(profile)``, by
+    one Cholesky solve with no cut-off (the Gram matrix of an orthonormal
+    basis is well conditioned on a set dense enough for the degree; when
+    it is not positive definite the path fails).  It spreads the
     weights in proportion to the profile, so on a dense enough set
     every weight is positive.
 ``"nnls-active-set"``
@@ -34,14 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import delta_r_many, domain_measure
 from .points import NodeSet, canonical
-from .polys import PolySpace, eval_basis_many
-from .quadrature import domain_moments
+from .polys import eval_domain_basis
 
 DEFAULT_TOL = 1e-10
-_RCOND = 1e-13  # singular-value cut-off of the minimum-norm solve, relative to the largest
 _BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
 
 
@@ -98,11 +98,13 @@ def positivity_floor(nodes):
 
 
 def _moment_matrix(nodes, degree):
-    """Basis-at-nodes matrix and analytic moments, in the canonical frame
-    (``points.canonical``), where the moments are those of the domain at the pole."""
+    """Basis-at-nodes matrix and moments, in the canonical frame
+    (``points.canonical``), of the basis orthonormal on the domain there."""
     nodes = canonical(nodes)
-    a = eval_basis_many(PolySpace(nodes.domain.dim, degree), nodes.coords).T
-    return a, domain_moments(nodes.domain, degree)
+    a = eval_domain_basis(nodes.domain, degree, nodes.coords).T
+    moments = np.zeros(a.shape[0])
+    moments[0] = np.sqrt(domain_measure(nodes.domain))  # the first function is 1/sqrt(|D|)
+    return a, moments
 
 
 def moment_residual(a, weights, moments):
@@ -134,8 +136,13 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     floor = positivity_floor(nodes)
 
     root = np.sqrt(profile)
-    weights = root * np.linalg.lstsq(a * root[None, :], moments, rcond=_RCOND)[0]
+    b = a * root  # b b^T = A P A^T, one symmetric rank-k product
+    try:
+        weights = root * (b.T @ cho_solve(cho_factor(b @ b.T), moments))
+    except LinAlgError:
+        weights = np.full_like(profile, np.nan)
     resid = moment_residual(a, weights, moments)
+    resid = resid if np.isfinite(resid) else np.inf  # non-finite: a failed path
     low = np.flatnonzero(weights < floor)
     if resid <= tol and low.size == 0:
         return CubatureRule(nodes, weights, degree, resid,

@@ -229,10 +229,19 @@ def _by_chunks(evaluate, coeffs, reduce):
 
 
 def _abs_power(values, p):
-    """|values|^p, computed in place (no power at p = 1)."""
+    """|values|^p in place; an integral p by repeated squaring and
+    multiplication (p = 2 is one square, as the general power takes it)."""
     np.abs(values, out=values)
-    if p != 1:
+    if not float(p).is_integer():
         values **= p
+    elif p > 1:
+        base, k = values.copy(), int(p) - 1  # values holds |v|^(p - k)
+        while k:
+            if k & 1:
+                values *= base
+            k >>= 1
+            if k:
+                base *= base
     return values
 
 

@@ -61,6 +61,15 @@ def random_cap_points(cap, count, seed):
     return local @ frame
 
 
+def three_node_set():
+    """Three nodes on the cap of radius 1 tagged with degree 4: far too
+    sparse for the 25 moments of that degree."""
+    theta, phi = np.array([0.0, 0.5, 0.9]), np.array([0.0, 1.0, 3.0])
+    coords = np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                              np.cos(theta)])
+    return cq.NodeSet(cq.Cap(cq.north_pole(2), 1.0), coords, 0.1, degree=4)
+
+
 def random_collar_points(collar, count, seed):
     rng = np.random.default_rng(seed)
     frame = cq.geometry.north_frame(collar.center)

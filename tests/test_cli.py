@@ -10,6 +10,8 @@ import capquad as cq
 from capquad import io as cqio
 from capquad.cli import _VERIFY, main
 
+from conftest import three_node_set
+
 RUN = [sys.executable, "-m", "capquad.cli"]
 
 
@@ -175,6 +177,17 @@ def test_solve_infeasible_exit2(tmp_path):
                    "--out", str(tmp_path / "r.json")])
     assert res.returncode == 2
     assert "suggest" in res.stderr
+
+
+def test_solve_three_nodes_at_degree4_exit2(tmp_path):
+    # a singular min-norm system falls through to NNLS, then to exit 2
+    sparse = tmp_path / "three.json"
+    cqio.write_canonical(sparse, cqio.points_to_dict(three_node_set()))
+    res = run_cli(["solve", "--points", str(sparse), "--degree", "4",
+                   "--out", str(tmp_path / "r.json")])
+    assert res.returncode == 2
+    assert "infeasible" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_solve_malformed_exit1(tmp_path):
@@ -481,13 +494,14 @@ def test_verify_trial_degree_reaches_every_measurement(tmp_path):
     pts.write_text(json.dumps(data))
     assert main(["solve", "--points", str(pts), "--degree", "2", "--out", str(rule)]) == 0
     cells = {}
-    for sub, src in (("mz", "--rule"), ("osc", "--points"), ("sieve", "--points"),
-                     ("maxmin", "--points"), ("weighted-mz", "--points")):
+    samples = ["--ball-samples", "8"]  # only where the measurement takes it
+    for sub, src, more in (("mz", "--rule", []), ("osc", "--points", samples),
+                           ("sieve", "--points", []), ("maxmin", "--points", samples),
+                           ("weighted-mz", "--points", samples)):
         for flag in ([], ["--trial-degree", "0"]):
             out = tmp_path / f"{sub}{len(flag)}.json"
             assert main(["verify", sub, src, str(rule if src == "--rule" else pts),
-                         "--trials", "3", "--ball-samples", "8", "--report", str(out),
-                         *flag]) == 0
+                         "--trials", "3", *more, "--report", str(out), *flag]) == 0
             cells[sub, len(flag)] = json.loads(out.read_text())["cells"][0]
     for sub in ("mz", "osc", "sieve", "maxmin", "weighted-mz"):
         assert "trial_degree" not in cells[sub, 0]
@@ -509,6 +523,26 @@ def test_verify_trial_degree_refused_where_unused(argv, tmp_path, capsys):
                  "--report", str(out)]) == 1
     assert "--trial-degree" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("sub, flags", [
+    ("sieve", ["--beta", "2"]), ("sieve", ["--ball-samples", "3"]),
+    ("sieve", ["--weight", "boundary-power"]), ("osc", ["--gamma", "0.5"]),
+    ("maxmin", ["--n-ref", "4"]), ("osc", ["--statistic", "mean"])],
+    ids=["sieve-beta", "sieve-ball-samples", "sieve-weight", "osc-gamma", "maxmin-n-ref",
+         "osc-statistic"])
+def test_verify_refuses_flags_the_measurement_does_not_take(sub, flags, small_cap_files,
+                                                           tmp_path, capsys):
+    # each of these left the report's bytes unchanged; --gamma and --n-ref
+    # count as --weight
+    paths, _ = small_cap_files
+    out = tmp_path / "r.json"
+    argv = ["verify", sub, "--points", str(paths["points"]), "--trials", "2",
+            "--report", str(out)]
+    assert main(argv + flags) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0 and out.exists()
 
 
 def test_verify_mz_refuses_degree(rule_file, tmp_path, capsys):
@@ -541,20 +575,21 @@ _RUN = {"trials": 3, "seed": 4}
 _CELL_CASES = {
     "mz": (["--rule", "{rule}", "--p", "1"],
            lambda f: cq.mz_bracket(f["rule"], 1.0, **_RUN), {}),
-    "osc": (["--points", "{points}", "--beta", "1.5"],
+    "osc": (["--points", "{points}", "--beta", "1.5", "--ball-samples", "8"],
             lambda f: cq.osc_constant(f["nodes"], 2, 2.0, beta=1.5, ball_samples=8, **_RUN),
             {"ball_samples": 8}),
     "sieve": (["--points", "{points}", "--trial-degree", "1"],
               lambda f: cq.large_sieve_constant(f["nodes"], 2, 2.0, trial_degree=1, **_RUN),
               {"trial_degree": 1}),
-    "maxmin": (["--points", "{points}", "--degree", "3"],
+    "maxmin": (["--points", "{points}", "--degree", "3", "--ball-samples", "8"],
                lambda f: cq.maxmin_equivalence(f["nodes"], 3, 2.0, ball_samples=8, **_RUN),
                {"ball_samples": 8}),
     "bernstein": (["--alpha", "0.4", "--degree", "4", "--weight", "boundary-power",
                    "--statistic", "mean"],
                   lambda f: cq.bernstein_check_d1(0.4, 4, 2.0, _BP, statistic="mean", **_RUN),
                   {}),
-    "weighted-mz": (["--points", "{points}", "--weight", "boundary-power"],
+    "weighted-mz": (["--points", "{points}", "--weight", "boundary-power",
+                     "--ball-samples", "8"],
                     lambda f: cq.weighted_mz(f["nodes"].domain, _BP, f["nodes"], 2, 2.0,
                                              ball_samples=8, **_RUN),
                     {"ball_samples": 8}),
@@ -571,6 +606,6 @@ def test_verify_writes_the_measured_cell(name, small_cap_files, tmp_path):
     flags, measure, added = _CELL_CASES[name]
     out = tmp_path / "r.json"
     assert main(["verify", name, *(a.format(**paths) for a in flags), "--trials", "3",
-                 "--ball-samples", "8", "--seed", "4", "--report", str(out)]) == 0
+                 "--seed", "4", "--report", str(out)]) == 0
     cell = json.loads(out.read_text())["cells"][0]
     assert cell == {**measure(loaded), "trials": 3, **added}

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import capquad as cq
-from capquad.polys import eval_basis_many
+from capquad.polys import eval_basis_many, eval_domain_basis
 
 from conftest import random_cap_points
 
@@ -41,6 +41,41 @@ def test_full_sphere_orthonormality(d, n):
     basis = eval_basis_many(space, rule.points)
     gram = (basis * rule.weights[:, None]).T @ basis
     assert np.abs(gram - np.eye(space.size)).max() < 1e-10
+
+
+_BASIS_DOMAINS = [
+    pytest.param(domain, id=f"{name}-d{d}") for d in (1, 2) for name, domain in [
+        *((f"cap{a:.3g}", cq.Cap(cq.north_pole(d), a))
+          for a in (0.05, 0.3, 1.0, 2.0, 2.5, math.pi - 0.1)),
+        ("collar", cq.Collar(cq.north_pole(d), 0.5, 1.0)), ("sphere", cq.Sphere(d))]]
+
+
+@pytest.mark.parametrize("domain", _BASIS_DOMAINS)
+def test_domain_basis_orthonormal_on_its_domain(domain):
+    for n in (0, 1, 8, 16, 24):
+        rule = cq.build_rule(domain, 2 * n + 40)
+        basis = eval_domain_basis(domain, n, rule.points)
+        assert basis.shape == (rule.points.shape[0], cq.PolySpace(domain.dim, n).size)
+        gram = (basis * rule.weights[:, None]).T @ basis
+        assert np.abs(gram - np.eye(gram.shape[0])).max() < 1e-10, (domain, n)
+        assert np.allclose(basis[:, 0], 1.0 / math.sqrt(cq.domain_measure(domain)),
+                           rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_domain_basis_on_the_sphere_is_the_harmonic_basis_up_to_sign(d):
+    pts = random_cap_points(cq.Cap(cq.north_pole(d), 3.0), 300, seed=3)
+    got = eval_domain_basis(cq.Sphere(d), 12, pts)
+    want = eval_basis_many(cq.PolySpace(d, 12), pts)
+    assert np.abs(np.abs(got) - np.abs(want)).max() < 1e-11
+
+
+def test_domain_basis_refuses_off_pole_domains_and_huge_tables():
+    cap = cq.Cap(cq.north_pole(2), 1.0)
+    with pytest.raises(ValueError, match="pole"):
+        eval_domain_basis(cq.Cap(cq.SpherePoint([1.0, 0.0, 0.0]), 1.0), 2, E2.coords)
+    with pytest.raises(ValueError, match="exceeds"):
+        eval_domain_basis(cap, 99, np.tile(E2.coords, (20000, 1)))
 
 
 def test_basis_values_bounded_high_degree():

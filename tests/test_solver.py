@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import capquad as cq
-from capquad.polys import eval_basis_many
+from capquad.polys import eval_basis_many, eval_domain_basis
 from capquad.quadrature import domain_moments
+
+from conftest import three_node_set
 
 E2 = cq.north_pole(2)
 E1 = cq.north_pole(1)
@@ -121,3 +123,29 @@ def test_rejects_empty_and_bad_tol(nodes_a1_n8, cap_a1):
         cq.solve_weights(cq.NodeSet(cap_a1, np.empty((0, 3)), 0.0), 2)
     with pytest.raises(ValueError):
         cq.solve_weights(nodes_a1_n8, 4, tol=1e-13)
+
+
+@pytest.mark.parametrize("domain, n", [
+    (cq.Cap(E2, 1.0), 12), (cq.Collar(E2, 0.5, 1.0), 6), (cq.Cap(E1, 1.0), 16)],
+    ids=["cap", "collar", "arc"])
+def test_rule_is_exact_on_every_function_of_the_domain_basis(domain, n):
+    # the rule sum of each orthonormal function of the domain matches its
+    # integral; the full-sphere harmonic basis of a truncated solve missed
+    # by about 1e-2 on a cap
+    ns = cq.greedy_maximal_set(domain, 0.25 / n, seed=42, degree=n, delta=0.25)
+    rule = cq.solve_weights(ns, n)
+    assert isinstance(rule, cq.CubatureRule)
+    ref = cq.build_rule(domain, 2 * n + 8)
+    want = ref.weights @ eval_domain_basis(domain, n, ref.points)
+    got = rule.weights @ eval_domain_basis(domain, n, rule.nodes.coords)
+    assert np.abs(got - want).max() <= 1e-12
+    assert rule.residual <= 1e-12
+
+
+def test_three_nodes_at_degree4_infeasible():
+    # the min-norm system is singular, the NNLS fallback misses, and the
+    # result is Infeasible with finite diagnostics
+    result = cq.solve_weights(three_node_set(), 4)
+    assert isinstance(result, cq.Infeasible)
+    assert 1e-10 < result.residual < np.inf
+    assert result.zero_nodes == []

@@ -294,6 +294,31 @@ def test_rule_values_match_basis_table(name, degree):
         assert np.count_nonzero(capped) == np.count_nonzero(ref_capped)
 
 
+def test_integral_powers_match_the_general_power(monkeypatch):
+    # an integral p goes by repeated multiplication: p 1 and p 2 keep the
+    # general power's bits, p 3 and p 5 agree with it at rounding level
+    from capquad import verify
+    from capquad.polys import PolySpace
+
+    values = np.random.default_rng(8).standard_normal(1000) * 3
+    for p in (1.0, 2.0):
+        assert verify._abs_power(values.copy(), p).tobytes() == (np.abs(values) ** p).tobytes()
+    space = PolySpace(2, 6)
+    coeffs = np.random.default_rng(9).standard_normal((space.size, 20))
+    domain = cq.Cap(E2, 1.0)
+    got = {p: verify._abs_power_integral(domain, space, coeffs, p)[0] for p in (3.0, 5.0)}
+
+    def general(values, p):
+        np.abs(values, out=values)
+        values **= p
+        return values
+
+    monkeypatch.setattr(verify, "_abs_power", general)
+    for p, integrals in got.items():
+        want = verify._abs_power_integral(domain, space, coeffs, p)[0]
+        assert np.allclose(integrals, want, rtol=1e-14, atol=0.0)
+
+
 def test_abs_power_integral_memory_is_bounded():
     # the order-200 rule of a degree-20 odd-p integral has 81 002 points: a
     # basis table of them would be 81 002 x 441 entries (286 MB)
