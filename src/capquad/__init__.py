@@ -27,9 +27,9 @@ from .geometry import (
 from .points import (
     NodeSet,
     covering_multiplicity,
-    greedy_maximal_set,
     is_maximal_separable,
     is_separable,
+    ring_lattice,
     tau_statistic,
 )
 from .polys import (

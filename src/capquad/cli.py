@@ -22,7 +22,7 @@ import time
 
 from . import io as cqio
 from .geometry import ALPHA_MAX, Cap, Collar, north_pole
-from .points import greedy_maximal_set
+from .points import grid_counts, ring_lattice
 from .quadrature import domain_moments
 from .solver import Infeasible, solve_weights
 from . import verify
@@ -133,7 +133,8 @@ def make_parser():
     p_ver.add_argument("--assert", dest="enforce", action="store_true",
                        help="enforce acceptance thresholds; exit 3 on violation")
     _add_common(p_ver)
-    p_ver.set_defaults(flag_defaults={attr: p_ver.get_default(attr) for attr in _SHAPING})
+    p_ver.set_defaults(flag_defaults={attr: p_ver.get_default(attr)
+                                      for attr in (*_SHAPING, "d", "alpha")})
 
     p_mom = sub.add_parser("moments", help="print analytic cap moments of the basis")
     p_mom.set_defaults(func=cmd_moments)
@@ -152,8 +153,12 @@ def cmd_points(args):
             domain = Cap(center, args.alpha)
         else:
             domain = Collar(center, args.alpha, args.collar_beta)
-        nodes = greedy_maximal_set(domain, args.delta / args.degree, seed=args.seed,
-                                   degree=args.degree, delta=args.delta)
+        epsilon = args.delta / args.degree
+        # refuse a set whose product grid at twice the coverage probes'
+        # resolution would pass the grid limit: its coverage is checkable
+        grid_counts(domain, epsilon, 8)
+        nodes = ring_lattice(domain, epsilon, seed=args.seed, degree=args.degree,
+                             delta=args.delta)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
@@ -253,6 +258,10 @@ def _verify_input(args, name, source):
         path = getattr(args, source)
         if path is None:
             raise cqio.FormatError(f"--{source} is required for {name}")
+        for attr in ("d", "alpha"):
+            if getattr(args, attr) != args.flag_defaults[attr]:
+                raise cqio.FormatError(f"--{attr} does not apply to {name}, which measures "
+                                       f"on the domain of its --{source} file")
         if source == "rule" and args.degree is not None:
             raise cqio.FormatError(f"--degree does not apply to {name}, which measures at "
                                    "the rule's degree; use --trial-degree")

@@ -11,8 +11,8 @@ where ``dist`` is geodesic distance on a cap (chordal on a collar) and
 ``b_x`` is the distance from ``x`` to the domain boundary.  Close to the
 boundary the square-root term dominates, so equal-radius balls flatten
 into thin annuli there; that is the shape a sampling set for polynomials
-has to follow, and every node generator and inequality check downstream
-measures distances with this ruler: ``rho_many`` on coordinates, or
+has to follow, and the node generator and every inequality check downstream
+measure distances with this ruler: ``rho_many`` on coordinates, or
 ``rho_from_chord`` on the chords of a KD-tree sweep.
 
 All angles are radians.  Measures are arc length for d=1 and steradians
@@ -292,12 +292,8 @@ def _require_inside(domain, coords_rows, what="point"):
 def _dist_term(domain, coords, y):
     """First metric ingredient: geodesic distance on caps, chordal on collars.
 
-    ``y`` is one point or one point per row of ``coords``.  Cap dots keep
-    two forms because node bytes depend on them: ``coords @ y`` (a BLAS
-    GEMV) for one point, an elementwise ``einsum`` for rows.  They differ
-    in the last bit on many inputs, and greedy sets follow those bits
-    (1764 nodes become 1761 with the elementwise form for one point; see
-    the FOUND line on BLAS-dependent greedy sets in CHANGES.md).
+    ``y`` is one point or one point per row of ``coords``; cap dots are
+    ``coords @ y`` for one point and an elementwise ``einsum`` for rows.
     """
     if isinstance(domain, Collar):
         diff = coords - y
@@ -314,7 +310,7 @@ def rho_kernel(alpha, dist2, sqrt_b_x, sqrt_b_y):
     they get the distance term (geodesic on caps, chordal on collars).
     """
     rho = dist2 + alpha * (sqrt_b_x - sqrt_b_y) ** 2
-    np.sqrt(rho, out=rho)  # in place: greedy calls this on the whole pool
+    np.sqrt(rho, out=rho)
     rho /= alpha
     return rho
 

@@ -125,7 +125,7 @@ def points_to_dict(nodes):
         "delta": nodes.delta,
         "epsilon": nodes.epsilon,
         "nodes": [[float(v) for v in row] for row in nodes.coords],
-        "generator": {"seed": nodes.seed, "algorithm": "greedy-fps"},
+        "generator": {"seed": nodes.seed, "algorithm": "rho-ring-lattice"},
     }
 
 

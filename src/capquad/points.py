@@ -1,27 +1,32 @@
 """Separable and maximal separable node sets on caps and collars.
 
-Sets are generated by farthest-point insertion over a dense product grid
-of candidates: seed one point, then repeatedly insert the candidate
-farthest (in the boundary-adapted metric) from everything chosen so far,
-until that farthest distance drops below the separation target.  By
-construction the output is separated at exactly the target and, relative
-to the candidate grid, covering.  Ties go to the lowest candidate index,
-so generation is fully deterministic.
+``ring_lattice`` builds a deterministic set at rho-separation epsilon in
+steps of epsilon * (1 + 1e-5), a margin above the rounding of a measured
+rho.  On d=2, rings of constant polar angle go from the outer boundary
+inward, each one step in rho from the last along a meridian (a
+``brentq`` root), and a closing ring sits at the pole of a cap or the
+inner boundary of a collar.  A ring holds about one node per 1.6 alpha
+* epsilon of its length, fewer while its neighbours sit nearer than one
+step; odd rings are turned by half a spacing.  On d=1 each arc is
+walked from its low end and closed by its high end.  A node within rho
+epsilon of an earlier one is dropped.  Coordinates come from
+``brentq``, ``sin`` and ``cos`` alone.
+
+Separation: rho between two nodes is at least rho between their polar
+angles on one meridian.  On a d=2 cap that grows with the gap (sqrt(b)
+falls outward), so every pair of rings is separated.  Across a collar's
+midline and the centre of a d=1 cap's arc sqrt(b) peaks and the
+argument fails; there, and at dropped nodes, separation is measured by
+the check every NodeSet passes.  Maximality is not proved;
+``is_maximal_separable`` measures it.
 
 Coverage and multiplicity checks are grid-probe based, not exact: a
-probe grid stands in for the continuum.  Probe grids and candidate pools
-come from the same generator, at nested resolutions, so the greedy
-output always passes its own coverage check.
-
-Candidates are rows of constant polar angle theta, each a ring of
-equally spaced azimuths phi (on d=1, one row of ascending angles per
-arc).  Since chord <= alpha * rho, each insertion can only lower the
-running distances of candidates in an index window of rows and columns
-around the inserted point, and the greedy update touches that window
-alone.  Separation and probe scans use the same bound through KD-trees:
-separation by a pair query of growing radius, probe counts and
-coverage by blocked pair sweeps of the nodes against the probes, which
-give rho from their chords; every other distance here is ``rho_many``.
+probe grid (``product_grid``) stands in for the continuum.  Separation
+and probe scans use chord <= alpha * rho through KD-trees: separation
+by a pair query of growing radius, probe counts and coverage by blocked
+pair sweeps of the nodes against the probes, which give rho from their
+chords.  The lattice steps in scalar rho; every other distance here is
+``rho_many``.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ from .geometry import (
     SpherePoint,
     boundary_distance_many,
     contains,
+    domain_measure,
     north_frame,
     north_pole,
     rho_from_chord,
     rho_many,
 )
 
-_POOL_LIMIT = 25_000_000
+_GRID_LIMIT = 25_000_000  # points of one product grid
 _PROBE_RESOLUTION = 4  # probes per epsilon length of the coverage check
 _PAIR_BLOCK = 256  # nodes per KD pair sweep of the probe scans
 
@@ -91,10 +97,9 @@ class NodeSet:
         if validate:
             if not np.all(contains(domain, coords)):
                 raise ValueError("node outside the domain")
-            if epsilon > 0 and coords.shape[0] > 1:
-                sep = min_separation(domain, coords)
-                if sep < epsilon - 1e-12:
-                    raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
+            sep = min_separation(domain, coords) if epsilon > 0 else math.inf
+            if sep < epsilon - 1e-12:
+                raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "degree", degree)
@@ -141,14 +146,15 @@ def min_separation(domain, coords):
 
     Only pairs within chordal distance alpha*rho_bound can violate a
     separation level, so candidate pairs come from a KD-tree sweep with a
-    growing radius instead of the full quadratic scan.
+    growing radius, from the points' mean spacing, instead of the full
+    quadratic scan.
     """
     if coords.shape[0] < 2:
         return math.inf
     tree = cKDTree(coords)
     alpha = domain.alpha
     sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
-    radius = 0.05 * alpha
+    radius = (domain_measure(domain) / coords.shape[0]) ** (1.0 / domain.dim)
     while True:
         # past a chord of 2 the query holds every pair
         pairs = tree.query_pairs(radius, output_type="ndarray")
@@ -163,64 +169,47 @@ def min_separation(domain, coords):
 
 def is_separable(domain, points, epsilon):
     """True iff all pairwise rho-distances are >= epsilon - 1e-12 (vacuous when empty)."""
-    coords = _as_coords(points, domain.dim)
-    if coords.shape[0] < 2:
-        return True
-    return min_separation(domain, coords) >= epsilon - 1e-12
+    return min_separation(domain, _as_coords(points, domain.dim)) >= epsilon - 1e-12
 
 
 # ---------------------------------------------------------------------------
-# product grids (candidate pools and probe grids share this generator)
+# product grids (the probes of every coverage and count check)
 
 
-def _grid_axes(domain, epsilon, resolution):
-    """Polar angles (rows) and azimuths (columns) of the d=2 product grid."""
+def grid_counts(domain, epsilon, resolution):
+    """Intervals along each axis of ``product_grid`` (polar angle and
+    azimuth on d=2, each arc on d=1); raises ValueError, before anything
+    is allocated, when the grid would hold more than _GRID_LIMIT points."""
     step = epsilon * domain.alpha
-    th_lo, th_hi = domain.polar_range
-    m_theta = resolution * max(1, math.ceil((th_hi - th_lo) / step))
-    m_phi = resolution * max(1, math.ceil(2.0 * math.pi / step))
-    if (m_theta + 1) * m_phi > _POOL_LIMIT:
-        raise ValueError(
-            f"grid of {(m_theta + 1) * m_phi} points exceeds the pool limit; "
-            "epsilon is too small for grid-based generation"
-        )
-    theta = th_lo + np.arange(m_theta + 1) * ((th_hi - th_lo) / m_theta)
-    theta[-1] = th_hi
-    phi = np.arange(m_phi) * (2.0 * math.pi / m_phi)
-    return theta, phi
-
-
-def _arc_axes(domain, epsilon, resolution):
-    """Angles u of the d=1 grid, one row per arc of the domain (a cap is
-    one arc, a collar two of equal length), ascending within each row."""
-    step = epsilon * domain.alpha
-    rows = []
-    for lo, hi in domain.arcs:
-        m = resolution * max(1, math.ceil((hi - lo) / step))
-        u = lo + np.arange(m + 1) * ((hi - lo) / m)
-        u[-1] = hi
-        rows.append(u)
-    return np.vstack(rows)
+    spans = ([hi - lo for lo, hi in domain.arcs] if domain.dim == 1
+             else [domain.polar_range[1] - domain.polar_range[0], 2.0 * math.pi])
+    counts = [resolution * max(1, math.ceil(span / step)) for span in spans]
+    size = sum(m + 1 for m in counts) if domain.dim == 1 else (counts[0] + 1) * counts[1]
+    if size > _GRID_LIMIT:
+        raise ValueError(f"epsilon {epsilon:.6g} is too small: its product grid at resolution "
+                         f"{resolution} would hold {size} points, over the grid limit")
+    return counts
 
 
 def product_grid(domain, epsilon, resolution):
     """Deterministic product grid with spacing about epsilon*alpha/resolution.
 
     Counts are resolution times a base count fixed by epsilon alone, so
-    grids at resolutions 4 and 8 are nested; the coverage check leans on
-    that.  Returns an (N, d+1) coords array in the domain's frame,
-    row-major over (theta, phi) as ``_grid_axes`` gives them on d=2 and
-    over the arcs of ``_arc_axes`` on d=1.
+    grids at resolutions 4 and 8 are nested.  Returns an (N, d+1) coords
+    array in the domain's frame, row-major over (theta, phi) on d=2, and
+    arc after arc in ascending angle on d=1.
     """
     resolution = int(resolution)
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    counts = grid_counts(domain, epsilon, resolution)
     frame = north_frame(domain.center)
     if domain.dim == 1:
-        u = _arc_axes(domain, epsilon, resolution).ravel()
-        local = np.column_stack([np.sin(u), np.cos(u)])
-        return local @ frame
-    theta, phi = _grid_axes(domain, epsilon, resolution)
+        arcs = zip(domain.arcs, counts)
+        u = np.concatenate([np.linspace(lo, hi, m + 1) for (lo, hi), m in arcs])
+        return np.column_stack([np.sin(u), np.cos(u)]) @ frame
+    theta = np.linspace(*domain.polar_range, counts[0] + 1)
+    phi = np.arange(counts[1]) * (2.0 * math.pi / counts[1])
     s, t = np.sin(theta), np.cos(theta)
     local = np.empty((theta.size * phi.size, 3))
     local[:, 0] = np.outer(s, np.cos(phi)).ravel()
@@ -243,144 +232,99 @@ def _probe_grid_by_count(domain, epsilon, target_count):
     return product_grid(domain, epsilon, res)
 
 
-def _seed_coords(domain):
-    if isinstance(domain, Cap):
-        return domain.center.coords.copy()
-    mid = 0.5 * (domain.alpha + domain.beta)
-    local = np.zeros(domain.dim + 1)
-    local[0] = math.sin(mid)
-    local[-1] = math.cos(mid)
-    return local @ north_frame(domain.center)
+# ---------------------------------------------------------------------------
+# the rho-ring lattice
 
 
-def _sphere_window(theta, m_phi, r, c, g):
-    """(rows, columns) slice pairs of a d=2 pool window that holds every
-    point within geodesic distance g of the point in row r, column c.
-
-    Such a point lies in a row with |theta_r - theta_z| <= g.  Unless
-    that disc holds a pole, it differs from z in phi by at most
-    asin(sin g / sin theta_z) (the right spherical triangle of the pole,
-    z and a tangent point); with a pole inside, rows are taken whole.
-    The phi interval wraps around at phi = 0.
-    """
-    theta_z = float(theta[r])
-    rows = slice(int(np.searchsorted(theta, theta_z - g, side="left")),
-                 int(np.searchsorted(theta, theta_z + g, side="right")))
-    if g >= min(theta_z, math.pi - theta_z):
-        return [(rows, slice(None))]
-    w = int(math.asin(math.sin(g) / math.sin(theta_z)) / (2.0 * math.pi / m_phi)) + 1
-    if 2 * w + 1 >= m_phi:
-        return [(rows, slice(None))]
-    lo, hi = c - w, c + w + 1
-    if lo < 0:
-        return [(rows, slice(0, hi)), (rows, slice(lo + m_phi, m_phi))]
-    if hi > m_phi:
-        return [(rows, slice(lo, m_phi)), (rows, slice(0, hi - m_phi))]
-    return [(rows, slice(lo, hi))]
+_MARGIN = 1.0 + 1e-5  # steps are epsilon * _MARGIN: above the rounding of measured rho
+_RING_SPACING = 1.6  # first try at the in-ring spacing, in units of alpha * epsilon
 
 
-def _arc_window(u, r, c, g):
-    """(row, columns) slice pairs of a d=1 pool window that holds every
-    point within geodesic distance g of the point in row r, column c.
-
-    A point at angle u is within g of u_z when u lies within g of u_z
-    modulo 2*pi; each row is ascending in u, so every shift of that
-    interval is one column slice of the row.
-    """
-    u_z = float(u[r, c])
-    pieces = []
-    for k in range(u.shape[0]):
-        for centre in (u_z - 2.0 * math.pi, u_z, u_z + 2.0 * math.pi):
-            if centre + g < u[k, 0] or centre - g > u[k, -1]:
-                continue
-            lo = int(np.searchsorted(u[k], centre - g, side="left"))
-            hi = int(np.searchsorted(u[k], centre + g, side="right"))
-            if lo < hi:
-                pieces.append((slice(k, k + 1), slice(lo, hi)))
-    return pieces
+def _rho_along(domain, s, t):
+    """rho in scalar math between the points at angles s and t of a great
+    circle through the centre (polar angles of a meridian, signed angles of
+    a d=1 arc); the distance term runs along it: |s - t| on caps, its chord on collars."""
+    alpha = domain.alpha
+    if isinstance(domain, Collar):
+        dist = 2.0 * math.sin(0.5 * abs(s - t))
+        beta = domain.beta
+        bs, bt = min(abs(s) - alpha, beta - abs(s)), min(abs(t) - alpha, beta - abs(t))
+    else:
+        dist = abs(s - t)
+        bs, bt = alpha - abs(s), alpha - abs(t)
+    gap = math.sqrt(max(bs, 0.0)) - math.sqrt(max(bt, 0.0))
+    return math.hypot(dist, math.sqrt(alpha) * gap) / alpha
 
 
-def greedy_maximal_set(domain, epsilon, seed=0, degree=None, delta=None):
-    """Maximal separated set by farthest-point insertion over a product grid.
+def _walk(domain, start, end, step):
+    """Angles from ``start`` toward ``end``, each ``step`` in rho past the
+    last (bisected to adjacent floats, ending on the far one: never short)
+    until ``end`` is nearer than that; then ``end`` itself."""
+    out = [start]
+    while _rho_along(domain, out[-1], end) >= step:
+        a, b = out[-1], end
+        while (m := 0.5 * (a + b)) not in (a, b):
+            a, b = (m, b) if _rho_along(domain, out[-1], m) < step else (a, m)
+        out.append(b)
+    return out + [end]
 
-    Deterministic: the pool, the seed point, and the lowest-index
-    tie-break are all fixed by (domain, epsilon); the ``seed`` argument
-    is provenance metadata carried into the NodeSet and derived files.
 
-    Each insertion at distance v can only lower the running distance of
-    pool points within chord alpha*v of it (chord <= alpha*rho); those
-    lie in an index window of the grid's rows and columns, and only the
-    window is updated.  A point outside that chordal ball has rho > v >=
-    its running distance, so a window that contains the ball gives the
-    same result as a full update.
-    """
+def _fit_ring(domain, theta, k, step):
+    """The largest count up to ``k`` whose neighbours on the ring at polar
+    angle theta sit at least ``step`` apart in rho (1 if none does)."""
+    ks = np.arange(k, 1, -1)
+    chords = 2.0 * math.sin(theta) * np.sin(math.pi / ks)
+    fits = ks[rho_from_chord(domain, chords, 0.0, 0.0) >= step]
+    return int(fits[0]) if fits.size else 1
+
+
+def _drop_crowded(domain, coords, epsilon):
+    """``coords`` without each row within rho epsilon of an earlier row
+    kept: a crowded closing node, or d=1 arc ends that meet."""
+    chord = min(domain.alpha * epsilon * (1.0 + 1e-9) + 1e-12, 2.0)  # chord <= alpha * rho
+    pairs = cKDTree(coords).query_pairs(chord, output_type="ndarray")
+    close = pairs[rho_many(domain, coords[pairs[:, 0]], coords[pairs[:, 1]]) < epsilon]
+    keep = np.ones(coords.shape[0], dtype=bool)
+    for later, earlier in sorted(zip(close.max(axis=1), close.min(axis=1))):
+        if keep[earlier]:
+            keep[later] = False
+    return coords[keep]
+
+
+def ring_lattice(domain, epsilon, seed=0, degree=None, delta=None):
+    """Maximal epsilon-separated set on rings of constant polar angle (on
+    arcs on d=1), built as the module docstring says.  Nodes depend on
+    (domain, epsilon) alone; ``seed`` is provenance metadata carried into
+    the NodeSet and derived files."""
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    alpha = domain.alpha
-    pool = product_grid(domain, epsilon, 8)
-    sqrt_b = np.sqrt(boundary_distance_many(domain, pool))
-    if domain.dim == 2:
-        theta, phi = _grid_axes(domain, epsilon, 8)
-        shape = (theta.size, phi.size)
-    else:
-        u = _arc_axes(domain, epsilon, 8)
-        shape = u.shape
-
-    start = _seed_coords(domain)
-    chosen = [start]
-    sb_start = math.sqrt(float(boundary_distance_many(domain, start.reshape(1, -1))[0]))
-    # the running distances sit in blocks of `width` consecutive pool
-    # indices (a ring on d=2, a stretch of about sqrt(N) points of an arc
-    # on d=1), padded with -inf; blockmax is kept equal to each block's
-    # max, so argmax over blocks then within the block is the lowest
-    # index of the global max (the tie-break above)
-    npool = pool.shape[0]
-    width = shape[1] if domain.dim == 2 else max(1, math.isqrt(npool))
-    blocks = np.full((-(-npool // width), width), -np.inf)
-    mind = blocks.reshape(-1)[:npool]
-    mind[:] = rho_many(domain, pool, start, sqrt_b=sqrt_b, sqrt_b_y=sb_start)
-    mind2 = mind.reshape(shape)
-    pool2 = pool.reshape(shape + (pool.shape[1],))
-    sqrt_b2 = sqrt_b.reshape(shape)
-    blockmax = blocks.max(axis=1)
-
-    while True:
-        k = int(np.argmax(blockmax))
-        i = k * width + int(np.argmax(blocks[k]))
-        v = float(mind[i])
-        if v < epsilon:
-            break
-        r, c = divmod(i, shape[1])
-        z = pool[i]
-        chosen.append(z)
-        chord = alpha * v * (1.0 + 1e-9)
-        if chord >= 2.0:
-            window = [(slice(None), slice(None))]
-        else:
-            g = 2.0 * math.asin(chord / 2.0) + 1e-12
-            if domain.dim == 2:
-                window = _sphere_window(theta, shape[1], r, c, g)
-            else:
-                window = _arc_window(u, r, c, g)
-        for rows, cols in window:
-            win = mind2[rows, cols]
-            dz = rho_many(domain, pool2[rows, cols].reshape(-1, pool.shape[1]), z,
-                          sqrt_b=sqrt_b2[rows, cols].reshape(-1), sqrt_b_y=float(sqrt_b[i]))
-            np.minimum(win, dz.reshape(win.shape), out=win)
-            r0, r1, _ = rows.indices(shape[0])
-            c0, c1, _ = cols.indices(shape[1])
-            k0 = (r0 * shape[1] + c0) // width
-            k1 = ((r1 - 1) * shape[1] + c1 - 1) // width + 1
-            blockmax[k0:k1] = blocks[k0:k1].max(axis=1)
-
     if delta is not None:
         if degree is None:
             raise ValueError("delta without degree is ambiguous")
         if abs(float(delta) / int(degree) - epsilon) > 1e-12 * max(1.0, epsilon):
             raise ValueError("degree and delta must satisfy epsilon = delta/degree")
+    step = epsilon * _MARGIN
+    if domain.dim == 1:
+        u = np.array([v for lo, hi in domain.arcs for v in _walk(domain, lo, hi, step)])
+        local = np.column_stack([np.sin(u), np.cos(u)])
+    else:
+        thetas = _walk(domain, domain.polar_range[1], domain.polar_range[0], step)
+        rings = []
+        for j, theta in enumerate(thetas):
+            # the closing ring keeps the previous count: its stagger falls midway
+            if j < len(thetas) - 1:
+                k = math.ceil(2.0 * math.pi * math.sin(theta)
+                              / (_RING_SPACING * domain.alpha * epsilon))
+            k = _fit_ring(domain, theta, max(k, 1), step)
+            phi = (np.arange(k) + 0.5 * (j % 2)) * (2.0 * math.pi / k)
+            rings.append(np.column_stack([math.sin(theta) * np.cos(phi),
+                                          math.sin(theta) * np.sin(phi),
+                                          np.full(k, math.cos(theta))]))
+        local = np.vstack(rings)
+    coords = _drop_crowded(domain, local @ north_frame(domain.center), epsilon)
     # NodeSet takes delta = epsilon * degree when it is missing
-    return NodeSet(domain, np.vstack(chosen), epsilon, degree=1 if degree is None else degree,
-                   delta=delta, seed=seed, validate=False)
+    return NodeSet(domain, coords, epsilon, degree=1 if degree is None else degree,
+                   delta=delta, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ def collar_std():
 
 @pytest.fixture(scope="session")
 def nodes_a1_n8(cap_a1):
-    return cq.greedy_maximal_set(cap_a1, 0.25 / 8, seed=42, degree=8, delta=0.25)
+    return cq.ring_lattice(cap_a1, 0.25 / 8, seed=42, degree=8, delta=0.25)
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def rule_a1_n8(nodes_a1_n8):
 
 @pytest.fixture(scope="session")
 def nodes_a05_n8(cap_a05):
-    return cq.greedy_maximal_set(cap_a05, 0.25 / 8, seed=42, degree=8, delta=0.25)
+    return cq.ring_lattice(cap_a05, 0.25 / 8, seed=42, degree=8, delta=0.25)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,7 @@ def nodes_family_d05(cap_a1):
     """Maximal sets at delta = 0.5 for n in {8, 16, 32} (shared by scaling
     and covering checks)."""
     return {
-        n: cq.greedy_maximal_set(cap_a1, 0.5 / n, seed=0, degree=n, delta=0.5)
+        n: cq.ring_lattice(cap_a1, 0.5 / n, seed=0, degree=n, delta=0.5)
         for n in (8, 16, 32)
     }
 
@@ -90,3 +90,9 @@ def north_frame_per_node(e):
     if vv < 1e-28:
         return np.eye(e.shape[0])
     return np.eye(e.shape[0]) - (2.0 / vv) * np.outer(v, v)
+
+
+def spread_subset(nodes, count):
+    """``count`` rows of a node set's coords at a fixed stride: spread over
+    the whole domain, where a prefix of the ring lattice is its boundary ring."""
+    return nodes.coords[::len(nodes) // count][:count]

@@ -16,7 +16,7 @@ from capquad.cli import main as cli_main
 from capquad.geometry import boundary_distance_many, rho_many
 from capquad.points import product_grid
 
-from conftest import random_cap_points, random_collar_points
+from conftest import random_cap_points, random_collar_points, spread_subset
 
 E2 = cq.north_pole(2)
 E1 = cq.north_pole(1)
@@ -39,8 +39,7 @@ def exactness_grid():
     for alpha in ALPHAS:
         cap = cq.Cap(E2, alpha)
         for n in DEGREES:
-            nodes = cq.greedy_maximal_set(cap, DELTA / n, seed=42, degree=n,
-                                          delta=DELTA)
+            nodes = cq.ring_lattice(cap, DELTA / n, seed=42, degree=n, delta=DELTA)
             rules[(alpha, n)] = cq.solve_weights(nodes, n, tol=1e-10)
     elapsed = time.perf_counter() - t0
     return rules, elapsed
@@ -48,8 +47,7 @@ def exactness_grid():
 
 @pytest.fixture(scope="module")
 def rule_n16_a1(cap_a1):
-    nodes = cq.greedy_maximal_set(cap_a1, DELTA / 16, seed=42, degree=16,
-                                  delta=DELTA)
+    nodes = cq.ring_lattice(cap_a1, DELTA / 16, seed=42, degree=16, delta=DELTA)
     rule = cq.solve_weights(nodes, 16, tol=1e-10)
     assert isinstance(rule, cq.CubatureRule)
     return rule
@@ -59,8 +57,7 @@ def rule_n16_a1(cap_a1):
 def collar_rules(collar_std):
     out = {}
     for n in (4, 8, 12, 16):
-        nodes = cq.greedy_maximal_set(collar_std, DELTA / n, seed=42, degree=n,
-                                      delta=DELTA)
+        nodes = cq.ring_lattice(collar_std, DELTA / n, seed=42, degree=n, delta=DELTA)
         out[n] = cq.solve_weights(nodes, n, tol=1e-10)
     return out
 
@@ -122,8 +119,7 @@ def test_criterion_04_mz_bracket(exactness_grid, rule_n16_a1):
 def test_criterion_05_oscillation_stability(cap_a1):
     ests = {}
     for delta in (0.25, 0.5, 1.0):
-        nodes = cq.greedy_maximal_set(cap_a1, delta / 8, seed=42, degree=8,
-                                      delta=delta)
+        nodes = cq.ring_lattice(cap_a1, delta / 8, seed=42, degree=8, delta=delta)
         ests[delta] = cq.osc_constant(nodes, 8, 2, beta=1.0, trials=200,
                                       ball_samples=64, seed=3)["estimate"]
     vals = list(ests.values())
@@ -134,11 +130,11 @@ def test_criterion_05_oscillation_stability(cap_a1):
 
 
 def test_criterion_06_large_sieve(cap_a1, nodes_a1_n8):
-    separated = cq.NodeSet(cap_a1, nodes_a1_n8.coords[:80], 0.0, degree=8)
+    spread = spread_subset(nodes_a1_n8, 80)
+    separated = cq.NodeSet(cap_a1, spread, 0.0, degree=8)
     clustered = cq.NodeSet(cap_a1, random_cap_points(cq.Cap(E2, 0.05), 80, seed=4),
                            0.0, degree=8)
-    duplicated = cq.NodeSet(cap_a1, np.repeat(nodes_a1_n8.coords[:80], 3, axis=0),
-                            0.0, degree=8)
+    duplicated = cq.NodeSet(cap_a1, np.repeat(spread, 3, axis=0), 0.0, degree=8)
     cs, cc, cd = (cq.large_sieve_constant(nodes, 8, 2, trials=50, seed=5)["estimate"]
                   for nodes in (separated, clustered, duplicated))
     dup_gap = abs(cd - cs)

@@ -46,7 +46,7 @@ def test_points_output_schema(points_file):
     data = json.loads(points_file.read_text())
     assert data["version"] == "capquad-points/1"
     assert data["d"] == 2 and data["alpha"] == 1.0
-    assert data["generator"]["algorithm"] == "greedy-fps"
+    assert data["generator"]["algorithm"] == "rho-ring-lattice"
     n = len(data["nodes"])
     assert 1 <= n * (0.5 / 8) ** 2 <= 5  # count scaling bracket
 
@@ -128,9 +128,9 @@ def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp
      "{missing}"),
     (["verify", "mz", "--rule", "{rule}", "--trials", "2", "--report", "{out}",
       "--csv", "{missing}"], "{missing}"),
-    # the pool-limit check raises before anything is allocated
+    # the grid-limit check raises before anything is allocated
     (["points", "--d", "2", "--alpha", "0.01", "--degree", "1000", "--delta", "0.01",
-      "--out", "{out}"], "pool limit"),
+      "--out", "{out}"], "grid limit"),
     (["verify", "bernstein", "--alpha", "0.3", "--degree", "4", "--p", "1000",
       "--report", "{out}"], "--p"),
     # the ball-sample basis table would hold about 3e8 entries (2.4 GB)
@@ -314,7 +314,8 @@ def test_rule_loads_legacy_generator_fields():
     }
     rule = cqio.rule_from_dict(data)
     gen = cqio.rule_to_dict(rule)["generator"]
-    assert gen == {"seed": 3, "algorithm": "greedy-fps", "solver": "nnls-active-set"}
+    # the writer stamps the name of today's generator on every set it writes
+    assert gen == {"seed": 3, "algorithm": "rho-ring-lattice", "solver": "nnls-active-set"}
     data["generator"]["solver"] = 1
     with pytest.raises(cqio.FormatError, match="solver"):
         cqio.rule_from_dict(data)
@@ -338,7 +339,7 @@ def test_solve_degree0_single_node(tmp_path):
     pts = {
         "version": "capquad-points/1", "d": 2, "alpha": 1.0, "beta": None,
         "center": [0.0, 0.0, 1.0], "degree": 1, "delta": 1.0, "epsilon": 1.0,
-        "nodes": [[0.0, 0.0, 1.0]], "generator": {"seed": 0, "algorithm": "greedy-fps"},
+        "nodes": [[0.0, 0.0, 1.0]], "generator": {"seed": 0, "algorithm": "rho-ring-lattice"},
     }
     pfile = tmp_path / "one.json"
     pfile.write_text(json.dumps(pts))
@@ -413,7 +414,7 @@ def test_malformed_rule_weights_rejected(tmp_path):
         "version": "capquad-rule/1", "d": 2, "alpha": 1.0, "beta": None,
         "center": [0.0, 0.0, 1.0], "degree": 0, "delta": 1.0, "epsilon": 1.0,
         "nodes": [[0.0, 0.0, 1.0]], "weights": [-1.0], "residual": 0.0,
-        "generator": {"seed": 0, "algorithm": "greedy-fps",
+        "generator": {"seed": 0, "algorithm": "rho-ring-lattice",
                       "solver": "nnls-active-set", "back_offs": 0},
     }
     with pytest.raises(cqio.FormatError):
@@ -460,7 +461,7 @@ def _points_data(tmp_path, alpha=0.5, degree=2):
 
 @pytest.mark.parametrize("edit, needle", [
     ({"degree": 0}, "degree"), ({"delta": 5.0}, "delta"),
-    ({"generator": {"seed": -5, "algorithm": "greedy-fps"}}, "seed")])
+    ({"generator": {"seed": -5, "algorithm": "rho-ring-lattice"}}, "seed")])
 def test_points_file_fields_must_agree(edit, needle, tmp_path, capsys):
     # a points file's delta is epsilon * degree, its degree at least 1, its seed >= 0
     data = _points_data(tmp_path)
@@ -538,6 +539,22 @@ def test_verify_refuses_flags_the_measurement_does_not_take(sub, flags, small_ca
     paths, _ = small_cap_files
     out = tmp_path / "r.json"
     argv = ["verify", sub, "--points", str(paths["points"]), "--trials", "2",
+            "--report", str(out)]
+    assert main(argv + flags) == 1
+    assert flags[0] in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv) == 0 and out.exists()
+
+
+@pytest.mark.parametrize("source, sub, flags", [
+    ("points", "sieve", ["--alpha", "0.3"]), ("points", "sieve", ["--d", "1"]),
+    ("rule", "mz", ["--alpha", "0.3"])], ids=["sieve-alpha", "sieve-d", "mz-alpha"])
+def test_verify_file_subcommands_refuse_domain_flags(source, sub, flags, small_cap_files,
+                                                     tmp_path, capsys):
+    # a file subcommand measures on the domain of its file
+    paths, _ = small_cap_files
+    out = tmp_path / "r.json"
+    argv = ["verify", sub, f"--{source}", str(paths[source]), "--trials", "2",
             "--report", str(out)]
     assert main(argv + flags) == 1
     assert flags[0] in capsys.readouterr().err

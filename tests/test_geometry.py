@@ -142,7 +142,7 @@ def test_delta_r_monotone_in_r():
 def test_rho_many_one_point_and_rows_keep_their_dot_forms(domain):
     # one point meets the rows in a matrix-vector product, rows meet rows
     # elementwise; the cap geodesics of the two differ in the last bit on
-    # many of these points (with OpenBLAS), and node bytes follow those bits
+    # many of these points (with OpenBLAS)
     pts = cq.points.product_grid(domain, 0.05, 8 if domain.dim == 1 else 1)
     other = pts[::-1]
     y = pts[len(pts) // 3]
@@ -397,7 +397,7 @@ def test_rho_ball_validation(cap_a1):
 def test_near_limit_alpha_pipeline():
     # the admissible range tops out just short of pi; everything still runs
     cap = cq.Cap(E2, 3.0)
-    ns = cq.greedy_maximal_set(cap, 0.25 / 2, seed=0, degree=2, delta=0.25)
+    ns = cq.ring_lattice(cap, 0.25 / 2, seed=0, degree=2, delta=0.25)
     import capquad.solver as sol
 
     rule = sol.solve_weights(ns, 2)
@@ -424,6 +424,6 @@ def test_north_frames_bit_equal_to_per_node_frames(dim):
     assert np.array([north_frame(c) for c in coords]).tobytes() == want.tobytes()
     assert (north_frames(np.vstack([pole, nearer])) == np.eye(dim + 1)).all()
     if dim == 2:
-        nodes = cq.greedy_maximal_set(cq.Cap(E2, 1.0), 0.25 / 6, degree=6, delta=0.25)
+        nodes = cq.ring_lattice(cq.Cap(E2, 1.0), 0.25 / 6, degree=6, delta=0.25)
         want = np.array([north_frame_per_node(c) for c in nodes.coords])
         assert north_frames(nodes.coords).tobytes() == want.tobytes()

@@ -13,7 +13,7 @@ RULE = {
     "version": "capquad-rule/1", "d": 2, "alpha": 1.0, "beta": None,
     "center": [0.0, 0.0, 1.0], "degree": 0, "delta": 1.0, "epsilon": 1.0,
     "nodes": [[0.0, 0.0, 1.0]], "weights": [1.0], "residual": 0.0,
-    "generator": {"seed": 0, "algorithm": "greedy-fps", "solver": "nnls-active-set"},
+    "generator": {"seed": 0, "algorithm": "rho-ring-lattice", "solver": "nnls-active-set"},
 }
 
 JSON = st.recursive(

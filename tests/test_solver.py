@@ -59,7 +59,7 @@ def test_feasibility_monotone_in_degree(nodes_a1_n8):
 
 def test_sparse_set_infeasible(cap_a1):
     # a deliberately thin set cannot match degree-8 moments
-    ns = cq.greedy_maximal_set(cap_a1, 4.0 / 8, seed=0, degree=8, delta=4.0)
+    ns = cq.ring_lattice(cap_a1, 4.0 / 8, seed=0, degree=8, delta=4.0)
     result = cq.solve_weights(ns, 8)
     assert isinstance(result, cq.Infeasible)
     assert result.residual > 1e-10
@@ -85,9 +85,16 @@ def test_dense_set_takes_min_norm_path(rule_a1_n8):
 
 
 def test_nnls_fallback_solves_where_min_norm_goes_negative(cap_a1):
-    ns = cq.greedy_maximal_set(cap_a1, 1.0 / 8, seed=0, degree=8, delta=1.0)
-    assert len(ns) == 215
-    rule = cq.solve_weights(ns, 8)
+    # the lattice's own min-norm weights are positive; a hole in it, the
+    # nodes within geodesic 0.15 of a point at polar angle 0.5, is not
+    ns = cq.ring_lattice(cap_a1, 1.0 / 8, seed=0, degree=8, delta=1.0)
+    assert len(ns) == 217
+    assert cq.solve_weights(ns, 8).solver_meta["solver"] == "min-norm"
+    centre = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
+    holed = cq.NodeSet(cap_a1, ns.coords[ns.coords @ centre < math.cos(0.15)], ns.epsilon,
+                       degree=8)
+    assert len(holed) == 213
+    rule = cq.solve_weights(holed, 8)
     assert isinstance(rule, cq.CubatureRule)
     assert rule.solver_meta["solver"] == "nnls-active-set"
     assert np.all(rule.weights > 0)
@@ -104,7 +111,7 @@ def test_sharpness_single_node_degree0():
 
 
 def test_collar_solve(collar_std):
-    ns = cq.greedy_maximal_set(collar_std, 0.25 / 6, seed=0, degree=6, delta=0.25)
+    ns = cq.ring_lattice(collar_std, 0.25 / 6, seed=0, degree=6, delta=0.25)
     rule = cq.solve_weights(ns, 6)
     assert isinstance(rule, cq.CubatureRule)
     assert rule.residual <= 1e-10
@@ -132,7 +139,7 @@ def test_rule_is_exact_on_every_function_of_the_domain_basis(domain, n):
     # the rule sum of each orthonormal function of the domain matches its
     # integral; the full-sphere harmonic basis of a truncated solve missed
     # by about 1e-2 on a cap
-    ns = cq.greedy_maximal_set(domain, 0.25 / n, seed=42, degree=n, delta=0.25)
+    ns = cq.ring_lattice(domain, 0.25 / n, seed=42, degree=n, delta=0.25)
     rule = cq.solve_weights(ns, n)
     assert isinstance(rule, cq.CubatureRule)
     ref = cq.build_rule(domain, 2 * n + 8)

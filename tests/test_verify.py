@@ -6,7 +6,7 @@ import pytest
 import capquad as cq
 from capquad.verify import VerificationReport
 
-from conftest import north_frame_per_node
+from conftest import north_frame_per_node, spread_subset
 
 E2 = cq.north_pole(2)
 
@@ -187,7 +187,7 @@ def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
     from capquad.verify import _NodeBallTable
 
     arc = cq.Cap(cq.north_pole(1), 1.0)
-    nodes_d1 = cq.greedy_maximal_set(arc, 0.25 / 16, seed=0, degree=16, delta=0.25)
+    nodes_d1 = cq.ring_lattice(arc, 0.25 / 16, seed=0, degree=16, delta=0.25)
     centre_only = 0
     for nodes, count in ((nodes_a1_n8, 16), (nodes_a1_n8, 1), (nodes_d1, 16), (nodes_d1, 2)):
         radius = nodes.epsilon
@@ -212,7 +212,7 @@ def test_ball_table_samples_match_per_node_frames(monkeypatch, nodes_a1_n8):
 
     collar = cq.Collar(E2, 0.5, 1.0)
     space = PolySpace(2, 0)
-    nodes_collar = cq.greedy_maximal_set(collar, 0.25 / 4, degree=4, delta=0.25)
+    nodes_collar = cq.ring_lattice(collar, 0.25 / 4, degree=4, delta=0.25)
     for nodes, count in ((nodes_a1_n8, 64), (nodes_collar, 64), (nodes_collar, 7)):
         table = verify._NodeBallTable(nodes, nodes.epsilon, count, space)
         with monkeypatch.context() as m:
@@ -368,9 +368,9 @@ def test_maxmin_constant_trials_coincide(nodes_a1_n8):
 
 
 def test_sieve_duplication_invariance(cap_a1, nodes_a1_n8):
-    base = cq.NodeSet(cap_a1, nodes_a1_n8.coords[:40], 0.0, degree=8)
-    tripled = cq.NodeSet(cap_a1, np.repeat(nodes_a1_n8.coords[:40], 3, axis=0),
-                         0.0, degree=8)
+    spread = spread_subset(nodes_a1_n8, 40)
+    base = cq.NodeSet(cap_a1, spread, 0.0, degree=8)
+    tripled = cq.NodeSet(cap_a1, np.repeat(spread, 3, axis=0), 0.0, degree=8)
     c1 = cq.large_sieve_constant(base, 8, 2, trials=10, seed=7)["estimate"]
     c3 = cq.large_sieve_constant(tripled, 8, 2, trials=10, seed=7)["estimate"]
     assert c3 == pytest.approx(c1, abs=1e-12)
@@ -378,7 +378,7 @@ def test_sieve_duplication_invariance(cap_a1, nodes_a1_n8):
 
 def test_sieve_clustered_vs_separated(cap_a1, nodes_a1_n8):
     rng = np.random.default_rng(8)
-    separated = cq.NodeSet(cap_a1, nodes_a1_n8.coords[:60], 0.0, degree=8)
+    separated = cq.NodeSet(cap_a1, spread_subset(nodes_a1_n8, 60), 0.0, degree=8)
     # clustered: 60 points crammed near the center
     from conftest import random_cap_points
     cluster = random_cap_points(cq.Cap(E2, 0.05), 60, seed=8)
@@ -488,7 +488,7 @@ def test_degenerate_redraw(cap_a1):
 def test_d1_rule_mz_and_weighted():
     # the whole pipeline also runs on arcs of the circle
     cap = cq.Cap(cq.north_pole(1), 0.5)
-    nodes = cq.greedy_maximal_set(cap, 0.25 / 6, seed=1, degree=6, delta=0.25)
+    nodes = cq.ring_lattice(cap, 0.25 / 6, seed=1, degree=6, delta=0.25)
     rule = cq.solve_weights(nodes, 6)
     assert isinstance(rule, cq.CubatureRule)
     assert rule.residual <= 1e-10
@@ -597,7 +597,7 @@ def test_turned_set_measures_like_the_pole_set(cap_a1):
     # the pole set measures up to rounding
     from capquad.points import canonical
 
-    pole = cq.greedy_maximal_set(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
+    pole = cq.ring_lattice(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
     turned = _turned(pole, _OFF_POLE)
     rule_pole = cq.solve_weights(pole, 4)
     rule = cq.CubatureRule(turned, rule_pole.weights, 4, rule_pole.residual,
@@ -620,7 +620,7 @@ def test_turned_set_measures_like_the_pole_set(cap_a1):
 
 
 def test_turned_set_solves_like_the_pole_set(cap_a1):
-    pole = cq.greedy_maximal_set(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
+    pole = cq.ring_lattice(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
     rule_pole, rule = cq.solve_weights(pole, 4), cq.solve_weights(_turned(pole, _OFF_POLE), 4)
     assert rule.solver_meta == rule_pole.solver_meta
     assert rule.residual <= 1e-10
