@@ -94,6 +94,13 @@ def _integer(data, key, default=_REQUIRED):
     return value
 
 
+def _string(data, key):
+    value = _field(data, key, "unknown")
+    if not isinstance(value, str):
+        raise FormatError(f"field {key!r} is not a string")
+    return value
+
+
 def _generator(data):
     gen = data.get("generator", {})
     if not isinstance(gen, dict):
@@ -120,12 +127,12 @@ def points_to_dict(nodes):
         "d": domain.dim,
         "alpha": domain.alpha,
         "beta": domain.beta if isinstance(domain, Collar) else None,
-        "center": [float(v) for v in domain.center.coords],
+        "center": domain.center.coords.tolist(),
         "degree": nodes.degree,
         "delta": nodes.delta,
         "epsilon": nodes.epsilon,
-        "nodes": [[float(v) for v in row] for row in nodes.coords],
-        "generator": {"seed": nodes.seed, "algorithm": "rho-ring-lattice"},
+        "nodes": nodes.coords.tolist(),
+        "generator": {"seed": nodes.seed, "algorithm": nodes.algorithm},
     }
 
 
@@ -133,14 +140,17 @@ def nodes_from_dict(data):
     """The node set of a points or rule file.  Once every field has parsed,
     a points file must have degree >= 1 and, when epsilon > 0, delta equal
     to epsilon * degree (a rule's degree is its own); both kinds need a
-    nonnegative generator seed."""
+    nonnegative generator seed, and a string generator algorithm when
+    they name one."""
     _check_version(data, (POINTS_VERSION, RULE_VERSION))
     domain = _domain_from_fields(data)
     nodes = _numbers(data, "nodes")
     if nodes.ndim != 2 or nodes.shape[1] != domain.dim + 1:
         raise FormatError("nodes must be an array of unit vectors of length d+1")
     epsilon, degree = _scalar(data, "epsilon", 0.0), _integer(data, "degree", 1)
-    delta, seed = _scalar(data, "delta", None), _integer(_generator(data), "seed", 0)
+    gen = _generator(data)
+    delta, seed = _scalar(data, "delta", None), _integer(gen, "seed", 0)
+    algorithm = _string(gen, "algorithm")
     if seed < 0:
         raise FormatError(f"generator seed must be >= 0, got {seed}")
     if data["version"] == POINTS_VERSION:
@@ -149,7 +159,8 @@ def nodes_from_dict(data):
         if epsilon > 0 and delta is not None and (
                 abs(delta - epsilon * degree) > 1e-12 * max(1.0, delta)):
             raise FormatError(f"delta {delta} differs from epsilon * degree = {epsilon * degree}")
-    return NodeSet(domain, nodes, epsilon, degree=degree, delta=delta, seed=seed)
+    return NodeSet(domain, nodes, epsilon, degree=degree, delta=delta, seed=seed,
+                   algorithm=algorithm)
 
 
 def rule_to_dict(rule):
@@ -162,7 +173,7 @@ def rule_to_dict(rule):
     out.update({
         "version": RULE_VERSION,
         "degree": rule.degree,
-        "weights": [float(w) for w in rule.weights],
+        "weights": rule.weights.tolist(),
         "residual": rule.residual,
     })
     return out
@@ -177,10 +188,7 @@ def rule_from_dict(data):
     if np.any(weights <= 0):
         raise FormatError("rule weights must be strictly positive")
     gen = _generator(data)
-    solver = _field(gen, "solver", "unknown")
-    if not isinstance(solver, str):
-        raise FormatError("field 'solver' is not a string")
-    meta = {"seed": _integer(gen, "seed", 0), "solver": solver}
+    meta = {"seed": _integer(gen, "seed", 0), "solver": _string(gen, "solver")}
     return CubatureRule(nodes, weights, _integer(data, "degree"),
                         _scalar(data, "residual"), meta)
 

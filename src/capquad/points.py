@@ -3,14 +3,14 @@
 ``ring_lattice`` builds a deterministic set at rho-separation epsilon in
 steps of epsilon * (1 + 1e-5), a margin above the rounding of a measured
 rho.  On d=2, rings of constant polar angle go from the outer boundary
-inward, each one step in rho from the last along a meridian (a
-``brentq`` root), and a closing ring sits at the pole of a cap or the
-inner boundary of a collar.  A ring holds about one node per 1.6 alpha
-* epsilon of its length, fewer while its neighbours sit nearer than one
-step; odd rings are turned by half a spacing.  On d=1 each arc is
-walked from its low end and closed by its high end.  A node within rho
-epsilon of an earlier one is dropped.  Coordinates come from
-``brentq``, ``sin`` and ``cos`` alone.
+inward, each one step in rho from the last along a meridian (a bisected
+root of scalar rho, ``_walk``), and a closing ring sits at the pole of a
+cap or the inner boundary of a collar.  A ring holds about one node per
+1.6 alpha * epsilon of its length, fewer while its neighbours sit nearer
+than one step; odd rings are turned by half a spacing.  On d=1 each arc
+is walked from its low end and closed by its high end.  A node within
+rho epsilon of an earlier one is dropped.  Coordinates come from the
+bisection's floats, ``sin`` and ``cos`` alone.
 
 Separation: rho between two nodes is at least rho between their polar
 angles on one meridian.  On a d=2 cap that grows with the gap (sqrt(b)
@@ -23,10 +23,10 @@ the check every NodeSet passes.  Maximality is not proved;
 Coverage and multiplicity checks are grid-probe based, not exact: a
 probe grid (``product_grid``) stands in for the continuum.  Separation
 and probe scans use chord <= alpha * rho through KD-trees: separation
-by a pair query of growing radius, probe counts and coverage by blocked
-pair sweeps of the nodes against the probes, which give rho from their
-chords.  The lattice steps in scalar rho; every other distance here is
-``rho_many``.
+by a pair query that finds a near pair and one at the chord of its rho,
+probe counts and coverage by blocked pair sweeps of the nodes against
+the probes, which give rho from their chords.  The lattice steps in
+scalar rho; every other distance here is ``rho_many``.
 """
 
 from __future__ import annotations
@@ -64,7 +64,8 @@ class NodeSet:
     arbitrary points (no separation promise) carry epsilon = 0, which
     makes the separation invariant vacuous.  ``epsilon`` and ``delta``
     must be finite and nonnegative; ``validate`` checks membership and
-    separation.
+    separation.  ``algorithm`` names the generator of the nodes, as
+    files record it.
     """
 
     domain: Cap | Collar
@@ -73,6 +74,7 @@ class NodeSet:
     degree: int = 1
     delta: float | None = None
     seed: int = 0
+    algorithm: str = "unknown"
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
@@ -111,7 +113,8 @@ class NodeSet:
 
     def __repr__(self):
         return (f"NodeSet({self.domain!r}, n={len(self)}, epsilon={self.epsilon!r}, "
-                f"degree={self.degree}, delta={self.delta!r}, seed={self.seed})")
+                f"degree={self.degree}, delta={self.delta!r}, seed={self.seed}, "
+                f"algorithm={self.algorithm!r})")
 
 
 def canonical(nodes):
@@ -127,7 +130,7 @@ def canonical(nodes):
         return nodes
     coords = nodes.coords @ north_frame(domain.center)
     return NodeSet(dataclasses.replace(domain, center=pole), coords, nodes.epsilon,
-                   nodes.degree, nodes.delta, nodes.seed, validate=False)
+                   nodes.degree, nodes.delta, nodes.seed, nodes.algorithm, validate=False)
 
 
 def _as_coords(points, dim):
@@ -141,30 +144,37 @@ def _as_coords(points, dim):
     return np.vstack(rows)
 
 
+def _chord_within(domain, rho):
+    """A chord that every pair at rho-distance <= ``rho`` lies within
+    (chord <= alpha * rho, with a rounding slack), capped at 2."""
+    return min(domain.alpha * rho * (1.0 + 1e-9) + 1e-12, 2.0)
+
+
 def min_separation(domain, coords):
     """Smallest pairwise rho-distance (inf for fewer than two points).
 
-    Only pairs within chordal distance alpha*rho_bound can violate a
-    separation level, so candidate pairs come from a KD-tree sweep with a
-    growing radius, from the points' mean spacing, instead of the full
-    quadratic scan.
+    Chord <= alpha * rho, so only pairs within chord alpha * rho can lie
+    at rho.  A KD pair query at the points' mean spacing, its radius
+    grown 4x until it holds a pair, bounds the minimum by the least rho
+    it finds; a second query at the chord of that bound then holds every
+    pair at or below it, so its least rho is the exact minimum.  The
+    second query is skipped when the first already reached that chord.
     """
     if coords.shape[0] < 2:
         return math.inf
     tree = cKDTree(coords)
-    alpha = domain.alpha
     sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
+
+    def least_rho(chord):
+        i, j = tree.query_pairs(chord, output_type="ndarray").T
+        return float(rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
+                     .min(initial=math.inf))
+
     radius = (domain_measure(domain) / coords.shape[0]) ** (1.0 / domain.dim)
-    while True:
-        # past a chord of 2 the query holds every pair
-        pairs = tree.query_pairs(radius, output_type="ndarray")
-        if pairs.size:
-            i, j = pairs[:, 0], pairs[:, 1]
-            best = float(rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j]).min())
-            # every rho below radius/alpha was within the chord radius
-            if best <= radius / alpha or radius > 2.0:
-                return best
+    while (best := least_rho(radius)) == math.inf:  # a chord of 2 holds every pair
         radius *= 4.0
+    chord = _chord_within(domain, best)
+    return min(best, least_rho(chord)) if chord > radius else best
 
 
 def is_separable(domain, points, epsilon):
@@ -256,17 +266,60 @@ def _rho_along(domain, s, t):
     return math.hypot(dist, math.sqrt(alpha) * gap) / alpha
 
 
+_BAND = 5e-15  # a walk step's bracket width, relative to its largest angle
+
+
 def _walk(domain, start, end, step):
     """Angles from ``start`` toward ``end``, each ``step`` in rho past the
-    last (bisected to adjacent floats, ending on the far one: never short)
-    until ``end`` is nearer than that; then ``end`` itself."""
+    last (``_step``) until ``end`` is nearer than that; then ``end`` itself."""
     out = [start]
-    while _rho_along(domain, out[-1], end) >= step:
-        a, b = out[-1], end
-        while (m := 0.5 * (a + b)) not in (a, b):
-            a, b = (m, b) if _rho_along(domain, out[-1], m) < step else (a, m)
-        out.append(b)
+    while (f_end := _rho_along(domain, out[-1], end) - step) >= 0:
+        out.append(_step(domain, out[-1], end, step, f_end))
     return out + [end]
+
+
+def _step(domain, last, end, step, f_end):
+    """The far end of the bisection of [last, end] to adjacent floats on
+    rho(last, m) < step: the first float past the step, never short.
+
+    Illinois false position on f = rho(last, .) - step brackets the root
+    within a width of _BAND times the largest angle, each trial at least
+    half that width inside the bracket.  The bisection then runs its own
+    midpoints, calling ``_rho_along`` only within half a width of the
+    bracket and placing every other midpoint by its side of it, so it
+    returns the float of the full bisection wherever f crosses 0 once on
+    [last, end] (rho grows along every cap meridian).  The band, at most
+    1e-14 of the largest angle, holds the last floats, where a rounded
+    rho need not grow, so the root's own float is not taken instead.
+    Angles are signed t = sign * angle, so t grows from last to end;
+    negation is exact.
+    """
+    sign = 1.0 if end > last else -1.0
+    width = _BAND * max(abs(last), abs(end))
+
+    def f(t):
+        return _rho_along(domain, last, sign * t) - step
+
+    lo, hi, f_lo, f_hi, side = sign * last, sign * end, -step, f_end, 0
+    while hi - lo > width:  # f(lo) < 0 <= f(hi)
+        t = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        t = min(max(t, lo + 0.5 * width), hi - 0.5 * width)
+        if (f_t := f(t)) < 0:
+            if side < 0:  # Illinois: an end kept twice in a row counts half
+                f_hi *= 0.5
+            lo, f_lo, side = t, f_t, -1
+        else:
+            if side > 0:
+                f_lo *= 0.5
+            hi, f_hi, side = t, f_t, 1
+    lo, hi = lo - 0.5 * width, hi + 0.5 * width
+    a, b = sign * last, sign * end
+    while (m := 0.5 * (a + b)) not in (a, b):
+        if m < lo or (m <= hi and f(m) < 0):
+            a = m
+        else:
+            b = m
+    return sign * b
 
 
 def _fit_ring(domain, theta, k, step):
@@ -281,8 +334,7 @@ def _fit_ring(domain, theta, k, step):
 def _drop_crowded(domain, coords, epsilon):
     """``coords`` without each row within rho epsilon of an earlier row
     kept: a crowded closing node, or d=1 arc ends that meet."""
-    chord = min(domain.alpha * epsilon * (1.0 + 1e-9) + 1e-12, 2.0)  # chord <= alpha * rho
-    pairs = cKDTree(coords).query_pairs(chord, output_type="ndarray")
+    pairs = cKDTree(coords).query_pairs(_chord_within(domain, epsilon), output_type="ndarray")
     close = pairs[rho_many(domain, coords[pairs[:, 0]], coords[pairs[:, 1]]) < epsilon]
     keep = np.ones(coords.shape[0], dtype=bool)
     for later, earlier in sorted(zip(close.max(axis=1), close.min(axis=1))):
@@ -324,7 +376,7 @@ def ring_lattice(domain, epsilon, seed=0, degree=None, delta=None):
     coords = _drop_crowded(domain, local @ north_frame(domain.center), epsilon)
     # NodeSet takes delta = epsilon * degree when it is missing
     return NodeSet(domain, coords, epsilon, degree=1 if degree is None else degree,
-                   delta=delta, seed=seed)
+                   delta=delta, seed=seed, algorithm="rho-ring-lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +397,7 @@ def _node_neighbours(domain, probes, node_coords, radius):
     probe_tree = cKDTree(probes)
     sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
     sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
-    chord = min(domain.alpha * radius * (1.0 + 1e-9) + 1e-12, 2.0)
+    chord = _chord_within(domain, radius)
     leaf_order = cKDTree(node_coords).indices
     for k in range(0, leaf_order.size, _PAIR_BLOCK):
         block = leaf_order[k:k + _PAIR_BLOCK]

@@ -314,11 +314,24 @@ def test_rule_loads_legacy_generator_fields():
     }
     rule = cqio.rule_from_dict(data)
     gen = cqio.rule_to_dict(rule)["generator"]
-    # the writer stamps the name of today's generator on every set it writes
-    assert gen == {"seed": 3, "algorithm": "rho-ring-lattice", "solver": "nnls-active-set"}
+    # the generator named in the file is written back, whatever it was
+    assert gen == {"seed": 3, "algorithm": "greedy-fps", "solver": "nnls-active-set"}
     data["generator"]["solver"] = 1
     with pytest.raises(cqio.FormatError, match="solver"):
         cqio.rule_from_dict(data)
+
+
+def test_solve_keeps_the_generator_of_its_points_file(points_file, tmp_path):
+    # a legacy greedy set stays greedy in its rule; a set of no named
+    # generator is written as unknown
+    data = json.loads(points_file.read_text())
+    for algorithm, keys in (("greedy-fps", {"seed": 42, "algorithm": "greedy-fps"}),
+                            ("unknown", {"seed": 42})):
+        pts, rule = tmp_path / f"{algorithm}.json", tmp_path / f"{algorithm}-rule.json"
+        pts.write_text(json.dumps(dict(data, generator=keys)))
+        assert main(["solve", "--points", str(pts), "--degree", "8", "--out", str(rule)]) == 0
+        assert json.loads(rule.read_text())["generator"]["algorithm"] == algorithm
+    assert cqio.points_to_dict(three_node_set())["generator"]["algorithm"] == "unknown"
 
 
 def test_verify_assert_violation_exit3(points_file, tmp_path):
@@ -461,7 +474,8 @@ def _points_data(tmp_path, alpha=0.5, degree=2):
 
 @pytest.mark.parametrize("edit, needle", [
     ({"degree": 0}, "degree"), ({"delta": 5.0}, "delta"),
-    ({"generator": {"seed": -5, "algorithm": "rho-ring-lattice"}}, "seed")])
+    ({"generator": {"seed": -5, "algorithm": "rho-ring-lattice"}}, "seed"),
+    ({"generator": {"seed": 0, "algorithm": 7}}, "algorithm")])
 def test_points_file_fields_must_agree(edit, needle, tmp_path, capsys):
     # a points file's delta is epsilon * degree, its degree at least 1, its seed >= 0
     data = _points_data(tmp_path)

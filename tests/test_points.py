@@ -6,11 +6,14 @@ import pytest
 from scipy.spatial import cKDTree
 
 import capquad as cq
-from capquad.geometry import boundary_distance_many, rho_many
+from capquad import points
+from capquad.geometry import boundary_distance_many, domain_measure, rho_many
 from capquad.points import (
+    _MARGIN,
     _PAIR_BLOCK,
     _node_neighbours,
     _probe_grid_by_count,
+    _rho_along,
     min_separation,
     product_grid,
 )
@@ -132,6 +135,101 @@ def test_ring_lattice_d1(domain, eps):
     ns = cq.ring_lattice(domain, eps)
     assert min_separation(domain, ns.coords) >= eps - 1e-12
     assert cq.is_maximal_separable(domain, ns, eps)
+
+
+# (domain, n) of the benchmark's build workload at delta 0.25
+_BUILD_CELLS = [(cq.Cap(E2, 0.3), 4), (cq.Cap(E2, 1.0), 6), (cq.Cap(E2, 2.0), 8),
+                (cq.Collar(E2, 0.5, 1.0), 4), (cq.Cap(E1, 1.0), 16), (cq.Collar(E1, 0.5, 1.0), 16)]
+
+
+def _brute_min_separation(domain, coords):
+    """min rho_many over every pair i < j, in blocks of pairs."""
+    sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
+    i_all, j_all = np.triu_indices(coords.shape[0], 1)
+    best = math.inf
+    for k in range(0, i_all.size, 1 << 18):
+        i, j = i_all[k:k + (1 << 18)], j_all[k:k + (1 << 18)]
+        best = min(best, float(rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j]).min()))
+    return best
+
+
+def _first_radius(domain, coords):
+    """The chord of min_separation's first pair query: the mean spacing."""
+    return (domain_measure(domain) / coords.shape[0]) ** (1.0 / domain.dim)
+
+
+def _ring_points(theta, phi):
+    """Points of S^2 at polar angles theta and azimuths phi about the pole."""
+    theta, phi = np.asarray(theta, float), np.asarray(phi, float)
+    return np.column_stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                            np.cos(theta)])
+
+
+def test_min_separation_is_the_brute_force_minimum():
+    sets = [(d, cq.ring_lattice(d, 0.25 / n).coords) for d, n in _BUILD_CELLS]
+    off_pole = cq.Cap(cq.SpherePoint([0.6, 0.0, 0.8]), 0.7)
+    for k, domain in enumerate([cq.Cap(E2, 1.0), off_pole, cq.Collar(E2, 0.5, 1.0),
+                                cq.Cap(E1, 0.5), cq.Collar(E1, 0.5, 1.0)]):
+        count = 600 if domain.dim == 2 else 150  # the sample, without its repeated rows
+        sets.append((domain, _random_nodes(domain, count, seed=20 + k).coords[:count]))
+    # the nearest pair in rho (on the boundary ring, chord 0.9) lies past the
+    # first radius; the pair inside it (along a meridian) is farther in rho
+    cap = cq.Cap(E2, 1.0)
+    past = _ring_points([1.0, 1.0, 1.0, 0.2], [-0.5625, 0.5625, math.pi, math.pi])
+    sets.append((cap, past))
+    # three nodes 120 degrees apart on the boundary ring, and the two ends
+    # of a d=1 arc: the first query holds no pair
+    sparse = [(cap, _ring_points([1.0] * 3, [0.0, 2 * math.pi / 3, 4 * math.pi / 3])),
+              (cq.Cap(E1, 1.0), np.array([[-math.sin(1.0), math.cos(1.0)],
+                                          [math.sin(1.0), math.cos(1.0)]]))]
+    sets += sparse
+    for domain, coords in sets:
+        assert min_separation(domain, coords) == _brute_min_separation(domain, coords)
+    # the two constructed cases do reach the branches they are named for
+    r0 = _first_radius(cap, past)
+    pairs = cKDTree(past).query_pairs(r0, output_type="ndarray")
+    first_best = float(rho_many(cap, past[pairs[:, 0]], past[pairs[:, 1]]).min())
+    nearest = np.linalg.norm(past[0] - past[1])
+    assert r0 < nearest <= cap.alpha * first_best
+    assert min_separation(cap, past) < first_best
+    for domain, coords in sparse:
+        assert not cKDTree(coords).query_pairs(_first_radius(domain, coords))
+
+
+def _walk_args(domain, eps):
+    """(start, end, step) of each walk of ring_lattice(domain, eps)."""
+    step = eps * _MARGIN
+    if domain.dim == 1:
+        return [(lo, hi, step) for lo, hi in domain.arcs]
+    return [(domain.polar_range[1], domain.polar_range[0], step)]
+
+
+def _reference_walk(domain, start, end, step):
+    """The bisection walk: each step bisected to adjacent floats on
+    rho(last, m) < step, ending on the far one."""
+    out = [start]
+    while _rho_along(domain, out[-1], end) >= step:
+        a, b = out[-1], end
+        while (m := 0.5 * (a + b)) not in (a, b):
+            a, b = (m, b) if _rho_along(domain, out[-1], m) < step else (a, m)
+        out.append(b)
+    return out + [end]
+
+
+def test_walk_replays_the_bisection(monkeypatch):
+    cells = ([(d, 0.25 / n) for d, n in _BUILD_CELLS]
+             + [(d, delta / n) for d, n, delta in _LATTICE_CELLS]
+             + [(cq.Cap(E1, 3.0), 0.125), (cq.Collar(E1, 1.0, 2.9), 0.5)])  # the wraps
+    for domain, eps in cells:
+        for args in _walk_args(domain, eps):
+            assert points._walk(domain, *args) == _reference_walk(domain, *args)
+    # evaluations per step on the build cells (the bisection takes about 54)
+    calls = []
+    monkeypatch.setattr(points, "_rho_along", lambda *args: calls.append(1) or _rho_along(*args))
+    steps = sum(len(points._walk(domain, *args)) - 2
+                for domain, n in _BUILD_CELLS for args in _walk_args(domain, 0.25 / n))
+    assert steps > 500
+    assert len(calls) <= 20 * steps
 
 
 def test_node_count_scaling(nodes_family_d05):

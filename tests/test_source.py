@@ -1,10 +1,14 @@
 """Source hygiene: every import in the package's modules is used, every
-module-level private name is referenced somewhere in the package, and
-every function the benchmark's tracer wraps still exists."""
+module-level private name is referenced somewhere in the package, every
+function the benchmark's tracer wraps still exists, and importing the
+CLI leaves the slow ``scipy.optimize`` unloaded."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,3 +104,15 @@ def test_benchmark_trace_targets_resolve():
     missing = [f"{module}.{name}" for module, name, _, _ in tracing.TARGETS
                if not callable(getattr(importlib.import_module(f"capquad.{module}"), name, None))]
     assert set(missing) <= {"solver.nnls", "points.greedy_maximal_set"}
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # importing scipy.optimize costs about 0.12 s a process; only the NNLS
+    # fallback of solve_weights needs it, and imports it when it runs
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys, capquad.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert res.stdout.strip() == "[]"
