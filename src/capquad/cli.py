@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import functools
 import inspect
 import math
 import os
@@ -23,7 +24,7 @@ import time
 from . import io as cqio
 from .geometry import ALPHA_MAX, Cap, Collar, north_pole
 from .points import grid_counts, ring_lattice
-from .quadrature import domain_moments
+from .quadrature import DEGREE_CAP, domain_moments
 from .solver import Infeasible, solve_weights
 from . import verify
 from .verify import DoublingWeight, VerificationReport
@@ -85,6 +86,7 @@ def _add_common(p):
                    help="embed wall time in reports (breaks byte reproducibility)")
 
 
+@functools.cache  # one parser per process: building it costs about a millisecond
 def make_parser():
     parser = _Parser(prog="capquad",
                      description="Positive cubature and sampling-inequality checks on spherical caps")
@@ -140,7 +142,7 @@ def make_parser():
     p_mom.set_defaults(func=cmd_moments)
     p_mom.add_argument("--d", type=int, choices=(1, 2), required=True)
     p_mom.add_argument("--alpha", type=_ALPHA, required=True)
-    p_mom.add_argument("--degree", type=_NONNEG_INT, required=True)
+    p_mom.add_argument("--degree", type=_checked(int, 0, DEGREE_CAP), required=True)
     _add_common(p_mom)
 
     return parser
@@ -173,7 +175,11 @@ def cmd_solve(args):
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: --points file invalid: {exc}\n")
         return 1
-    result = solve_weights(nodes, args.degree, tol=args.tol)
+    try:
+        result = solve_weights(nodes, args.degree, tol=args.tol)
+    except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 1
     if isinstance(result, Infeasible):
         sys.stderr.write(
             f"infeasible: {result.message}; achieved residual {result.residual:.3e}; "

@@ -6,24 +6,16 @@ normalized against arc length.  d=2 uses real spherical harmonics in the
 standard frame, ordered lexicographically in (l, m) with m in [-l, l],
 so the flat index of (l, m) is l*l + l + m.
 
-The associated Legendre values carry their normalization inside the
-three-term recurrence; entries stay O(sqrt(l)) instead of growing
-factorially, which keeps degree 64 comfortably inside double precision.
-
-The d=2 table is built in blocks of points.  For each block the
-recurrence runs over all orders m at once (a block costs O(n) NumPy
-calls, not one per (l, m), which keeps small blocks cheap at high
-degree) and writes every basis function as a contiguous row of a
-(size x block) scratch array, which is then copied into the
-point-major (npoints x size) table.  The scratch
-holds at most BLOCK_ENTRIES entries (1 MiB), so a table costs its own
-memory plus a bounded amount whatever its size.  Each value goes through
-the same floating-point operations in the same order as a
-column-at-a-time evaluation, so the table's bits do not depend on the
-block size.
-
-``eval_domain_basis`` is the basis of the same space orthonormal on a
-cap, collar or sphere centred at the pole, in which the solver works.
+One kernel, ``eval_domain_basis``, evaluates the d=2 harmonics and the
+basis of the same space orthonormal on a cap, collar or sphere centred at
+the pole, in which the solver works; on the sphere the two are one basis.
+It first takes every order's three-term recurrence coefficients from a
+Gauss-Legendre rule alone, then runs the points through that recurrence
+in column blocks of at most BLOCK_ENTRIES table entries (1 MiB), written
+straight into the basis-major table.  A table so costs its own memory
+plus a bounded amount, and a row's bits depend neither on the other rows
+of the call nor on the block size.  The orthonormal recurrence keeps
+entries O(sqrt(l)), far inside double precision at every degree used.
 """
 
 from __future__ import annotations
@@ -35,10 +27,9 @@ import numpy as np
 
 from .geometry import SpherePoint, Sphere, map_T_many, north_pole
 
-_SQRT2 = math.sqrt(2.0)
 PROJECTION_DEGREE_CAP = 99  # full-sphere rule degree 2*deg + 2 must stay <= 200
 MAX_TABLE_ENTRIES = 2**27  # 1 GiB of float64: the largest basis table built
-BLOCK_ENTRIES = 2**17  # scratch entries (1 MiB) of one block of points of the d=2 kernel
+BLOCK_ENTRIES = 2**17  # table entries (1 MiB) of one column block of ``eval_domain_basis``
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,70 +85,6 @@ def fourier_table(n, angles):
     return out
 
 
-def _basis_d1(coords, n):
-    # signed polar angle about (0, 1)
-    return fourier_table(n, np.arctan2(coords[:, 0], coords[:, 1]))
-
-
-def _basis_d2(coords, n):
-    # blocks of points into a (size x block) scratch whose rows are the
-    # basis functions, each block copied into the point-major table
-    size = (n + 1) ** 2
-    block = max(1, BLOCK_ENTRIES // size)
-    steps = _recurrence_steps(n)
-    out = np.empty((coords.shape[0], size))
-    scratch = np.empty((size, min(block, coords.shape[0])))
-    for lo in range(0, coords.shape[0], block):
-        rows = scratch[:, :min(block, coords.shape[0] - lo)]
-        _harmonics_into(rows, coords[lo:lo + block], n, steps)
-        out[lo:lo + block] = rows.T
-    return out
-
-
-def _recurrence_steps(n):
-    """Factors of the Legendre recurrence p_l = a * (t p_{l-1} - b p_{l-2})
-    at each step k = l - m, as columns over the orders m = 0 .. n - k:
-    entry k >= 2 is (a, b); entry 1 is sqrt(2m + 3), of the first step
-    p_{m+1} = sqrt(2m + 3) * t * p_m.  Every operand before the division
-    is an exact integer, so these equal the scalar factors bit for bit."""
-    steps = [None, np.sqrt(2.0 * np.arange(n)[:, None] + 3.0)]
-    for k in range(2, n + 1):
-        m = np.arange(n + 1 - k, dtype=float)[:, None]
-        l = m + k
-        steps.append((np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m)),
-                      np.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))))
-    return steps
-
-
-def _harmonics_into(rows, coords, n, steps):
-    # row l*l + l + m of ``rows`` gets harmonic (l, m) at every point; the
-    # recurrence in l runs for all orders m at once (row m of each array)
-    t = np.clip(coords[:, 2], -1.0, 1.0)
-    s = np.hypot(coords[:, 0], coords[:, 1])
-    phi = np.arctan2(coords[:, 1], coords[:, 0])
-    orders = np.arange(n + 1)
-    pmm = np.empty((n + 1, coords.shape[0]))
-    pmm[0] = 1.0 / math.sqrt(4.0 * math.pi)
-    for m in range(1, n + 1):
-        pmm[m] = pmm[m - 1] * s * math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-    cos_m = np.cos(orders[1:, None] * phi) * _SQRT2
-    sin_m = np.sin(orders[1:, None] * phi) * _SQRT2
-
-    p_prev, p_curr = None, pmm
-    for k in range(n + 1):
-        j = n + 1 - k  # orders 0 .. j - 1 reach degree l = m + k
-        if k == 1:
-            p_prev, p_curr = p_curr[:j], steps[1] * t * p_curr[:j]
-        elif k > 1:
-            a, b = steps[k]
-            p_prev, p_curr = p_curr[:j], a * (t * p_curr[:j] - b * p_prev[:j])
-        m = orders[1:j]
-        base = (m + k) * (m + k) + m + k  # l*l + l at l = m + k
-        rows[k * k + k] = p_curr[0]
-        rows[base + m] = p_curr[1:] * cos_m[:j - 1]
-        rows[base - m] = p_curr[1:] * sin_m[:j - 1]
-
-
 def _check_table_size(rows, columns):
     if rows * columns > MAX_TABLE_ENTRIES:
         raise ValueError(f"a basis table of {rows} x {columns} entries exceeds "
@@ -167,17 +94,18 @@ def _check_table_size(rows, columns):
 def eval_basis_many(space, coords):
     """Basis values at every row of ``coords``; shape (npoints, dim).
 
-    A table of more than MAX_TABLE_ENTRIES entries is refused with
-    ValueError before it is allocated; every basis table is built here or
-    in ``eval_domain_basis``.
+    d=1 is the ``fourier_table`` in the signed polar angle about (0, 1);
+    d=2 is ``eval_domain_basis`` of the sphere.  A table of more than
+    MAX_TABLE_ENTRIES entries is refused with ValueError before it is
+    allocated.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
     if coords.shape[1] != space.dim_sphere + 1:
         raise ValueError("dimension mismatch between space and points")
+    if space.dim_sphere == 2:
+        return eval_domain_basis(Sphere(2), space.degree, coords)
     _check_table_size(coords.shape[0], space.size)
-    if space.dim_sphere == 1:
-        return _basis_d1(coords, space.degree)
-    return _basis_d2(coords, space.degree)
+    return fourier_table(space.degree, np.arctan2(coords[:, 0], coords[:, 1]))
 
 
 def eval_domain_basis(domain, degree, coords):
@@ -192,7 +120,7 @@ def eval_domain_basis(domain, degree, coords):
     exact for it.  d=1: q_l(cos u) at index 2l - 1 and sin(u) r_{l-1}(cos u)
     at 2l, orthonormal for arc length, from a Gauss-Legendre rule of 2n + 16
     points in u on [lo, hi] with doubled weights.  On the sphere these are
-    the harmonic and Fourier bases up to sign.
+    the harmonic and Fourier bases, equal to rounding.
     """
     from . import quadrature
 
@@ -208,36 +136,59 @@ def eval_domain_basis(domain, degree, coords):
     if domain.dim == 1:  # the even (m = 0) and the odd (m = 1) part, in c = cos(u)
         u, w = quadrature.gauss_legendre_on(lo, hi, 2 * n + 16)
         nodes, w, s_nodes = np.cos(u), 2.0 * w, np.sin(u)
-        x, s, orders = coords[:, 1], coords[:, 0], np.arange(min(n, 1) + 1)
+        orders = np.arange(min(n, 1) + 1)
     else:
         nodes, w = quadrature.gauss_legendre_on(math.cos(hi), math.cos(lo), 2 * n + 8)
         s_nodes = np.sqrt(np.clip(1.0 - nodes * nodes, 0.0, None))
-        x, s = np.clip(coords[:, 2], -1.0, 1.0), np.hypot(coords[:, 0], coords[:, 1])
         orders = np.arange(n + 1)
-        fourier = fourier_table(n, np.arctan2(coords[:, 1], coords[:, 0])).T
-        cos_m, sin_m = fourier[np.maximum(2 * orders - 1, 0)], fourier[2::2]
-    # discretized Stieltjes (Gautschi 2004, section 2.2), all orders at once:
-    # the recurrence coefficients come from the node columns of v, and the
-    # point columns, led by s^m, run through the same recurrence
-    size, xs = nodes.shape[0], np.concatenate([nodes, x])
-    v = np.concatenate([s_nodes, s]) ** orders[:, None]
-    v[:, :size] *= np.sqrt(w)
-    v_prev, b = np.zeros_like(v), np.zeros((orders.size, 1))
-    rows = np.empty((space.size, coords.shape[0]))
-    for k in range(n + 1):
-        m = orders[:np.count_nonzero(orders <= n - k)]  # orders reaching degree m + k
-        if k:
-            a = np.einsum("fi,fi->f", v[:m.size, :size] * nodes, v[:m.size, :size])[:, None]
-            v_prev, v = v[:m.size], (xs - a) * v[:m.size] - b[:m.size] * v_prev[:m.size]
-        b = np.sqrt(np.einsum("fi,fi->f", v[:, :size], v[:, :size]))[:, None]
-        v /= b
-        p, l = v[:, size:], m + k
+    a, b = _stieltjes(nodes, _powers(s_nodes, orders) * np.sqrt(w), orders, n)
+    out = np.empty((space.size, coords.shape[0]))
+    block = max(1, BLOCK_ENTRIES // space.size)
+    for start in range(0, coords.shape[0], block):
+        pts, rows = coords[start:start + block], out[:, start:start + block]
         if domain.dim == 1:
-            rows[np.maximum(2 * l - 1 + m, 0)] = p
+            x, s = pts[:, 1], pts[:, 0]
         else:
-            rows[l * l + l + m] = p * cos_m[:m.size]
-            rows[(l * l + l - m)[1:]] = p[1:] * sin_m[:m.size - 1]
-    return rows.T
+            x, s = np.clip(pts[:, 2], -1.0, 1.0), np.hypot(pts[:, 0], pts[:, 1])
+            fourier = fourier_table(n, np.arctan2(pts[:, 1], pts[:, 0])).T
+            cos_m, sin_m = fourier[np.maximum(2 * orders - 1, 0)], fourier[2::2]
+        v = _powers(s, orders)
+        v_prev = np.zeros_like(v)
+        for k in range(n + 1):  # the points through the nodes' recurrence
+            j = b[k].shape[0]
+            if k:
+                v_prev, v = v[:j], (x - a[k]) * v[:j] - b[k - 1][:j] * v_prev[:j]
+            v /= b[k]
+            m, l = orders[:j], orders[:j] + k
+            if domain.dim == 1:
+                rows[np.maximum(2 * l - 1 + m, 0)] = v
+            else:
+                rows[l * l + l + m] = v * cos_m[:j]
+                rows[(l * l + l - m)[1:]] = v[1:] * sin_m[:j - 1]
+    return out.T
+
+
+def _stieltjes(nodes, v, orders, n):
+    """Recurrence coefficients a_k, b_k (columns over the orders m reaching
+    degree m + k; a_0 is None) of every order at once, by the discretized
+    Stieltjes procedure (Gautschi 2004, section 2.2) on the rows v of
+    s^m sqrt(w) at the Gauss nodes."""
+    v_prev, a, b = np.zeros_like(v), [None], []
+    for k in range(n + 1):
+        j = np.count_nonzero(orders <= n - k)
+        if k:
+            a.append(np.einsum("fi,fi->f", v[:j] * nodes, v[:j])[:, None])
+            v_prev, v = v[:j], (nodes - a[k]) * v[:j] - b[k - 1][:j] * v_prev[:j]
+        b.append(np.sqrt(np.einsum("fi,fi->f", v, v))[:, None])
+        v /= b[k]
+    return a, b
+
+
+def _powers(s, orders):
+    # rows s^m, one pow per entry: a row-wise power squares exactly at m = 2
+    # only when its row is one inner loop, so its bits would hang on the
+    # number of points in the call
+    return np.ascontiguousarray((s[:, None] ** orders.astype(float)).T)
 
 
 def eval_basis(space, x):

@@ -39,7 +39,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import delta_r_many, domain_measure
 from .points import NodeSet, canonical
-from .polys import eval_domain_basis
+from .polys import MAX_TABLE_ENTRIES, PolySpace, eval_domain_basis
 
 DEFAULT_TOL = 1e-10
 _BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
@@ -131,6 +131,10 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
         raise ValueError("empty node set")
     if tol < 1e-12:
         raise ValueError("tol must be >= 1e-12")
+    size = PolySpace(nodes.domain.dim, degree).size
+    if size * size > MAX_TABLE_ENTRIES:  # the Gram below, refused before any table
+        raise ValueError(f"a Gram matrix of {size} x {size} entries exceeds "
+                         f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
     a, moments = _moment_matrix(nodes, degree)
     profile = _profile(nodes)
     floor = positivity_floor(nodes)

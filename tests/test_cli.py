@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import capquad as cq
-from capquad import io as cqio
+from capquad import cli, io as cqio
 from capquad.cli import _VERIFY, main
 
 from conftest import three_node_set
@@ -136,8 +136,13 @@ def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp
     # the ball-sample basis table would hold about 3e8 entries (2.4 GB)
     (["verify", "osc", "--points", "{points}", "--degree", "100", "--trials", "2",
       "--report", "{out}"], "lower the degree"),
+    # the Gram would hold about 1e20 entries at degree 100000 and 1.6e9 at 200
+    (["solve", "--points", "{points}", "--degree", "100000", "--out", "{out}"], "Gram"),
+    (["solve", "--points", "{points}", "--degree", "200", "--out", "{out}"], "Gram"),
+    (["moments", "--d", "2", "--alpha", "1", "--degree", "201"], "--degree"),
 ], ids=["points-out", "solve-out", "verify-report", "verify-csv", "points-pool-limit",
-        "bernstein-p-overflow", "osc-table-limit"])
+        "bernstein-p-overflow", "osc-table-limit", "solve-table-limit", "solve-gram-limit",
+        "moments-degree-cap"])
 def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_file, tmp_path):
     paths = {"points": points_file, "rule": rule_file, "out": tmp_path / "out.json",
              "missing": tmp_path / "missing" / "out.json"}
@@ -146,6 +151,21 @@ def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_f
     assert needle.format(**paths) in res.stderr
     assert "error:" in res.stderr and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))  # subcommand parsers are "capquad <name>"
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting)
+    cli.make_parser.cache_clear()
+    for _ in range(2):
+        assert main(["moments", "--d", "1", "--alpha", "1", "--degree", "1"]) == 0
+    assert built.count("capquad") == 1
 
 
 def test_points_deterministic(tmp_path):

@@ -13,6 +13,7 @@ import pytest
 
 from capquad.cli import _ENV, make_parser
 from capquad.geometry import ALPHA_MAX
+from capquad.quadrature import DEGREE_CAP
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -53,7 +54,8 @@ FLAGS = {
                "--trials": POSITIVE_INT, "--ball-samples": POSITIVE_INT,
                "--trial-degree": NONNEG_INT, "--gamma": _range(float, 0.0, 2.0),
                "--n-ref": POSITIVE_INT, **COMMON},
-    "moments": {"--d": _choice, "--alpha": ALPHA, "--degree": NONNEG_INT, **COMMON},
+    "moments": {"--d": _choice, "--alpha": ALPHA, "--degree": _range(int, 0, DEGREE_CAP),
+                **COMMON},
 }
 CASES = [(command, flag) for command, flags in FLAGS.items() for flag in flags]
 ENV_RANGES = {"CAPQUAD_SEED": NONNEG_INT, "CAPQUAD_THREADS": POSITIVE_INT}

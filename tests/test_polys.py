@@ -63,11 +63,16 @@ def test_domain_basis_orthonormal_on_its_domain(domain):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_domain_basis_on_the_sphere_is_the_harmonic_basis_up_to_sign(d):
+def test_domain_basis_on_the_sphere_is_the_harmonic_basis(d):
+    # equal to rounding, signs included, to the closed-form families
     pts = random_cap_points(cq.Cap(cq.north_pole(d), 3.0), 300, seed=3)
+    pts[:2] = np.eye(d + 1)[-1] * [[1.0], [-1.0]]  # both poles
     got = eval_domain_basis(cq.Sphere(d), 12, pts)
-    want = eval_basis_many(cq.PolySpace(d, 12), pts)
-    assert np.abs(np.abs(got) - np.abs(want)).max() < 1e-11
+    if d == 1:
+        want = cq.polys.fourier_table(12, np.arctan2(pts[:, 0], pts[:, 1]))
+    else:
+        want = _column_basis_d2(pts, 12)
+    assert np.abs(got - want).max() < 1e-12
 
 
 def test_domain_basis_refuses_off_pole_domains_and_huge_tables():
@@ -178,7 +183,8 @@ def test_eval_basis_dimension_mismatch():
 
 
 def _column_basis_d2(coords, n):
-    # the column-at-a-time d=2 kernel: the reference for the blocked one
+    # real spherical harmonics, one (l, m) column at a time by the normalized
+    # associated Legendre recurrence: a closed-form reference for the d=2 basis
     npts = coords.shape[0]
     t = np.clip(coords[:, 2], -1.0, 1.0)
     s = np.hypot(coords[:, 0], coords[:, 1])
@@ -210,27 +216,36 @@ def _column_basis_d2(coords, n):
 
 @pytest.mark.parametrize("n", [0, 1, 2, 6, 12, 20, 24])
 def test_basis_table_matches_column_reference(n):
-    space = cq.PolySpace(2, n)
-    block = max(1, cq.polys.BLOCK_ENTRIES // space.size)
+    # a row's bits do not depend on the rows that share its call: any
+    # prefix, across block edges and with both poles, is the full call's;
+    # on the sphere the values are the closed-form harmonics'
     rng = np.random.default_rng(n)
-    for npts in (0, 1, block - 1, block, block + 1, 3 * block + 7):
-        pts = rng.standard_normal((npts, 3))
+    for d in (1, 2):
+        block = max(1, cq.polys.BLOCK_ENTRIES // cq.PolySpace(d, n).size)
+        pts = rng.standard_normal((4 * block, d + 1))
         pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        pts[:2] = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 1.0]])[:npts]  # poles: s = 0, t = -1, 1
-        table = eval_basis_many(space, pts)
-        assert table.shape == (npts, space.size) and table.flags.c_contiguous
-        assert table.tobytes() == _column_basis_d2(pts, n).tobytes()
+        pts[:2] = np.eye(d + 1)[-1] * [[-1.0], [1.0]]  # poles: s = 0, t = -1, 1
+        pole = cq.north_pole(d)
+        for domain in (cq.Cap(pole, 1.0), cq.Collar(pole, 0.5, 1.0), cq.Sphere(d)):
+            full = eval_domain_basis(domain, n, pts)
+            for rows in (0, 1, block - 1, block, block + 1, 3 * block + 7):
+                table = eval_domain_basis(domain, n, pts[:rows])
+                assert table.tobytes() == full[:rows].tobytes(), (domain, rows)
+        if d == 2:
+            assert np.abs(full - _column_basis_d2(pts, n)).max() < 1e-12
 
 
-def test_basis_table_memory_stays_near_table_size():
-    # the blocked kernel's scratch is bounded; a whole second table is not
+@pytest.mark.parametrize("domain", [
+    pytest.param(cq.Sphere(2), id="sphere"), pytest.param(cq.Cap(E2, 1.0), id="cap"),
+    pytest.param(cq.Collar(E2, 0.5, 1.0), id="collar"), pytest.param(cq.Cap(E1, 1.0), id="arc")])
+def test_basis_table_memory_stays_near_table_size(domain):
+    # the blocked kernel's working arrays are bounded; a whole second table is not
     import tracemalloc
 
-    space = cq.PolySpace(2, 6)
-    pts = random_cap_points(cq.Cap(E2, 3.0), 81002, seed=3)
+    pts = random_cap_points(cq.Cap(cq.north_pole(domain.dim), 3.0), 81002, seed=3)
     tracemalloc.start()
     try:
-        table = eval_basis_many(space, pts)
+        table = eval_domain_basis(domain, 6, pts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
