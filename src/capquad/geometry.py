@@ -12,8 +12,8 @@ where ``dist`` is geodesic distance on a cap (chordal on a collar) and
 boundary the square-root term dominates, so equal-radius balls flatten
 into thin annuli there; that is the shape a sampling set for polynomials
 has to follow, and the node generator and every inequality check downstream
-measure distances with this ruler: ``rho_many`` on coordinates, or
-``rho_from_chord`` on the chords of a KD-tree sweep.
+measure distances with this ruler: ``rho_from_chord`` on the chord |x - y|,
+which ``rho_many`` takes from coordinates and a KD-tree sweep hands over.
 
 All angles are radians.  Measures are arc length for d=1 and steradians
 for d=2.  Every object is an immutable value and every function is pure.
@@ -228,9 +228,10 @@ def _arccos(dots):
     """Geodesic distances arccos(dots), the dots clamped into [-1, 1].
 
     From rounded dots, distances near 0 have a floor of about 3e-8: a dot
-    one rounding step below 1 reads 1.5e-8 or 2.1e-8, so equal points can
-    read that instead of 0 and nearby points keep about half their digits.
-    A check below about 1e-7 needs 2 arcsin(chord / 2) (``rho_from_chord``).
+    one rounding step below 1 reads 1.5e-8 or 2.1e-8.  Only polar angles
+    and single-pair geodesics are taken this way: a point near a cap's
+    center can be off by that much in its polar angle and so in its
+    boundary distance, while rho between points comes from their chord.
     """
     return np.arccos(np.clip(dots, -1.0, 1.0))
 
@@ -289,32 +290,6 @@ def _require_inside(domain, coords_rows, what="point"):
         raise GeometryError(f"{what} outside the domain")
 
 
-def _dist_term(domain, coords, y):
-    """First metric ingredient: geodesic distance on caps, chordal on collars.
-
-    ``y`` is one point or one point per row of ``coords``; cap dots are
-    ``coords @ y`` for one point and an elementwise ``einsum`` for rows.
-    """
-    if isinstance(domain, Collar):
-        diff = coords - y
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    if y.ndim == 1:
-        return _arccos(coords @ y)
-    return _arccos(np.einsum("ij,ij->i", coords, y))
-
-
-def rho_kernel(alpha, dist2, sqrt_b_x, sqrt_b_y):
-    """The metric from a squared distance and the boundary-distance roots.
-
-    Every rho evaluation goes through here; callers differ only in how
-    they get the distance term (geodesic on caps, chordal on collars).
-    """
-    rho = dist2 + alpha * (sqrt_b_x - sqrt_b_y) ** 2
-    np.sqrt(rho, out=rho)
-    rho /= alpha
-    return rho
-
-
 def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
     """Boundary-adapted distance from each row of ``coords`` to ``y``: one
     point (a vector), or the matching row of a stack of points.
@@ -326,18 +301,22 @@ def rho_many(domain, coords, y, sqrt_b=None, sqrt_b_y=None):
         sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
     if sqrt_b_y is None:
         sqrt_b_y = np.sqrt(boundary_distance_many(domain, y))
-    dist = _dist_term(domain, coords, y)
-    return rho_kernel(domain.alpha, dist * dist, sqrt_b, sqrt_b_y)
+    diff = coords - y
+    return rho_from_chord(domain, np.sqrt(np.einsum("ij,ij->i", diff, diff)), sqrt_b, sqrt_b_y)
 
 
 def rho_from_chord(domain, chord, sqrt_b_x, sqrt_b_y):
     """The metric from chordal distances: the distance term is the chord
-    itself on a collar and the geodesic 2*arcsin(chord/2) on a cap."""
+    itself on a collar and the geodesic 2*arcsin(chord/2) on a cap, so
+    equal points read exactly 0 and nearby points keep their digits."""
     if isinstance(domain, Collar):
         dist = chord
     else:
         dist = 2.0 * np.arcsin(np.minimum(0.5 * chord, 1.0))
-    return rho_kernel(domain.alpha, dist * dist, sqrt_b_x, sqrt_b_y)
+    rho = dist * dist + domain.alpha * (sqrt_b_x - sqrt_b_y) ** 2
+    np.sqrt(rho, out=rho)
+    rho /= domain.alpha
+    return rho
 
 
 def _metric(domain, x, y):

@@ -25,8 +25,8 @@ probe grid (``product_grid``) stands in for the continuum.  Separation
 and probe scans use chord <= alpha * rho through KD-trees: separation
 by a pair query that finds a near pair and one at the chord of its rho,
 probe counts and coverage by blocked pair sweeps of the nodes against
-the probes, which give rho from their chords.  The lattice steps in
-scalar rho; every other distance here is ``rho_many``.
+the probes.  The lattice steps in scalar rho; every other distance here
+is ``rho_from_chord`` of a chord, a sweep's or one from ``rho_many``.
 """
 
 from __future__ import annotations

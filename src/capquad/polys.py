@@ -9,17 +9,19 @@ so the flat index of (l, m) is l*l + l + m.
 One kernel, ``eval_domain_basis``, evaluates the d=2 harmonics and the
 basis of the same space orthonormal on a cap, collar or sphere centred at
 the pole, in which the solver works; on the sphere the two are one basis.
-It first takes every order's three-term recurrence coefficients from a
-Gauss-Legendre rule alone, then runs the points through that recurrence
-in column blocks of at most BLOCK_ENTRIES table entries (1 MiB), written
-straight into the basis-major table.  A table so costs its own memory
-plus a bounded amount, and a row's bits depend neither on the other rows
-of the call nor on the block size.  The orthonormal recurrence keeps
-entries O(sqrt(l)), far inside double precision at every degree used.
+It takes every order's three-term recurrence coefficients from a
+Gauss-Legendre rule alone, once per domain and degree, then runs the
+points through that recurrence in column blocks of at most BLOCK_ENTRIES
+table entries (1 MiB), written straight into the basis-major table.  A
+table so costs its own memory plus a bounded amount, and a row's bits
+depend neither on the other rows of the call nor on the block size.  The
+orthonormal recurrence keeps entries O(sqrt(l)), far inside double
+precision at every degree used.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -122,8 +124,6 @@ def eval_domain_basis(domain, degree, coords):
     points in u on [lo, hi] with doubled weights.  On the sphere these are
     the harmonic and Fourier bases, equal to rounding.
     """
-    from . import quadrature
-
     space = PolySpace(domain.dim, degree)
     n = space.degree
     coords = np.atleast_2d(np.asarray(coords, dtype=float))
@@ -132,16 +132,7 @@ def eval_domain_basis(domain, degree, coords):
     if domain.center != north_pole(domain.dim):
         raise ValueError("the domain basis needs a domain centred at the pole")
     _check_table_size(coords.shape[0], space.size)
-    lo, hi = domain.polar_range
-    if domain.dim == 1:  # the even (m = 0) and the odd (m = 1) part, in c = cos(u)
-        u, w = quadrature.gauss_legendre_on(lo, hi, 2 * n + 16)
-        nodes, w, s_nodes = np.cos(u), 2.0 * w, np.sin(u)
-        orders = np.arange(min(n, 1) + 1)
-    else:
-        nodes, w = quadrature.gauss_legendre_on(math.cos(hi), math.cos(lo), 2 * n + 8)
-        s_nodes = np.sqrt(np.clip(1.0 - nodes * nodes, 0.0, None))
-        orders = np.arange(n + 1)
-    a, b = _stieltjes(nodes, _powers(s_nodes, orders) * np.sqrt(w), orders, n)
+    orders, a, b = _recurrence(domain, n)
     out = np.empty((space.size, coords.shape[0]))
     block = max(1, BLOCK_ENTRIES // space.size)
     for start in range(0, coords.shape[0], block):
@@ -166,6 +157,26 @@ def eval_domain_basis(domain, degree, coords):
                 rows[l * l + l + m] = v * cos_m[:j]
                 rows[(l * l + l - m)[1:]] = v[1:] * sin_m[:j - 1]
     return out.T
+
+
+@functools.lru_cache(maxsize=64)
+def _recurrence(domain, n):
+    """The orders m and read-only ``_stieltjes`` coefficients of ``eval_domain_basis``."""
+    from . import quadrature
+
+    lo, hi = domain.polar_range
+    if domain.dim == 1:  # the even (m = 0) and the odd (m = 1) part, in c = cos(u)
+        u, w = quadrature.gauss_legendre_on(lo, hi, 2 * n + 16)
+        nodes, w, s_nodes = np.cos(u), 2.0 * w, np.sin(u)
+        orders = np.arange(min(n, 1) + 1)
+    else:
+        nodes, w = quadrature.gauss_legendre_on(math.cos(hi), math.cos(lo), 2 * n + 8)
+        s_nodes = np.sqrt(np.clip(1.0 - nodes * nodes, 0.0, None))
+        orders = np.arange(n + 1)
+    a, b = _stieltjes(nodes, _powers(s_nodes, orders) * np.sqrt(w), orders, n)
+    for arr in (orders, *a[1:], *b):  # cached: shared by every caller
+        arr.setflags(write=False)
+    return orders, tuple(a), tuple(b)
 
 
 def _stieltjes(nodes, v, orders, n):

@@ -46,7 +46,7 @@ from .geometry import (
     north_frame,
     north_pole,
     polar_angles,
-    rho_kernel,
+    rho_from_chord,
 )
 from .polys import PolySpace, as_point_function, eval_basis_many, fourier_table
 
@@ -126,13 +126,6 @@ class ProductRule:
         return (f"ProductRule(domain={self.domain!r}, npoints={self.points.shape[0]}, "
                 f"target_degree={self.target_degree})")
 
-    def in_grid_order(self, per_point):
-        """``per_point`` (one entry per row of ``points``) in the row order of
-        ``rule_values``: azimuth-major at d=2, unchanged at d=1."""
-        if self.azimuth_count == 0:
-            return per_point
-        return per_point.reshape(-1, self.azimuth_count).T.ravel()
-
 
 def _d1_polar_order(target, half_width):
     # generous: geometric decay of Gauss error on analytic integrands gives
@@ -155,12 +148,12 @@ def build_rule(domain, target_degree):
         t, wt = gauss_legendre_on(math.cos(hi), math.cos(lo), target_degree + 2)
         phi = np.arange(azimuth) * (2.0 * math.pi / azimuth)
         s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        local = np.empty((t.size * azimuth, 3))
-        local[:, 0] = np.outer(s, np.cos(phi)).ravel()
-        local[:, 1] = np.outer(s, np.sin(phi)).ravel()
-        local[:, 2] = np.repeat(t, azimuth)
+        local = np.empty((azimuth * t.size, 3))  # azimuth-major, as ``rule_values``
+        local[:, 0] = np.outer(np.cos(phi), s).ravel()
+        local[:, 1] = np.outer(np.sin(phi), s).ravel()
+        local[:, 2] = np.tile(t, azimuth)
         points = local @ north_frame(domain.center)  # frame is symmetric
-        weights = np.repeat(wt * (2.0 * math.pi / azimuth), azimuth)
+        weights = np.tile(wt * (2.0 * math.pi / azimuth), azimuth)
         return ProductRule(domain, t, wt, azimuth, points, weights, target_degree)
     if isinstance(domain, Sphere):  # periodic: the uniform rule is exact
         m = max(2 * target_degree + 2, 8)
@@ -190,7 +183,7 @@ def rule_values(space, rule, coeffs):
     """f = sum_k c_k Y_k at every point of a product rule, one column per
     column of the (space.size, columns) ``coeffs``, from the rule's own factors.
 
-    Rows follow ``rule.in_grid_order``.  At d=2 a harmonic factors as
+    Rows follow ``rule.points``.  At d=2 a harmonic factors as
     Y_lm(theta, phi) = P_l^|m|(cos theta) * trig_m(phi), so f on the grid
     is one small product per Fourier column (a Legendre table at the polar
     nodes meets the coefficients of that order m; one batched product)
@@ -452,7 +445,6 @@ def _eval_balls_d2(domain, theta_c, sqrt_b_c, radius, lo, hi, order, weight_fn):
 
 def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, order, weight_fn):
     """One quadrature order for d=1 balls: union of arc segments."""
-    alpha = domain.alpha
     dmax = ball_reach(domain, radius)
     xi, wxi = gauss_legendre_on(0.0, 1.0, order)
     k = u_c.shape[0]
@@ -467,14 +459,9 @@ def _eval_balls_d1(domain, u_c, sqrt_b_c, radius, order, weight_fn):
         span = (hi - lo)[:, None]
         u = lo[:, None] + span * xi[None, :]
         w = span * wxi[None, :]
-        gap = np.abs(u - u_c[:, None])
-        if isinstance(domain, Collar):
-            dist2 = (2.0 * np.sin(0.5 * gap)) ** 2
-        else:
-            geo = np.minimum(gap, 2.0 * math.pi - gap)
-            dist2 = geo * geo
+        chord = 2.0 * np.abs(np.sin(0.5 * (u - u_c[:, None])))
         b = boundary_distance_at(domain, np.abs(u))
-        rho_val = rho_kernel(alpha, dist2, np.sqrt(b), sqrt_b_c[:, None])
+        rho_val = rho_from_chord(domain, chord, np.sqrt(b), sqrt_b_c[:, None])
         mask = (rho_val <= radius + 1e-12) & ok[:, None]
         vols += np.einsum("ki,ki->k", mask.astype(float), w)
         if weight_fn is not None:

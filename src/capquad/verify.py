@@ -259,9 +259,8 @@ def _abs_power_integral(domain, space, coeffs, p):
     """
     def estimate(order, cols):
         rule = build_rule(domain, order)
-        weights = rule.in_grid_order(rule.weights)
         return _by_chunks(lambda c: rule_values(space, rule, c), coeffs[:, cols],
-                          lambda v: weights @ _abs_power(v, p))
+                          lambda v: rule.weights @ _abs_power(v, p))
 
     converged, prev, last = double_until_stable(estimate, ADAPTIVE_ORDERS, INTEGRAL_TOL,
                                                 coeffs.shape[1])
@@ -639,9 +638,7 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     order = min(int(p) * degree + 16, 200)
     rule = build_rule(domain, order)
     wn, wn_unconverged = _ball_average(domain, weight, degree, rule.points)
-    # rule weights times the weight and times its ball average, in grid order
-    weighted = np.stack([rule.in_grid_order(rule.weights * weight.eval_on(domain, rule.points)),
-                         rule.in_grid_order(rule.weights * wn)])
+    weighted = np.stack([rule.weights * weight.eval_on(domain, rule.points), rule.weights * wn])
     table = _NodeBallTable(nodes, eps, ball_samples, space)
     _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
 

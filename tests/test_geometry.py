@@ -136,33 +136,42 @@ def test_delta_r_monotone_in_r():
     assert all(v > 0 for v in vals)
 
 
-@pytest.mark.parametrize("domain", [cq.Cap(E1, 0.8), cq.Cap(E2, 1.0), cq.Collar(E1, 0.5, 1.0),
-                                    cq.Collar(cq.SpherePoint([0.3, 0.2, 0.9]), 0.5, 1.0)],
-                         ids=repr)
-def test_rho_many_one_point_and_rows_keep_their_dot_forms(domain):
-    # one point meets the rows in a matrix-vector product, rows meet rows
-    # elementwise; the cap geodesics of the two differ in the last bit on
-    # many of these points (with OpenBLAS)
-    pts = cq.points.product_grid(domain, 0.05, 8 if domain.dim == 1 else 1)
-    other = pts[::-1]
-    y = pts[len(pts) // 3]
-    sqrt_b = np.sqrt(boundary_distance_many(domain, pts))
-    sqrt_b_other = np.sqrt(boundary_distance_many(domain, other))
-    sqrt_b_y = np.sqrt(boundary_distance_many(domain, y.reshape(1, -1)))[0]
-    if isinstance(domain, cq.Cap):
-        dist_one = np.arccos(np.clip(pts @ y, -1.0, 1.0))
-        dist_rows = np.arccos(np.clip(np.einsum("ij,ij->i", pts, other), -1.0, 1.0))
-    else:
-        dist_one = np.sqrt(np.einsum("ij,ij->i", pts - y, pts - y))
-        dist_rows = np.sqrt(np.einsum("ij,ij->i", pts - other, pts - other))
+def _near_pairs(domain):
+    """Pairs 1e-3 ... 1e-12 apart: at one polar angle on S^2, mirrored
+    about the center on S^1 (both rows of a pair share their b)."""
+    gaps = 10.0 ** -np.arange(3, 13)
+    if domain.dim == 1:
+        return (np.column_stack([np.sin(gaps), np.cos(gaps)]),
+                np.column_stack([-np.sin(gaps), np.cos(gaps)]))
+    theta = 0.5 * sum(domain.polar_range) + 0.1
+    phi = 0.3 + np.stack([np.zeros_like(gaps), gaps])
+    rows = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi),
+                     np.full_like(phi, np.cos(theta))], axis=-1)
+    return rows[0], rows[1]
 
-    def reference(dist, sb_y):
-        return np.sqrt(dist * dist + domain.alpha * (sqrt_b - sb_y) ** 2) / domain.alpha
 
-    assert np.array_equal(rho_many(domain, pts, y), reference(dist_one, sqrt_b_y))
-    assert np.array_equal(rho_many(domain, pts, other), reference(dist_rows, sqrt_b_other))
-    assert np.array_equal(rho_many(domain, pts, other, sqrt_b, sqrt_b_other),
-                          reference(dist_rows, sqrt_b_other))
+@pytest.mark.parametrize("domain", [cq.Cap(E2, 1.0), cq.Cap(E1, 0.5), cq.Collar(E2, 0.5, 1.0)],
+                         ids=["cap-d2", "cap-d1", "collar-d2"])
+def test_rho_many_near_pairs_match_a_chord_oracle(domain):
+    # rho is dist / alpha when b agrees; dist is the 50-digit chord of the
+    # same float coordinates, taken to 2 arcsin(chord / 2) on a cap
+    import mpmath
+
+    xs, ys = _near_pairs(domain)
+    assert np.array_equal(boundary_distance_many(domain, xs), boundary_distance_many(domain, ys))
+    got = rho_many(domain, xs, ys)
+    with mpmath.workdps(50):
+        for x, y, rho in zip(xs, ys, got):
+            chord = mpmath.sqrt(mpmath.fsum((mpmath.mpf(u) - mpmath.mpf(v)) ** 2
+                                            for u, v in zip(x, y)))
+            dist = chord if isinstance(domain, cq.Collar) else 2 * mpmath.asin(chord / 2)
+            want = dist / mpmath.mpf(domain.alpha)
+            assert abs(rho - want) <= 1e-14 * want
+    # equal points read exactly 0, and one point meets the rows as its
+    # repeated row does, bit for bit
+    assert np.array_equal(rho_many(domain, xs, xs), np.zeros(len(xs)))
+    assert np.array_equal(rho_many(domain, xs, ys[0]),
+                          rho_many(domain, xs, np.repeat(ys[:1], len(xs), axis=0)))
 
 
 def test_rho_ball_contains():

@@ -372,12 +372,7 @@ def test_pair_sweep_matches_per_node_scan(domain):
         ref_counts, ref_best = _per_probe(
             _per_node_neighbours(domain, pts, nodes.coords, radius), pts.shape[0], radius)
         assert np.array_equal(counts, ref_counts)
-        # the reference takes a cap's geodesic distance as arccos of a
-        # rounded dot, which is off by up to 3e-8 near 0 (the sweep's
-        # 2 arcsin(chord/2) reads exactly 0 at a probe on a node); from
-        # rho 1e-2 on, both agree to 1e-12
-        atol = np.where(ref_best >= 1e-2, 1e-12, 1e-7)
-        assert np.isclose(best, ref_best, rtol=0.0, atol=atol).all()
+        assert np.isclose(best, ref_best, rtol=0.0, atol=1e-12).all()
         assert (best[-len(nodes):] == 0.0).all()
         assert counts.max() > 1
 
@@ -389,7 +384,7 @@ def test_pair_sweep_yields_each_pair_once():
     i, j, d = (np.concatenate(a) for a in zip(*_node_neighbours(cap, pts, nodes.coords, 0.1)))
     assert np.unique(i * pts.shape[0] + j).size == i.size
     want = rho_many(cap, nodes.coords[i], pts[j])
-    assert np.isclose(d, want, rtol=0.0, atol=np.where(want >= 1e-2, 1e-12, 1e-7)).all()
+    assert np.isclose(d, want, rtol=0.0, atol=1e-12).all()
 
 
 @pytest.mark.parametrize("domain, eps", zip(_SWEEP_DOMAINS, (0.06, 0.1, 0.0025, 0.0025)),

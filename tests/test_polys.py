@@ -83,6 +83,21 @@ def test_domain_basis_refuses_off_pole_domains_and_huge_tables():
         eval_domain_basis(cap, 99, np.tile(E2.coords, (20000, 1)))
 
 
+def test_domain_basis_recurrence_is_computed_once_and_read_only():
+    # the coefficients depend on (domain, degree) alone: an equal domain
+    # reuses them, shared read-only, and writes the first call's bits
+    cap = cq.Cap(E2, 0.7)
+    pts = random_cap_points(cap, 50, seed=2)
+    cq.polys._recurrence.cache_clear()
+    first = eval_domain_basis(cap, 6, pts)
+    again = eval_domain_basis(cq.Cap(cq.north_pole(2), 0.7), 6, pts)
+    assert again.tobytes() == first.tobytes()
+    info = cq.polys._recurrence.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    orders, a, b = cq.polys._recurrence(cap, 6)
+    assert not any(arr.flags.writeable for arr in (orders, *a[1:], *b))
+
+
 def test_basis_values_bounded_high_degree():
     space = cq.PolySpace(2, 64)
     pts = random_cap_points(cq.Cap(E2, 3.0), 500, seed=1)

@@ -282,8 +282,7 @@ def test_rule_values_match_basis_table(name, degree):
             with pytest.raises(ValueError, match="pole"):
                 call()
         return
-    want = rule.in_grid_order(np.arange(len(rule.weights)))
-    want = (eval_basis_many(space, rule.points) @ coeffs)[want]
+    want = eval_basis_many(space, rule.points) @ coeffs
     got = rule_values(space, rule, coeffs)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
