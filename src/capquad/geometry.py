@@ -87,28 +87,11 @@ def north_frame(center):
     inverse and maps the pole back to ``center``.
     """
     e = center.coords if isinstance(center, SpherePoint) else np.asarray(center, float)
-    return north_frames(e.reshape(1, -1))[0]
-
-
-def north_frames(coords):
-    """``north_frame`` of every row of ``coords``, stacked: (k, d+1, d+1).
-
-    Each v.v is one dot of a stack of 1 x (d+1) by (d+1) x 1 products, the
-    same dot as ``v @ v`` of a single vector, so a frame's bits do not
-    depend on the rows stacked with it.  Rows at the pole take the
-    identity.
-    """
-    coords = np.asarray(coords, dtype=float)
-    n = coords.shape[1]
-    pole = np.zeros(n)
-    pole[-1] = 1.0
-    v = coords - pole
-    vv = np.matmul(v[:, None, :], v[:, :, None])
-    at_pole = vv[:, 0, 0] < 1e-28
-    vv[at_pole] = 1.0  # any nonzero value: these frames are replaced below
-    frames = np.eye(n) - (2.0 / vv) * (v[:, :, None] * v[:, None, :])
-    frames[at_pole] = np.eye(n)
-    return frames
+    v = e - north_pole(e.shape[0] - 1).coords
+    vv = float(v @ v)
+    if vv < 1e-28:
+        return np.eye(e.shape[0])
+    return np.eye(e.shape[0]) - (2.0 / vv) * np.outer(v, v)
 
 
 def _as_point(center):

@@ -64,8 +64,8 @@ class NodeSet:
     arbitrary points (no separation promise) carry epsilon = 0, which
     makes the separation invariant vacuous.  ``epsilon`` and ``delta``
     must be finite and nonnegative; ``validate`` checks membership and
-    separation.  ``algorithm`` names the generator of the nodes, as
-    files record it.
+    separation ("membership": membership alone).  ``algorithm`` names
+    the generator of the nodes, as files record it.
     """
 
     domain: Cap | Collar
@@ -75,7 +75,7 @@ class NodeSet:
     delta: float | None = None
     seed: int = 0
     algorithm: str = "unknown"
-    validate: InitVar[bool] = True
+    validate: InitVar[bool | str] = True
 
     def __post_init__(self, validate):
         domain = self.domain
@@ -96,12 +96,11 @@ class NodeSet:
         for name, value in (("epsilon", epsilon), ("delta", delta)):
             if not (math.isfinite(value) and value >= 0.0):
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
-        if validate:
-            if not np.all(contains(domain, coords)):
-                raise ValueError("node outside the domain")
-            sep = min_separation(domain, coords) if epsilon > 0 else math.inf
-            if sep < epsilon - 1e-12:
-                raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
+        if validate and not np.all(contains(domain, coords)):
+            raise ValueError("node outside the domain")
+        sep = min_separation(domain, coords) if validate is True and epsilon > 0 else math.inf
+        if sep < epsilon - 1e-12:
+            raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "degree", degree)
@@ -333,7 +332,8 @@ def _fit_ring(domain, theta, k, step):
 
 def _drop_crowded(domain, coords, epsilon):
     """``coords`` without each row within rho epsilon of an earlier row
-    kept: a crowded closing node, or d=1 arc ends that meet."""
+    kept (a crowded closing node, or d=1 arc ends that meet): every pair
+    left is epsilon-separated, the query holding each pair within it."""
     pairs = cKDTree(coords).query_pairs(_chord_within(domain, epsilon), output_type="ndarray")
     close = pairs[rho_many(domain, coords[pairs[:, 0]], coords[pairs[:, 1]]) < epsilon]
     keep = np.ones(coords.shape[0], dtype=bool)
@@ -374,9 +374,10 @@ def ring_lattice(domain, epsilon, seed=0, degree=None, delta=None):
                                           np.full(k, math.cos(theta))]))
         local = np.vstack(rings)
     coords = _drop_crowded(domain, local @ north_frame(domain.center), epsilon)
-    # NodeSet takes delta = epsilon * degree when it is missing
+    # NodeSet takes delta = epsilon * degree when it is missing; the kept
+    # rows hold no pair nearer than epsilon, so only membership is checked
     return NodeSet(domain, coords, epsilon, degree=1 if degree is None else degree,
-                   delta=delta, seed=seed, algorithm="rho-ring-lattice")
+                   delta=delta, seed=seed, algorithm="rho-ring-lattice", validate="membership")
 
 
 # ---------------------------------------------------------------------------

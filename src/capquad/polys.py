@@ -87,7 +87,7 @@ def fourier_table(n, angles):
     return out
 
 
-def _check_table_size(rows, columns):
+def check_table_size(rows, columns):
     if rows * columns > MAX_TABLE_ENTRIES:
         raise ValueError(f"a basis table of {rows} x {columns} entries exceeds "
                          f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
@@ -106,7 +106,7 @@ def eval_basis_many(space, coords):
         raise ValueError("dimension mismatch between space and points")
     if space.dim_sphere == 2:
         return eval_domain_basis(Sphere(2), space.degree, coords)
-    _check_table_size(coords.shape[0], space.size)
+    check_table_size(coords.shape[0], space.size)
     return fourier_table(space.degree, np.arctan2(coords[:, 0], coords[:, 1]))
 
 
@@ -131,7 +131,7 @@ def eval_domain_basis(domain, degree, coords):
         raise ValueError("dimension mismatch between domain and points")
     if domain.center != north_pole(domain.dim):
         raise ValueError("the domain basis needs a domain centred at the pole")
-    _check_table_size(coords.shape[0], space.size)
+    check_table_size(coords.shape[0], space.size)
     orders, a, b = _recurrence(domain, n)
     out = np.empty((space.size, coords.shape[0]))
     block = max(1, BLOCK_ENTRIES // space.size)

@@ -489,18 +489,21 @@ def balls_integral(domain, centers, radius, weight_fn=None):
     relative with the previous order; ``unconverged`` counts the balls
     still apart at order 1024, which keep their last estimates.  Balls
     are evaluated in blocks of ``_BALL_POINT_BUDGET // order``, which
-    bounds the memory of an order's quadrature points.
+    bounds the memory of an order's quadrature points.  A d=2 ball is a
+    function of its centre's polar angle: one evaluation per angle.
     """
     centers = np.atleast_2d(np.asarray(centers, float))
-    sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
     if domain.dim == 2:
-        theta_c = polar_angles(domain, centers)
+        theta_c, ball = np.unique(polar_angles(domain, centers), return_inverse=True)
+        sqrt_b_c = np.sqrt(boundary_distance_at(domain, theta_c))
         lo, hi = _ball_boxes(domain, theta_c, sqrt_b_c, radius)
 
         def level(sel, order):
             return _eval_balls_d2(domain, theta_c[sel], sqrt_b_c[sel], radius,
                                   lo[sel], hi[sel], order, weight_fn)
     else:
+        ball = np.arange(centers.shape[0])
+        sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
         canon = centers @ north_frame(domain.center)
         u_c = np.arctan2(canon[:, 0], canon[:, 1])
 
@@ -513,8 +516,8 @@ def balls_integral(domain, centers, radius, weight_fn=None):
                                for i in range(0, cols.size, block)], axis=1)
 
     converged, _, (vols, masses) = double_until_stable(estimate, _BALL_ORDERS, _BALL_RTOL,
-                                                       centers.shape[0])
-    return vols, masses, int(np.count_nonzero(~converged))
+                                                       sqrt_b_c.size)
+    return vols[ball], masses[ball], int(np.count_nonzero(~converged[ball]))
 
 
 def rho_ball_volume(ball):

@@ -9,9 +9,11 @@ fields (the bracket or estimate, and the diagnostics of its quadrature),
 which the CLI writes as it is, beside the trial settings.
 
 Ball maxima are approximated by deterministic low-discrepancy samples
-plus the ball center.  Under-sampling can only shrink a maximum, so
-measured constants are lower bounds, and reports say so via the
-``ball_samples`` entry they carry.
+plus the ball center, drawn and evaluated once per ring of nodes at one
+polar angle and turned about the pole to the ring's other nodes, so the
+tables stay small at n >= 16 (``_RingBallTable``).  Under-sampling can
+only shrink a maximum, so measured constants are lower bounds, as the
+``ball_samples`` entry of a report says.
 
 Every measurement runs all trials at once: trial k is column k of a
 coefficient matrix drawn from its own generator, derived from the master
@@ -44,12 +46,11 @@ from .geometry import (
     contains,
     delta_r_many,
     map_T_many,
-    north_frames,
     poly_D,
     rho_many,
 )
 from .points import canonical, product_grid, tau_statistic
-from .polys import PolySpace, eval_basis_many, fourier_table
+from .polys import PolySpace, check_table_size, eval_basis_many, fourier_table
 from .quadrature import (
     ADAPTIVE_ORDERS,
     QuadratureError,
@@ -65,6 +66,8 @@ DEGENERATE_FLOOR = 1e-14
 MAX_REDRAWS = 100
 COLUMN_CHUNK = 16  # trial columns per product with a tall basis table
 INTEGRAL_TOL = 1e-8
+VALUES_ENTRIES = 2**20  # ball values (8 MiB) of one block of ``_RingBallTable.extremes``
+_RING_TOL = 1e-9  # polar angles this close share a ring of ball samples
 
 
 # ---------------------------------------------------------------------------
@@ -289,34 +292,34 @@ def _integral_ratio_trials(domain, space, p, ratio, trials, seed):
 # ball sampling
 
 
-class _NodeBallTable:
-    """Deterministic low-discrepancy samples of the rho-ball at every node,
-    with the basis table of ``space`` at the samples.
+class _RingBallTable:
+    """Low-discrepancy samples of the rho-ball at every node, drawn and
+    evaluated once per ring of nodes whose polar angles agree to _RING_TOL.
 
     A golden-angle spiral (d=2) or evenly spaced angles (d=1) fill the
-    bounding geodesic region; points falling outside the ball or the
-    domain are dropped, and the node itself always leads its block, so a
-    sample never over-reaches the ball.  The region depends only on the
-    radius, so one spiral serves every node, turned by the node's frame,
-    and all nodes are filtered in one pass.
-
-    Rows are stored slot-major, so that the per-node reduction runs over
-    contiguous memory.  Nodes are sorted by block size, largest first
-    (stably), and run j holds sample j of every node with more than j
-    samples, in that order: each run is a prefix of the one before, and
-    ``runs`` lists their lengths.  Run 0 holds the centres, and
-    ``centre_rows`` gives each node's row there, which is also its
-    position in every later run.  The order does not change results: max
-    and min are exact, a basis table of the samples holds in each row the
-    bits of that sample, and one product of the whole table with a
-    coefficient matrix gave row-permuted bits on every benchmark shape
-    checked (products over slices of the rows need not, so the table
-    meets each chunk of columns whole).
+    bounding geodesic region; points outside the ball or the domain are
+    dropped and the centre leads, so no sample over-reaches the ball.  A
+    ring's first node, its reference, turns the spiral by the frame
+    R_z(phi) R_y(theta) of its own angles and keeps ``samples`` (ring
+    after ring from ``starts``) and their basis table.  rho depends on
+    the chord and the polar angles alone and the frame is equivariant,
+    so a ring node at azimuth gap g has the reference samples turned by
+    R_z(g).  On d=1, or with no shared polar angle, a node is its own ring.
     """
 
     def __init__(self, nodes, radius, count, space):
-        domain, centers = nodes.domain, nodes.coords
-        k = centers.shape[0]
+        domain, coords = nodes.domain, nodes.coords
+        ring, azimuth = np.arange(len(coords)), np.zeros(len(coords))
+        if domain.dim == 2:
+            theta = np.arctan2(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
+            azimuth = np.arctan2(coords[:, 1], coords[:, 0])
+            by_theta = np.argsort(theta, kind="stable")
+            ring[by_theta] = np.cumsum(np.r_[0, np.diff(theta[by_theta]) > _RING_TOL])
+        self.nodes = np.argsort(ring, kind="stable")  # ring after ring, reference first
+        self.node_starts = np.r_[0, np.cumsum(np.bincount(ring))]
+        refs = self.refs = self.nodes[self.node_starts[:-1]]
+        self.ring_centres = coords[refs[ring]]
+        check_table_size(refs.size * (count + 1), space.size)
         bound = ball_reach(domain, radius)
         j = np.arange(count)
         if domain.dim == 2:
@@ -324,55 +327,65 @@ class _NodeBallTable:
             phi = 2.0 * math.pi * np.mod(j / _GOLDEN, 1.0)
             s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
             local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
-            pts = np.matmul(local, north_frames(centers))
+            (ct, st), (cp, sp) = ((np.cos(a[refs]), np.sin(a[refs])) for a in (theta, azimuth))
+            frames = np.stack([cp * ct, sp * ct, -st, -sp, cp, 0.0 * ct, cp * st, sp * st, ct])
+            pts = np.matmul(local, frames.T.reshape(-1, 3, 3))  # rows turned by R_z R_y
         else:
-            offs = bound * (2.0 * (j + 0.5) / count - 1.0)
-            # a Python loop on purpose: NumPy's SIMD arctan2 differs from
-            # math.atan2 in the last bit on some inputs (14 657 of 200 000
-            # random pairs on an AVX-512 Xeon), which would change sample bytes
-            base = np.array([math.atan2(c[0], c[1]) for c in centers])
-            u = base[:, None] + offs
+            u = bound * (2.0 * (j + 0.5) / count - 1.0) + np.arctan2(*coords[refs].T)[:, None]
             pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
-        flat = pts.reshape(k * count, -1)
-        sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
-        dist = rho_many(domain, flat, np.repeat(centers, count, axis=0),
-                        sqrt_b_y=np.repeat(sqrt_b_c, count))
+        flat = pts.reshape(refs.size * count, -1)
+        dist = rho_many(domain, flat, np.repeat(coords[refs], count, axis=0))
         inside = contains(domain, flat) & (dist <= radius + 1e-12)
-        keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
-        sizes = keep.sum(axis=1)
-        order = np.argsort(-sizes, kind="stable")
-        # each node's kept samples moved to the front of its block, in
-        # sample order, then taken slot-major as rows of the flat blocks
-        front = np.argsort(~keep[order], axis=1, kind="stable")[:, :sizes.max()]
-        slots = np.arange(sizes.max())[:, None] < sizes[order]
-        rows = ((count + 1) * order[:, None] + front).T[slots]
-        self.runs = slots.sum(axis=1).tolist()
-        blocks = np.concatenate([centers[:, None, :], pts], axis=1)
-        self.samples = blocks.reshape(k * (count + 1), -1)[rows]
-        self.centre_rows = np.argsort(order)
+        keep = np.column_stack([np.ones(refs.size, bool), inside.reshape(refs.size, count)])
+        self.samples = np.concatenate([coords[refs][:, None, :], pts], axis=1)[keep]
+        self.starts = np.r_[0, np.cumsum(keep.sum(axis=1))]
         self.basis = eval_basis_many(space, self.samples)
-
-    def group_max_min(self, values):
-        """Per-node maxima and minima of sample values (rows of ``samples``),
-        stacked in node order: out[0] the maxima, out[1] the minima.  A
-        running maximum and minimum over the runs, gathered back to node
-        order."""
-        lo = self.runs[0]
-        out = np.stack([values[:lo], values[:lo]])
-        for run in self.runs[1:]:
-            np.maximum(out[0, :run], values[lo:lo + run], out=out[0, :run])
-            np.minimum(out[1, :run], values[lo:lo + run], out=out[1, :run])
-            lo += run
-        return out[:, self.centre_rows]
+        # rings of more than one node: each node's gap g to its reference as
+        # (cos(m g) - 1, sin(m g)), and the table columns of order m = 1..n
+        self.turned = np.flatnonzero(np.diff(self.node_starts) > 1)
+        n = space.degree if self.turned.size else 0
+        gaps = np.outer(azimuth - azimuth[refs[ring]], np.arange(1, n + 1))[self.nodes]
+        turns = np.stack([-2.0 * np.sin(0.5 * gaps) ** 2, np.sin(gaps)], axis=-1)
+        self.turns = turns.reshape(len(coords), 2 * n)
+        self.orders = [np.r_[l * l + l + m, l * l + l - m]
+                       for m in range(1, n + 1) for l in [np.arange(m, n + 1)]]
 
     def extremes(self, coeffs, absolute):
         """Per-node maxima (out[0]) and minima (out[1]) of f, or of |f| when
-        ``absolute``, over the samples: one column per column of coeffs,
-        the table meeting COLUMN_CHUNK columns at a time."""
-        def reduce(values):
-            return self.group_max_min(np.abs(values) if absolute else values)
+        ``absolute``, over the samples: one column per column of coeffs.
 
-        return _by_chunks(lambda b: self.basis @ b, coeffs, reduce)
+        f at the reference samples y is one product with the table, and
+            f(R_z(g) y) = f(y) + sum_m (cos(m g) - 1) X_m(y) + sin(m g) Y_m(y)
+        with X_m the order-m part of f and Y_m that part with the
+        coefficients of cos(m phi) and sin(m phi) quarter-turned: 2n
+        products per sample of a turned node, not (n + 1)^2.  Columns go
+        in chunks, and ring nodes in blocks, of at most VALUES_ENTRIES values.
+        """
+        out = np.empty((2, len(self.nodes), coeffs.shape[1]))
+        width = max(1, VALUES_ENTRIES // (self.basis.shape[0] * (1 + 2 * len(self.orders))))
+        for j in range(0, coeffs.shape[1], width):
+            c, part = coeffs[:, j:j + width], out[:, :, j:j + width]
+            values = c.T @ self.basis.T  # samples along the last axis: a fast reduceat
+            ref = np.abs(values) if absolute else values
+            part[0, self.refs] = np.maximum.reduceat(ref, self.starts[:-1], axis=1).T
+            part[1, self.refs] = np.minimum.reduceat(ref, self.starts[:-1], axis=1).T
+            xy = np.empty((2 * len(self.orders),) + values.shape[::-1])
+            for m, cols in enumerate(self.orders):
+                half = cols.size // 2
+                xy[2 * m] = self.basis[:, cols] @ c[cols]
+                xy[2 * m + 1] = self.basis[:, cols] @ np.r_[c[cols[half:]], -c[cols[:half]]]
+            for r in self.turned:
+                lo, hi = self.starts[r], self.starts[r + 1]
+                parts = xy[:, lo:hi].reshape(xy.shape[0], (hi - lo) * c.shape[1])
+                block = max(1, VALUES_ENTRIES // parts.shape[1])
+                for i in range(self.node_starts[r] + 1, self.node_starts[r + 1], block):
+                    at = slice(i, min(i + block, self.node_starts[r + 1]))
+                    vals = (self.turns[at] @ parts).reshape(-1, hi - lo, c.shape[1])
+                    vals += values[:, lo:hi].T
+                    if absolute:
+                        np.abs(vals, out=vals)
+                    part[:, self.nodes[at]] = vals.max(axis=1), vals.min(axis=1)
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +436,8 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     eps = nodes.epsilon
     delta = nodes.delta
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
-    table = _NodeBallTable(nodes, beta * eps, ball_samples, space)
-    volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
+    table = _RingBallTable(nodes, beta * eps, ball_samples, space)
+    volumes, _, unconverged = balls_integral(domain, table.ring_centres, eps)
 
     def ratio(c, integral):
         gmax, gmin = table.extremes(c, absolute=False)
@@ -476,7 +489,7 @@ def maxmin_equivalence(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     domain = nodes.domain
     eps = nodes.epsilon
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
-    table = _NodeBallTable(nodes, beta * eps, ball_samples, space)
+    table = _RingBallTable(nodes, beta * eps, ball_samples, space)
     surrogate = delta_r_many(domain, nodes.coords, eps)
 
     def ratio(c, integral):
@@ -639,8 +652,8 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     rule = build_rule(domain, order)
     wn, wn_unconverged = _ball_average(domain, weight, degree, rule.points)
     weighted = np.stack([rule.weights * weight.eval_on(domain, rule.points), rule.weights * wn])
-    table = _NodeBallTable(nodes, eps, ball_samples, space)
-    _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
+    table = _RingBallTable(nodes, eps, ball_samples, space)
+    _, masses, mass_unconverged = balls_integral(domain, table.ring_centres, eps, weight.eval_b)
 
     def measure(c):
         int_w, int_wn = _by_chunks(lambda b: rule_values(space, rule, b), c,

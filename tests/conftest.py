@@ -82,7 +82,7 @@ def random_collar_points(collar, count, seed):
 
 def north_frame_per_node(e):
     """The Householder frame of one unit vector, v.v taken by a 1-D dot:
-    the reference for the stacked ``geometry.north_frames``."""
+    the reference for ``geometry.north_frame``."""
     pole = np.zeros(e.shape[0])
     pole[-1] = 1.0
     v = e - pole

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -90,6 +91,23 @@ def test_bad_numeric_flag_exits_1(argv, flag, env, points_file, rule_file, tmp_p
     assert not out.exists()
 
 
+def test_ball_measurements_run_at_scale(tmp_path):
+    # one sample table per ring keeps these far below the table limit; with a
+    # table row per node sample both went over it (see osc-table-limit below
+    # for a request that still does)
+    files = {n: tmp_path / f"cap_n{n}.json" for n in (8, 16)}
+    for n, path in files.items():  # 3236 and 12 790 nodes
+        assert main(["points", "--d", "2", "--alpha", "1", "--degree", str(n),
+                     "--delta", "0.25", "--out", str(path)]) == 0
+    runs = [["osc", "--points", str(files[16])], ["maxmin", "--points", str(files[16])],
+            ["osc", "--points", str(files[8]), "--ball-samples", "1024"]]
+    for k, argv in enumerate(runs):
+        report = tmp_path / f"report{k}.json"
+        assert main(["verify", *argv, "--trials", "4", "--report", str(report)]) == 0
+        cell = json.loads(report.read_text())["cells"][0]
+        assert all(math.isfinite(v) for v in cell.values())
+
+
 def test_verify_non_finite_report_exits_1(tmp_path):
     # |f|^1000 overflows on this rule: no report, exit 1 naming the
     # subcommand and --p
@@ -133,9 +151,9 @@ def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp
       "--out", "{out}"], "grid limit"),
     (["verify", "bernstein", "--alpha", "0.3", "--degree", "4", "--p", "1000",
       "--report", "{out}"], "--p"),
-    # the ball-sample basis table would hold about 3e8 entries (2.4 GB)
-    (["verify", "osc", "--points", "{points}", "--degree", "100", "--trials", "2",
-      "--report", "{out}"], "lower the degree"),
+    # the ring tables of the ball samples would hold about 1e10 entries (80 GB)
+    (["verify", "osc", "--points", "{points}", "--degree", "100", "--ball-samples", "20000",
+      "--trials", "2", "--report", "{out}"], "lower the degree"),
     # the Gram would hold about 1e20 entries at degree 100000 and 1.6e9 at 200
     (["solve", "--points", "{points}", "--degree", "100000", "--out", "{out}"], "Gram"),
     (["solve", "--points", "{points}", "--degree", "200", "--out", "{out}"], "Gram"),

@@ -111,7 +111,7 @@ def _cell_id(cell):
 def test_ring_lattice_separated_and_maximal(domain, n, delta):
     eps = delta / n
     ns = cq.ring_lattice(domain, eps, degree=n, delta=delta)
-    assert min_separation(domain, ns.coords) >= eps - 1e-12
+    assert min_separation(domain, ns.coords) >= eps  # not checked again by the NodeSet
     assert cq.is_maximal_separable(domain, ns, eps)
 
 
@@ -121,9 +121,26 @@ def test_ring_lattice_separated_on_a_thin_cap():
     # would pass the grid limit, so only separation is checked
     cap, eps = cq.Cap(E2, 0.05), 0.125 / 24
     ns = cq.ring_lattice(cap, eps, degree=24, delta=0.125)
-    assert min_separation(cap, ns.coords) >= eps - 1e-12
+    assert min_separation(cap, ns.coords) >= eps
     with pytest.raises(ValueError, match="grid limit"):
         product_grid(cap, eps, 4)
+
+
+def test_ring_lattice_checks_membership_but_not_separation_again(monkeypatch):
+    # _drop_crowded proves the separation of the kept rows, so the lattice's
+    # NodeSet checks membership alone; a file of the same set is checked in full
+    from capquad import io
+
+    calls = []
+    monkeypatch.setattr(points, "min_separation", lambda *args: calls.append(args) or math.inf)
+    cap = cq.Cap(E2, 1.0)
+    ns = cq.ring_lattice(cap, 0.25 / 4, degree=4, delta=0.25)
+    assert calls == []
+    io.nodes_from_dict(io.points_to_dict(ns))
+    assert len(calls) == 1
+    monkeypatch.setattr(points, "contains", lambda domain, coords: np.zeros(len(coords), bool))
+    with pytest.raises(ValueError, match="outside the domain"):
+        cq.ring_lattice(cap, 0.25 / 4, degree=4, delta=0.25)
 
 
 @pytest.mark.parametrize("domain, eps", [
@@ -133,7 +150,7 @@ def test_ring_lattice_separated_on_a_thin_cap():
 ], ids=["cap", "collar", "cap-wrap", "collar-wrap"])
 def test_ring_lattice_d1(domain, eps):
     ns = cq.ring_lattice(domain, eps)
-    assert min_separation(domain, ns.coords) >= eps - 1e-12
+    assert min_separation(domain, ns.coords) >= eps
     assert cq.is_maximal_separable(domain, ns, eps)
 
 

@@ -6,7 +6,7 @@ import pytest
 import capquad as cq
 from capquad.verify import VerificationReport
 
-from conftest import north_frame_per_node, spread_subset
+from conftest import spread_subset
 
 E2 = cq.north_pole(2)
 
@@ -138,90 +138,124 @@ def test_batched_matches_one_column_at_a_time(name, monkeypatch, rule_a1_n8, nod
 
 
 def test_osc_constant_zero_for_constants(nodes_a1_n8):
-    # a constant polynomial has zero oscillation on every ball
+    # a constant polynomial has zero oscillation on every ball, the turned
+    # ring nodes included: its order m >= 1 parts are exact zeros
     from capquad.polys import PolySpace
-    from capquad.verify import _NodeBallTable
+    from capquad.verify import _RingBallTable
 
-    table = _NodeBallTable(nodes_a1_n8, nodes_a1_n8.epsilon, 16, PolySpace(2, 0))
-    vals = np.ones(table.samples.shape[0])
-    gmax, gmin = table.group_max_min(vals)
-    assert np.abs(gmax - gmin).max() == 0.0
+    for degree in (0, 4):
+        space = PolySpace(2, degree)
+        table = _RingBallTable(nodes_a1_n8, nodes_a1_n8.epsilon, 16, space)
+        assert table.turned.size > 0
+        coeffs = np.zeros((space.size, 3))
+        coeffs[0] = [1.0, -2.0, 0.5]
+        gmax, gmin = table.extremes(coeffs, absolute=False)
+        assert np.abs(gmax - gmin).max() == 0.0
 
 
-def _node_order_ball_samples(nodes, radius, count):
-    # the node-major layout of the ball samples: each node's block (its
-    # centre, then its kept samples in order), blocks in node order
+def _turn_z(points, gap):
+    """Rows of ``points`` turned by ``gap`` about the pole (0, 0, 1)."""
+    c, s = math.cos(gap), math.sin(gap)
+    return points @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
+def _ball_sets():
+    """(nodes, radius) of a cap lattice, a collar lattice, a d=1 arc and a
+    cap set with no two nodes at one polar angle."""
+    from conftest import random_cap_points
+
+    cap = cq.Cap(E2, 1.0)
+    scattered = cq.NodeSet(cap, random_cap_points(cap, 150, seed=8), 0.0)
+    arc = cq.ring_lattice(cq.Cap(cq.north_pole(1), 1.0), 0.25 / 16, degree=16, delta=0.25)
+    return [(cq.ring_lattice(cap, 0.25 / 4, degree=4, delta=0.25), 0.25 / 4),
+            (cq.ring_lattice(cq.Collar(E2, 0.5, 1.0), 0.25 / 4, degree=4, delta=0.25), 0.1),
+            (arc, arc.epsilon), (scattered, 0.08)]
+
+
+def test_ring_extremes_match_each_nodes_turned_samples():
+    # every node's max and min against eval_basis_many at its own samples:
+    # the ring's reference samples turned by the node's azimuth gap
     from capquad import geometry as g
-    from capquad.verify import _GOLDEN
+    from capquad.polys import PolySpace, eval_basis_many
+    from capquad.verify import _RingBallTable
 
-    domain, centers = nodes.domain, nodes.coords
-    k = centers.shape[0]
-    bound = g.ball_reach(domain, radius)
-    j = np.arange(count)
-    if domain.dim == 2:
-        t = 1.0 - (1.0 - math.cos(bound)) * (j + 0.5) / count
-        phi = 2.0 * math.pi * np.mod(j / _GOLDEN, 1.0)
-        s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-        local = np.column_stack([s * np.cos(phi), s * np.sin(phi), t])
-        pts = np.matmul(local, np.array([g.north_frame(cq.SpherePoint(c)) for c in centers]))
-    else:
-        base = np.array([math.atan2(c[0], c[1]) for c in centers])
-        u = base[:, None] + bound * (2.0 * (j + 0.5) / count - 1.0)
-        pts = np.stack([np.sin(u), np.cos(u)], axis=-1)
-    flat = pts.reshape(k * count, -1)
-    dist = g.rho_many(domain, flat, np.repeat(centers, count, axis=0),
-                      np.sqrt(g.boundary_distance_many(domain, flat)),
-                      np.repeat(np.sqrt(g.boundary_distance_many(domain, centers)), count))
-    inside = g.contains(domain, flat) & (dist <= radius + 1e-12)
-    keep = np.column_stack([np.ones(k, bool), inside.reshape(k, count)])
-    samples = np.concatenate([centers[:, None, :], pts], axis=1)[keep]
-    return samples, np.r_[0, np.cumsum(keep.sum(axis=1))[:-1]]
-
-
-def _sorted_rows(a):
-    return a[np.lexsort(a.T[::-1])]
-
-
-def test_group_max_min_matches_node_order_reduceat(nodes_a1_n8):
-    from capquad.polys import PolySpace
-    from capquad.verify import _NodeBallTable
-
-    arc = cq.Cap(cq.north_pole(1), 1.0)
-    nodes_d1 = cq.ring_lattice(arc, 0.25 / 16, seed=0, degree=16, delta=0.25)
-    centre_only = 0
-    for nodes, count in ((nodes_a1_n8, 16), (nodes_a1_n8, 1), (nodes_d1, 16), (nodes_d1, 2)):
-        radius = nodes.epsilon
-        table = _NodeBallTable(nodes, radius, count, PolySpace(nodes.domain.dim, 0))
-        ref_samples, offsets = _node_order_ball_samples(nodes, radius, count)
-        assert np.array_equal(_sorted_rows(table.samples), _sorted_rows(ref_samples))
-        centre_only += int(np.count_nonzero(np.diff(np.r_[offsets, len(ref_samples)]) == 1))
-        # values are row-wise functions of the sample, so both layouts hold
-        # the same bits in permuted rows; (N, 16) is one trial chunk
-        for f in (lambda x: np.sin(7.0 * x[:, 0]) + x[:, -1] ** 3,
-                  lambda x: np.cos(np.arange(1, 17) * x[:, :1] - x[:, -1:])):
-            want = np.stack([np.maximum.reduceat(f(ref_samples), offsets),
-                             np.minimum.reduceat(f(ref_samples), offsets)])
-            assert np.array_equal(table.group_max_min(f(table.samples)), want)
-    assert centre_only > 0
+    for nodes, radius in _ball_sets():
+        domain, coords = nodes.domain, nodes.coords
+        space = PolySpace(domain.dim, 5)
+        table = _RingBallTable(nodes, radius, 24, space)
+        coeffs = np.random.default_rng(3).standard_normal((space.size, 4))
+        rings = len(table.starts) - 1
+        if domain.dim == 1 or nodes.epsilon == 0:  # rings of one node, none turned
+            assert table.turned.size == 0 and rings == len(nodes)
+        else:
+            assert table.turned.size > 0 and 4 * rings < len(nodes)
+        got = [table.extremes(coeffs, absolute) for absolute in (False, True)]
+        want = np.full((2,) + got[0].shape, np.nan)
+        for r in range(rings):
+            ring = table.nodes[table.node_starts[r]:table.node_starts[r + 1]]
+            ref = table.samples[table.starts[r]:table.starts[r + 1]]
+            assert np.array_equal(ref[0], coords[ring[0]])  # the reference centre leads
+            for j in np.r_[ring[::max(1, len(ring) // 4)], ring[-1]]:  # a few of each ring
+                pts = ref
+                if domain.dim == 2:
+                    gap = math.atan2(coords[j, 1], coords[j, 0]) - math.atan2(
+                        coords[ring[0], 1], coords[ring[0], 0])
+                    pts = _turn_z(ref, gap)
+                assert np.abs(pts[0] - coords[j]).max() <= 1e-15
+                assert (g.rho_many(domain, pts, coords[j]) <= radius + 1e-12).all()
+                assert g.contains(domain, pts).all()
+                values = eval_basis_many(space, pts) @ coeffs
+                for k, v in enumerate((values, np.abs(values))):
+                    want[k, :, j] = v.max(axis=0), v.min(axis=0)
+        checked = ~np.isnan(want[0, 0, :, 0])
+        for k in (0, 1):
+            gap = np.abs(got[k] - want[k])[:, checked]
+            assert gap.max() <= 1e-12 * np.abs(want[k][:, checked]).max()
 
 
-def test_ball_table_samples_match_per_node_frames(monkeypatch, nodes_a1_n8):
-    # the constructor with the frames built one node at a time
+def _turned_about_pole(nodes, gap):
+    return cq.NodeSet(nodes.domain, _turn_z(nodes.coords, gap), nodes.epsilon, nodes.degree,
+                      nodes.delta, nodes.seed, validate=False)
+
+
+def _coefficient_turn(degree, gap):
+    """The matrix taking the coefficients of f to those of f turned by
+    ``gap`` about the pole, f(R_z(-gap) x)."""
+    turn = np.eye((degree + 1) ** 2)
+    for l in range(1, degree + 1):
+        for m in range(1, l + 1):
+            cos_m, sin_m = l * l + l + m, l * l + l - m
+            c, s = math.cos(m * gap), math.sin(m * gap)
+            turn[np.ix_([cos_m, sin_m], [cos_m, sin_m])] = [[c, -s], [s, c]]
+    return turn
+
+
+def test_ball_cells_are_invariant_under_a_turn_about_the_pole(monkeypatch, cap_a1, cap_a05,
+                                                              nodes_a05_n8):
+    # the ring frame is equivariant: a set and its trial polynomials turned
+    # together about the pole give the same balls and so the same cells
     from capquad import verify
-    from capquad.polys import PolySpace
 
-    collar = cq.Collar(E2, 0.5, 1.0)
-    space = PolySpace(2, 0)
-    nodes_collar = cq.ring_lattice(collar, 0.25 / 4, degree=4, delta=0.25)
-    for nodes, count in ((nodes_a1_n8, 64), (nodes_collar, 64), (nodes_collar, 7)):
-        table = verify._NodeBallTable(nodes, nodes.epsilon, count, space)
-        with monkeypatch.context() as m:
-            m.setattr(verify, "north_frames", lambda centers: np.array(
-                [north_frame_per_node(c) for c in centers]))
-            ref = verify._NodeBallTable(nodes, nodes.epsilon, count, space)
-        assert table.samples.tobytes() == ref.samples.tobytes()
-        assert table.runs == ref.runs
-        assert np.array_equal(table.centre_rows, ref.centre_rows)
+    gap = 2.0171
+    lattice = cq.ring_lattice(cap_a1, 0.25 / 4, degree=4, delta=0.25)
+    weight = cq.DoublingWeight.boundary_power(1.0, n_ref=8)
+    run = {"trials": 5, "seed": 12, "ball_samples": 24}
+
+    def cells(cap_nodes, small_nodes):
+        return [cq.osc_constant(cap_nodes, 4, 2, **run),
+                cq.maxmin_equivalence(cap_nodes, 4, 2, **run),
+                cq.weighted_mz(cap_a05, weight, small_nodes, 4, 2, **run)]
+
+    want = cells(lattice, nodes_a05_n8)
+    turn = _coefficient_turn(4, gap)
+    engine = verify.run_trials
+    monkeypatch.setattr(verify, "run_trials", lambda trials, measure, size, seed: engine(
+        trials, lambda c: measure(turn @ c), size, seed))
+    got = cells(_turned_about_pole(lattice, gap), _turned_about_pole(nodes_a05_n8, gap))
+    for a, b in zip(got, want):
+        assert a.keys() == b.keys()
+        assert np.allclose([a[k] for k in sorted(a)], [b[k] for k in sorted(b)],
+                           rtol=1e-12, atol=0.0)
 
 
 def _table_abs_power_integrals(domain, space, coeffs, powers):
