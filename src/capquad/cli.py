@@ -6,8 +6,8 @@ precedence flags > environment (CAPQUAD_SEED, CAPQUAD_THREADS) >
 defaults, and an environment value gets its flag's check.  The thread
 count is parsed and checked but changes no output: every measurement
 runs its trials as one batch of matrix products.  A verify measurement
-that is not finite, or a verify flag its measurement does not take,
-exits 1 without a report.
+that is not finite or whose draws stay degenerate, or a verify flag its
+measurement does not take, exits 1 without a report.
 """
 
 from __future__ import annotations
@@ -308,6 +308,10 @@ def cmd_verify(args):
         measured = measure(**{k: v for k, v in offered.items() if k in takes})
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except verify.DegenerateDraws:
+        sys.stderr.write(f"error: verify {name}: every draw of a trial integrates |f|^p below "
+                         f"{verify.DEGENERATE_FLOOR:g} at --p {args.p:g}; no report written\n")
         return 1
     bad = sorted(k for k, v in measured.items() if not math.isfinite(v))
     if bad:

@@ -87,6 +87,46 @@ def fourier_table(n, angles):
     return out
 
 
+def order_table(n, coords):
+    """The d=2 basis table of degree n at ``coords`` as ``order_parts`` takes
+    it: the columns (l, 0), then (l, m) and (l, -m) for m = 1..n (l >= m),
+    each divided by the constant of its Fourier factor."""
+    table = eval_domain_basis(Sphere(2), n, coords)[:, _order_columns(n)[0]]
+    table[:, :n + 1] *= math.sqrt(2.0 * math.pi)
+    table[:, n + 1:] *= math.sqrt(math.pi)
+    return table
+
+
+@functools.lru_cache(maxsize=64)
+def _order_columns(n):
+    """Indices into [coeffs; -coeffs]: of the columns of an ``order_table``
+    (row 0), and of each order's block quarter-turned, (l, -m) then -(l, m)."""
+    l = np.arange(n + 1)
+    cols = [l * l + l] + [l[m:] * l[m:] + l[m:] + s * m for m in range(1, n + 1) for s in (1, -1)]
+    turned = cols[:1] + [b for m in range(1, n + 1)
+                         for b in (cols[2 * m], cols[2 * m - 1] + (n + 1) ** 2)]
+    index = np.stack([np.concatenate(cols), np.concatenate(turned)])
+    index.setflags(write=False)  # cached: shared by every caller
+    return index
+
+
+def order_parts(table, coeffs):
+    """The order-m parts of f = basis @ coeffs at the rows y of an
+    ``order_table`` of degree n, shape (2n + 1, rows, columns):
+    f(R_z(g) y) = fourier_table(n, [g]) @ parts for every turn g about the
+    pole, part 2m being part 2m - 1 with (l, m) and (l, -m) quarter-turned."""
+    n = math.isqrt(table.shape[1]) - 1
+    c = np.take(np.concatenate([coeffs, np.negative(coeffs)]), _order_columns(n), axis=0)
+    out = np.empty((2 * n + 1, table.shape[0], c.shape[2]))
+    np.matmul(table[:, :n + 1], c[0, :n + 1], out=out[0])
+    start = n + 1
+    for m in range(1, n + 1):  # the block of order m times both rows of its coefficients
+        stop = start + 2 * (n + 1 - m)
+        np.matmul(table[:, start:stop], c[:, start:stop], out=out[2 * m - 1:2 * m + 1])
+        start = stop
+    return out
+
+
 def check_table_size(rows, columns):
     if rows * columns > MAX_TABLE_ENTRIES:
         raise ValueError(f"a basis table of {rows} x {columns} entries exceeds "
@@ -258,29 +298,18 @@ def project_onto(space, f):
     if space.degree > PROJECTION_DEGREE_CAP:
         raise ValueError(f"projection degree capped at {PROJECTION_DEGREE_CAP}")
     rule = quadrature.build_rule(Sphere(space.dim_sphere), 2 * space.degree + 2)
-    fv = as_point_function(f)
+    fvals = as_point_function(f)(rule.points)
+    weighted = rule.weights * fvals
+    norm2 = float(weighted @ fvals)
     coeffs = np.zeros(space.size)
-    norm2 = 0.0
-    chunk = 4096
-    pts, wts = rule.points, rule.weights
-    fvals = np.empty(pts.shape[0])
-    for lo in range(0, pts.shape[0], chunk):
-        block = pts[lo : lo + chunk]
-        wblock = wts[lo : lo + chunk]
-        vals = fv(block)
-        fvals[lo : lo + chunk] = vals
-        basis = eval_basis_many(space, block)
-        coeffs += basis.T @ (wblock * vals)
-        norm2 += float(wblock @ (vals * vals))
+    for lo in range(0, len(fvals), 4096):  # basis tables of at most 4096 rows
+        coeffs += eval_basis_many(space, rule.points[lo:lo + 4096]).T @ weighted[lo:lo + 4096]
     if norm2 <= 1e-300:
         return PolyCoeffs(space, coeffs), 0.0
-    # second pass: the pointwise defect avoids the cancellation that
-    # norm2 - |coeffs|^2 suffers when f lies (nearly) in the space
-    resid2 = 0.0
-    for lo in range(0, pts.shape[0], chunk):
-        basis = eval_basis_many(space, pts[lo : lo + chunk])
-        defect = fvals[lo : lo + chunk] - basis @ coeffs
-        resid2 += float(wts[lo : lo + chunk] @ (defect * defect))
+    # the pointwise defect, on the rule's grid by sum factorization, avoids
+    # the cancellation that norm2 - |coeffs|^2 suffers when f lies (nearly) in the space
+    defect = fvals - quadrature.rule_values(space, rule, coeffs[:, None])[:, 0]
+    resid2 = float(rule.weights @ (defect * defect))
     return PolyCoeffs(space, coeffs), math.sqrt(max(resid2, 0.0) / norm2)
 
 

@@ -15,12 +15,12 @@ target; full circles use the uniform rule, which is exact.
 Gauss-Legendre nodes come from Newton iteration on the Legendre
 recurrence, converged to 1e-15 and symmetrized.
 
-A polynomial on a product rule's grid factors into a Legendre part at
-the polar nodes and a Fourier part at the azimuths (``rule_values``), so
-integrals of functions of it never build a basis table of the rule's
-points.  The factors hold in the canonical frame, where the domain is
-centred at the pole; the solver and the measurements work there too
-(``points.canonical``), so no coefficient is ever mapped between frames.
+A polynomial on a product rule's grid is its order-m parts at the polar
+nodes on azimuth 0 (``polys.order_parts``) turned about the pole to each
+azimuth (``rule_values``): no basis table of the rule's points is built.
+That needs the canonical frame, where the domain is centred at the pole;
+the solver and the measurements work there too (``points.canonical``),
+so no coefficient is ever mapped between frames.
 
 rho-balls (measures and weighted masses, for the weighted inequalities)
 are integrated on their own: on S^2 every row of fixed polar angle meets
@@ -48,7 +48,7 @@ from .geometry import (
     polar_angles,
     rho_from_chord,
 )
-from .polys import PolySpace, as_point_function, eval_basis_many, fourier_table
+from .polys import as_point_function, fourier_table, order_parts, order_table
 
 DEGREE_CAP = 200
 
@@ -183,68 +183,34 @@ def rule_values(space, rule, coeffs):
     """f = sum_k c_k Y_k at every point of a product rule, one column per
     column of the (space.size, columns) ``coeffs``, from the rule's own factors.
 
-    Rows follow ``rule.points``.  At d=2 a harmonic factors as
-    Y_lm(theta, phi) = P_l^|m|(cos theta) * trig_m(phi), so f on the grid
-    is one small product per Fourier column (a Legendre table at the polar
-    nodes meets the coefficients of that order m; one batched product)
-    followed by one product with the Fourier table at the azimuths (sum
-    factorization); at d=1 f is the Fourier table at the rule's angles
-    times the coefficients.  No table of (points x basis size) entries is
-    built.  The factors hold in the frame of the rule's domain, so the
-    domain must be centred at the pole (``points.canonical`` turns a node
-    set there); any other raises ValueError.
+    Rows follow ``rule.points``.  At d=2 the points at azimuth phi are the
+    points at azimuth 0 turned by phi about the pole, so f there is the
+    Fourier table at phi times the ``polys.order_parts`` of f at azimuth 0
+    (sum factorization); at d=1 f is the Fourier table at the rule's angles
+    times the coefficients.  The domain must be centred at the pole.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    factors = _grid_factors(rule, space.degree)
-    if space.dim_sphere == 1:
-        return factors @ coeffs
-    legendre, index, fourier = factors
-    padded = np.concatenate([coeffs, np.zeros((1, coeffs.shape[1]))])
-    per_order = np.matmul(legendre, padded[index])  # (2n + 1, polar nodes, columns)
-    values = fourier @ per_order.reshape(per_order.shape[0], -1)
-    return values.reshape(-1, coeffs.shape[1])
+    table, fourier = _grid_factors(rule, space.degree)
+    if table is None:
+        return fourier @ coeffs
+    parts = order_parts(table, coeffs)  # (2n + 1, polar nodes, columns)
+    return (fourier @ parts.reshape(parts.shape[0], -1)).reshape(-1, parts.shape[2])
 
 
 @functools.lru_cache(maxsize=8)  # one measurement's ladder of orders
 def _grid_factors(rule, degree):
-    """The factors of a product rule at a degree n whose domain is centred
-    at the pole (ValueError otherwise): at d=1 the Fourier table at the
-    rule's angles, at d=2 (legendre, index, fourier).
-
-    Fourier column q of the [const, cos phi, sin phi, ..., sin n phi] table
-    ``fourier`` (azimuths x (2n + 1)) carries the harmonics (l, m) with
-    m = 0 (q = 0), m = k (q = 2k - 1) or m = -k (q = 2k), l = |m| .. n.
-    ``index[q, j]`` is the flat index of the harmonic of degree |m| + j
-    (the zero row past the last coefficient where that passes n), and
-    ``legendre[q, :, j]`` its Legendre factor at the polar nodes, scaled
-    so that the product of the two factors is the harmonic.
-    """
+    """(table, fourier) of a rule of a domain centred at the pole (ValueError
+    otherwise): at d=2 the ``polys.order_table`` at its first points, on azimuth
+    0, and the Fourier table at the azimuths; at d=1 (None, the Fourier table)."""
     if rule.domain.center != north_pole(rule.domain.dim):
         raise ValueError("rule_values needs a rule of a domain centred at the pole")
-    n = degree
-    if rule.azimuth_count == 0:
-        table = fourier_table(n, rule.polar_nodes)
+    table, angles = None, rule.polar_nodes
+    if rule.azimuth_count:
+        table = order_table(degree, rule.points[:angles.size])
         table.setflags(write=False)  # cached: shared by every caller
-        return table
-    t = rule.polar_nodes
-    s = np.sqrt(np.clip(1.0 - t * t, 0.0, None))
-    # at azimuth 0, harmonic (l, m >= 0) is its Legendre factor (times sqrt 2 for m > 0)
-    table = eval_basis_many(PolySpace(2, n), np.column_stack([s, np.zeros_like(t), t]))
-    size = (n + 1) ** 2
-    index = np.full((2 * n + 1, n + 1), size)
-    legendre = np.zeros((2 * n + 1, t.shape[0], n + 1))
-    for q in range(2 * n + 1):
-        m = (q + 1) // 2
-        sign = -1 if q and q % 2 == 0 else 1
-        scale = math.sqrt(2.0 * math.pi) if m == 0 else math.sqrt(math.pi)
-        l = np.arange(m, n + 1)
-        index[q, :l.size] = l * l + l + sign * m
-        legendre[q, :, :l.size] = table[:, l * l + l + m] * scale
-    azimuths = np.arange(rule.azimuth_count) * (2.0 * math.pi / rule.azimuth_count)
-    factors = legendre, index, fourier_table(n, azimuths)
-    for arr in factors:  # cached: shared by every caller
-        arr.setflags(write=False)
-    return factors
+        angles = np.arange(rule.azimuth_count) * (2.0 * math.pi / rule.azimuth_count)
+    fourier = fourier_table(degree, angles)
+    fourier.setflags(write=False)
+    return table, fourier
 
 
 ADAPTIVE_ORDERS = (8, 16, 32, 64, 128, DEGREE_CAP)

@@ -19,9 +19,9 @@ Every measurement runs all trials at once: trial k is column k of a
 coefficient matrix drawn from its own generator, derived from the master
 seed, and each basis table meets that matrix in one matrix product (per
 fixed chunk of columns where the table is tall).  The integrals over a
-domain take f on each product rule's grid from the rule's polar and
-azimuthal factors (``quadrature.rule_values``), so no basis table of a
-rule's points is built.  A degenerate column is redrawn from its own
+domain take f on each product rule's grid from ``quadrature.rule_values``
+and ball samples of turned nodes from ``polys.order_parts``, which build
+no table of those points.  A degenerate column is redrawn from its own
 stream, so a trial's draws never depend on another trial.
 
 Each measurement first turns its node set into the canonical frame
@@ -49,8 +49,9 @@ from .geometry import (
     poly_D,
     rho_many,
 )
+from . import polys
 from .points import canonical, product_grid, tau_statistic
-from .polys import PolySpace, check_table_size, eval_basis_many, fourier_table
+from .polys import PolySpace, eval_basis_many, fourier_table
 from .quadrature import (
     ADAPTIVE_ORDERS,
     QuadratureError,
@@ -185,6 +186,10 @@ def trial_rng(seed, index):
     return np.random.default_rng((int(seed), int(index)))
 
 
+class DegenerateDraws(RuntimeError):
+    """A trial's draws stayed degenerate through MAX_REDRAWS draws (``run_trials``)."""
+
+
 def run_trials(trials, measure, size, seed):
     """Values of ``measure`` over ``trials`` standard-normal draws of length ``size``.
 
@@ -193,7 +198,7 @@ def run_trials(trials, measure, size, seed):
     degenerate): an array whose last axis runs over the columns of C, and
     a mask of the columns that are degenerate draws.  Each degenerate
     column is redrawn from its own stream and measured again, at most
-    MAX_REDRAWS draws in all.  Values come back in trial order.
+    MAX_REDRAWS draws in all (then DegenerateDraws).  Values come in trial order.
     """
     rngs = [trial_rng(seed, k) for k in range(trials)]
     redo = np.arange(trials)
@@ -211,7 +216,7 @@ def run_trials(trials, measure, size, seed):
         redo = redo[np.asarray(degenerate, bool)]
         if redo.size == 0:
             return values
-    raise RuntimeError("persistent degenerate draws")
+    raise DegenerateDraws("persistent degenerate draws")
 
 
 def _degenerate(integrals):
@@ -304,7 +309,9 @@ class _RingBallTable:
     after ring from ``starts``) and their basis table.  rho depends on
     the chord and the polar angles alone and the frame is equivariant,
     so a ring node at azimuth gap g has the reference samples turned by
-    R_z(g).  On d=1, or with no shared polar angle, a node is its own ring.
+    R_z(g); ``turns`` is the Fourier table at each node's gap.  On d=1, or
+    with no shared polar angle, a node is its own ring and the table a plain
+    basis table; else it is a ``polys.order_table``.
     """
 
     def __init__(self, nodes, radius, count, space):
@@ -319,7 +326,9 @@ class _RingBallTable:
         self.node_starts = np.r_[0, np.cumsum(np.bincount(ring))]
         refs = self.refs = self.nodes[self.node_starts[:-1]]
         self.ring_centres = coords[refs[ring]]
-        check_table_size(refs.size * (count + 1), space.size)
+        if refs.size * (count + 1) * space.size > polys.MAX_TABLE_ENTRIES:
+            raise ValueError(f"ball-sample tables of {refs.size * (count + 1)} x {space.size} "
+                             "entries exceed 1 GiB; lower --ball-samples or the degree")
         bound = ball_reach(domain, radius)
         j = np.arange(count)
         if domain.dim == 2:
@@ -339,49 +348,40 @@ class _RingBallTable:
         keep = np.column_stack([np.ones(refs.size, bool), inside.reshape(refs.size, count)])
         self.samples = np.concatenate([coords[refs][:, None, :], pts], axis=1)[keep]
         self.starts = np.r_[0, np.cumsum(keep.sum(axis=1))]
-        self.basis = eval_basis_many(space, self.samples)
-        # rings of more than one node: each node's gap g to its reference as
-        # (cos(m g) - 1, sin(m g)), and the table columns of order m = 1..n
-        self.turned = np.flatnonzero(np.diff(self.node_starts) > 1)
+        self.turned = np.flatnonzero(np.diff(self.node_starts) > 1)  # d=2 only
         n = space.degree if self.turned.size else 0
-        gaps = np.outer(azimuth - azimuth[refs[ring]], np.arange(1, n + 1))[self.nodes]
-        turns = np.stack([-2.0 * np.sin(0.5 * gaps) ** 2, np.sin(gaps)], axis=-1)
-        self.turns = turns.reshape(len(coords), 2 * n)
-        self.orders = [np.r_[l * l + l + m, l * l + l - m]
-                       for m in range(1, n + 1) for l in [np.arange(m, n + 1)]]
+        self.turns = fourier_table(n, (azimuth - azimuth[refs[ring]])[self.nodes])
+        self.basis = (polys.order_table(n, self.samples) if self.turned.size
+                      else eval_basis_many(space, self.samples))
 
     def extremes(self, coeffs, absolute):
         """Per-node maxima (out[0]) and minima (out[1]) of f, or of |f| when
         ``absolute``, over the samples: one column per column of coeffs.
 
-        f at the reference samples y is one product with the table, and
-            f(R_z(g) y) = f(y) + sum_m (cos(m g) - 1) X_m(y) + sin(m g) Y_m(y)
-        with X_m the order-m part of f and Y_m that part with the
-        coefficients of cos(m phi) and sin(m phi) quarter-turned: 2n
-        products per sample of a turned node, not (n + 1)^2.  Columns go
-        in chunks, and ring nodes in blocks, of at most VALUES_ENTRIES values.
+        With no shared polar angle f at the samples is one product with the
+        table.  Else a ring's samples y give the ``polys.order_parts`` of f,
+        and a node's row of ``turns`` (gap 0 at the reference) times them is
+        f at its samples R_z(g) y: 2n + 1 products per sample, not (n + 1)^2.
+        Columns and ring nodes go in blocks of at most VALUES_ENTRIES values.
         """
         out = np.empty((2, len(self.nodes), coeffs.shape[1]))
-        width = max(1, VALUES_ENTRIES // (self.basis.shape[0] * (1 + 2 * len(self.orders))))
+        samples = np.diff(self.starts).max() if self.turned.size else len(self.basis)
+        width = max(1, VALUES_ENTRIES // (samples * self.turns.shape[1]))
         for j in range(0, coeffs.shape[1], width):
             c, part = coeffs[:, j:j + width], out[:, :, j:j + width]
-            values = c.T @ self.basis.T  # samples along the last axis: a fast reduceat
-            ref = np.abs(values) if absolute else values
-            part[0, self.refs] = np.maximum.reduceat(ref, self.starts[:-1], axis=1).T
-            part[1, self.refs] = np.minimum.reduceat(ref, self.starts[:-1], axis=1).T
-            xy = np.empty((2 * len(self.orders),) + values.shape[::-1])
-            for m, cols in enumerate(self.orders):
-                half = cols.size // 2
-                xy[2 * m] = self.basis[:, cols] @ c[cols]
-                xy[2 * m + 1] = self.basis[:, cols] @ np.r_[c[cols[half:]], -c[cols[:half]]]
-            for r in self.turned:
-                lo, hi = self.starts[r], self.starts[r + 1]
-                parts = xy[:, lo:hi].reshape(xy.shape[0], (hi - lo) * c.shape[1])
-                block = max(1, VALUES_ENTRIES // parts.shape[1])
-                for i in range(self.node_starts[r] + 1, self.node_starts[r + 1], block):
+            if not self.turned.size:  # every node its own ring: f at its samples directly
+                values = c.T @ self.basis.T  # samples along the last axis: a fast reduceat
+                ref = np.abs(values) if absolute else values
+                part[0, self.refs] = np.maximum.reduceat(ref, self.starts[:-1], axis=1).T
+                part[1, self.refs] = np.minimum.reduceat(ref, self.starts[:-1], axis=1).T
+                continue
+            for r in range(len(self.refs)):
+                parts = polys.order_parts(self.basis[self.starts[r]:self.starts[r + 1]], c)
+                ring = parts.reshape(parts.shape[0], -1)
+                block = max(1, VALUES_ENTRIES // ring.shape[1])
+                for i in range(self.node_starts[r], self.node_starts[r + 1], block):
                     at = slice(i, min(i + block, self.node_starts[r + 1]))
-                    vals = (self.turns[at] @ parts).reshape(-1, hi - lo, c.shape[1])
-                    vals += values[:, lo:hi].T
+                    vals = (self.turns[at] @ ring).reshape(-1, parts.shape[1], c.shape[1])
                     if absolute:
                         np.abs(vals, out=vals)
                     part[:, self.nodes[at]] = vals.max(axis=1), vals.min(axis=1)

@@ -153,14 +153,19 @@ def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp
       "--report", "{out}"], "--p"),
     # the ring tables of the ball samples would hold about 1e10 entries (80 GB)
     (["verify", "osc", "--points", "{points}", "--degree", "100", "--ball-samples", "20000",
-      "--trials", "2", "--report", "{out}"], "lower the degree"),
+      "--trials", "2", "--report", "{out}"], "--ball-samples"),
+    # |f|^p of a constant stays below the degenerate floor in every draw at --p 100
+    (["verify", "mz", "--rule", "{rule}", "--p", "100", "--trial-degree", "0", "--trials", "2",
+      "--report", "{out}"], "--p 100"),
+    (["verify", "osc", "--points", "{points}", "--p", "100", "--trial-degree", "0",
+      "--trials", "2", "--report", "{out}"], "--p 100"),
     # the Gram would hold about 1e20 entries at degree 100000 and 1.6e9 at 200
     (["solve", "--points", "{points}", "--degree", "100000", "--out", "{out}"], "Gram"),
     (["solve", "--points", "{points}", "--degree", "200", "--out", "{out}"], "Gram"),
     (["moments", "--d", "2", "--alpha", "1", "--degree", "201"], "--degree"),
 ], ids=["points-out", "solve-out", "verify-report", "verify-csv", "points-pool-limit",
-        "bernstein-p-overflow", "osc-table-limit", "solve-table-limit", "solve-gram-limit",
-        "moments-degree-cap"])
+        "bernstein-p-overflow", "osc-table-limit", "mz-p-degenerate", "osc-p-degenerate",
+        "solve-table-limit", "solve-gram-limit", "moments-degree-cap"])
 def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_file, tmp_path):
     paths = {"points": points_file, "rule": rule_file, "out": tmp_path / "out.json",
              "missing": tmp_path / "missing" / "out.json"}
@@ -169,6 +174,8 @@ def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_f
     assert needle.format(**paths) in res.stderr
     assert "error:" in res.stderr and "Traceback" not in res.stderr
     assert "RuntimeWarning" not in res.stderr
+    if "--p" in needle:  # a measurement that fails writes no report
+        assert not paths["out"].exists()
 
 
 def test_main_builds_the_parser_once(monkeypatch):

@@ -250,6 +250,28 @@ def test_basis_table_matches_column_reference(n):
             assert np.abs(full - _column_basis_d2(pts, n)).max() < 1e-12
 
 
+@pytest.mark.parametrize("n", [0, 1, 5, 12])
+def test_order_parts_turn_the_polynomial_about_the_pole(n):
+    # f(R_z(g) y) = fourier_table(n, [g]) @ parts at rows of any azimuth,
+    # against the basis table at the explicitly turned rows
+    from capquad.polys import fourier_table, order_parts, order_table
+
+    rng = np.random.default_rng(n + 40)
+    space = cq.PolySpace(2, n)
+    rows = rng.standard_normal((57, 3))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[:2] = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]  # the poles, where every turn is still
+    coeffs = rng.standard_normal((space.size, 3))
+    parts = order_parts(order_table(n, rows), coeffs)
+    assert parts.shape == (2 * n + 1, len(rows), 3)
+    for g in (0.0, 0.7, -2.4, math.pi, 5.9):
+        c, s = math.cos(g), math.sin(g)
+        turned = rows @ np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+        want = eval_basis_many(space, turned) @ coeffs
+        got = (fourier_table(n, [g]) @ parts.reshape(2 * n + 1, -1)).reshape(want.shape)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), g
+
+
 @pytest.mark.parametrize("domain", [
     pytest.param(cq.Sphere(2), id="sphere"), pytest.param(cq.Cap(E2, 1.0), id="cap"),
     pytest.param(cq.Collar(E2, 0.5, 1.0), id="collar"), pytest.param(cq.Cap(E1, 1.0), id="arc")])
