@@ -13,7 +13,8 @@ boundary the square-root term dominates, so equal-radius balls flatten
 into thin annuli there; that is the shape a sampling set for polynomials
 has to follow, and the node generator and every inequality check downstream
 measure distances with this ruler: ``rho_from_chord`` on the chord |x - y|,
-which ``rho_many`` takes from coordinates and a KD-tree sweep hands over.
+which ``rho_many`` takes from coordinates and the close-pair scans of
+``points`` hand over.
 
 All angles are radians.  Measures are arc length for d=1 and steradians
 for d=2.  Every object is an immutable value and every function is pure.
@@ -389,6 +390,31 @@ def ball_reach(domain, radius):
     if isinstance(domain, Cap):
         return min(domain.alpha * radius, math.pi)
     return 2.0 * math.asin(0.5 * min(domain.alpha * radius, 2.0))
+
+
+def azimuth_half_width(domain, reach, cos_prod, sin_prod, slack=0.0):
+    """Half-width of the azimuths |dphi| <= half at which a row of polar
+    angle t lies within distance term dist^2 <= reach of a point at polar
+    angle s (geodesic on a cap, chord on a collar; polar angles about the
+    domain's center).
+
+    By the spherical law of cosines the dot product of the two,
+    cos s cos t + sin s sin t cos(dphi) (``cos_prod`` + ``sin_prod`` *
+    cos(dphi)), falls with |dphi|, so the row's part is one interval: the
+    azimuths where the dot is at least that of distance sqrt(reach)
+    raised by ``slack``.  Where sin_prod <= 1e-12 (the row or the point
+    on the pole) cos_prod alone decides between the whole row (pi) and
+    none of it.  -1 marks no part: reach < 0, or no azimuth reaches the dot.
+    """
+    if isinstance(domain, Collar):  # chord^2 = 2 - 2 dot
+        least_dot = 1.0 - 0.5 * reach + slack
+    else:
+        least_dot = np.cos(np.sqrt(np.clip(reach, 0.0, math.pi**2))) + slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos_half = (least_dot - cos_prod) / sin_prod
+    cos_half = np.where(sin_prod <= 1e-12, np.where(cos_prod >= least_dot, -1.0, 2.0), cos_half)
+    half = np.arccos(np.clip(cos_half, -1.0, 1.0))
+    return np.where((cos_half > 1.0) | (reach < 0.0), -1.0, half)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,15 @@ the check every NodeSet passes.  Maximality is not proved;
 
 Coverage and multiplicity checks are grid-probe based, not exact: a
 probe grid (``product_grid``) stands in for the continuum.  Separation
-and probe scans use chord <= alpha * rho through KD-trees: separation
-by a pair query that finds a near pair and one at the chord of its rho,
-probe counts and coverage by blocked pair sweeps of the nodes against
-the probes.  The lattice steps in scalar rho; every other distance here
-is ``rho_from_chord`` of a chord, a sweep's or one from ``rho_many``.
+uses chord <= alpha * rho: a close-pair enumerator (``_close_pairs``)
+hashes points into cubes of the chord's side and pairs each with the
+points of its own and neighbouring cubes; separation takes a near pair
+and then every pair at the chord of its rho.  Probe counts go row by row
+of the grid (``_grid_counts``): on a row of one polar angle the probes
+within rho of a node form one azimuth interval in closed form, and only
+probes within a rounding margin of its ends are measured.  The lattice
+steps in scalar rho; every other distance here is ``rho_from_chord`` of
+a chord between coordinates.
 """
 
 from __future__ import annotations
@@ -36,24 +40,25 @@ import math
 from dataclasses import InitVar, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     Cap,
     Collar,
     SpherePoint,
+    azimuth_half_width,
+    ball_reach,
     boundary_distance_many,
     contains,
     domain_measure,
     north_frame,
     north_pole,
     rho_from_chord,
-    rho_many,
 )
 
 _GRID_LIMIT = 25_000_000  # points of one product grid
 _PROBE_RESOLUTION = 4  # probes per epsilon length of the coverage check
-_PAIR_BLOCK = 256  # nodes per KD pair sweep of the probe scans
+_PAIR_BLOCK = 1 << 16  # candidate pairs per block of the pair and probe-row scans
+_CUBES = 1 << 20  # most cubes along an axis of the pair hash, so keys fit in int64
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -98,7 +103,8 @@ class NodeSet:
                 raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         if validate and not np.all(contains(domain, coords)):
             raise ValueError("node outside the domain")
-        sep = min_separation(domain, coords) if validate is True and epsilon > 0 else math.inf
+        sep = (min_separation(domain, coords, epsilon) if validate is True and epsilon > 0
+               else math.inf)
         if sep < epsilon - 1e-12:
             raise ValueError(f"set not separated: min rho {sep} < {epsilon}")
         object.__setattr__(self, "coords", coords)
@@ -149,27 +155,107 @@ def _chord_within(domain, rho):
     return min(domain.alpha * rho * (1.0 + 1e-9) + 1e-12, 2.0)
 
 
-def min_separation(domain, coords):
+def _members(owner, start, length):
+    """(owner, member) for every member of each owner's integer range
+    start .. start + length - 1."""
+    return (np.repeat(owner, length),
+            np.arange(length.sum()) + np.repeat(start - np.cumsum(length) + length, length))
+
+
+def _ranges(owner, start, length):
+    """Yield ``_members`` of the ranges in blocks of at most
+    2 * _PAIR_BLOCK members, a range longer than _PAIR_BLOCK cut first."""
+    live = np.flatnonzero(length > 0)
+    owner, start, length = owner.take(live), start.take(live), length.take(live)
+    if length.size == 0:
+        return
+    if length.max() > _PAIR_BLOCK:
+        piece, skip = _members(np.arange(length.size), np.zeros_like(length),
+                               -(-length // _PAIR_BLOCK))
+        skip *= _PAIR_BLOCK
+        owner, start = owner[piece], start[piece] + skip
+        length = np.minimum(length[piece] - skip, _PAIR_BLOCK)
+    ends = np.cumsum(length)
+    cuts = np.searchsorted(ends, np.arange(_PAIR_BLOCK, ends[-1], _PAIR_BLOCK), side="right")
+    for block in np.split(np.arange(length.size), cuts):
+        yield _members(owner[block], start[block], length[block])
+
+
+def _close_pairs(coords, chord, other=None):
+    """Yield blocks (i, j, chords) of the pairs within ``chord`` of each
+    other: rows i and j of ``coords``, each unordered pair once, or row i
+    of ``coords`` and row j of ``other``, with their chord lengths.
+
+    Points hash into cubes of side just above ``chord`` (at least the
+    span over _CUBES, so a key fits in int64), padded by one empty cube
+    on each side; a pair within the chord lies in one cube or in two
+    neighbouring ones.  Keys are row-major with the last axis fastest, so
+    the 3 neighbours along it hold consecutive keys, and the points of
+    such a column of cubes, sorted by key, form one ``searchsorted``
+    window.  Each occupied cube looks up its 3^(D-1) neighbouring
+    columns; within one set only its own column past each point and the
+    columns after it in key order.  The windows' candidates go in
+    ``_ranges`` blocks, each filtered to the chord.
+    """
+    target = coords if other is None else other
+    if coords.shape[0] == 0 or target.shape[0] == 0:
+        return
+    both = coords if other is None else np.vstack([coords, other])
+    lo, hi = both.min(axis=0), both.max(axis=0)
+    side = max(chord * (1.0 + 1e-9), float((hi - lo).max()) / _CUBES, 1e-300)
+    shape = np.floor((hi - lo) / side).astype(np.int64) + 3
+    strides = np.append(np.cumprod(shape[:0:-1])[::-1], 1)
+
+    def by_key(x):  # (order, x sorted by key, sorted keys)
+        keys = (np.floor((x - lo) / side).astype(np.int64) + 1) @ strides
+        order = np.argsort(keys, kind="stable")
+        return order, x.take(order, axis=0), keys.take(order)
+
+    t_order, t_sorted, t_keys = by_key(target)
+    q_order, q_sorted, q_keys = by_key(coords) if other is not None else \
+        (t_order, t_sorted, t_keys)
+    first = np.flatnonzero(np.concatenate([[True], q_keys[1:] != q_keys[:-1]]))
+    size = np.diff(np.append(first, q_keys.size))
+    dim = coords.shape[1]
+    columns = (np.indices((3,) * (dim - 1)).reshape(dim - 1, -1).T - 1) @ strides[:-1]
+    if other is None:
+        columns = np.sort(columns[columns >= 0])  # the own column first
+    near = q_keys[first][:, None] + columns
+    start = np.repeat(np.searchsorted(t_keys, near - 1, side="left"), size, axis=0)
+    stop = np.repeat(np.searchsorted(t_keys, near + 1, side="right"), size, axis=0)
+    if other is None:  # each pair once: in the own column, the points past each point
+        start[:, 0] = np.arange(q_keys.size) + 1
+    point = np.repeat(np.arange(q_keys.size), columns.size)
+    for xs, ys in _ranges(point, start.ravel(), (stop - start).ravel()):
+        diff = q_sorted.take(xs, axis=0) - t_sorted.take(ys, axis=0)
+        d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        keep = np.flatnonzero(d <= chord)
+        yield q_order.take(xs.take(keep)), t_order.take(ys.take(keep)), d.take(keep)
+
+
+def min_separation(domain, coords, epsilon=0.0):
     """Smallest pairwise rho-distance (inf for fewer than two points).
 
     Chord <= alpha * rho, so only pairs within chord alpha * rho can lie
-    at rho.  A KD pair query at the points' mean spacing, its radius
-    grown 4x until it holds a pair, bounds the minimum by the least rho
-    it finds; a second query at the chord of that bound then holds every
-    pair at or below it, so its least rho is the exact minimum.  The
-    second query is skipped when the first already reached that chord.
+    at rho.  The close pairs at a first chord, grown 4x until it holds a
+    pair, bound the minimum by the least rho among them; the pairs at the
+    chord of that bound then hold every pair at or below it, so their
+    least rho is the exact minimum.  The second scan is skipped when the
+    first already reached that chord.  The first chord is the points'
+    mean spacing, or the chord of 1.01 * ``epsilon`` if larger: given the
+    separation a set should keep, its nearest pairs sit inside that, and
+    one scan suffices.
     """
     if coords.shape[0] < 2:
         return math.inf
-    tree = cKDTree(coords)
     sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
 
     def least_rho(chord):
-        i, j = tree.query_pairs(chord, output_type="ndarray").T
-        return float(rho_many(domain, coords[i], coords[j], sqrt_b[i], sqrt_b[j])
-                     .min(initial=math.inf))
+        return min((float(rho_from_chord(domain, d, sqrt_b[i], sqrt_b[j]).min(initial=math.inf))
+                    for i, j, d in _close_pairs(coords, chord)), default=math.inf)
 
-    radius = (domain_measure(domain) / coords.shape[0]) ** (1.0 / domain.dim)
+    radius = max((domain_measure(domain) / coords.shape[0]) ** (1.0 / domain.dim),
+                 _chord_within(domain, 1.01 * epsilon))
     while (best := least_rho(radius)) == math.inf:  # a chord of 2 holds every pair
         radius *= 4.0
     chord = _chord_within(domain, best)
@@ -178,7 +264,7 @@ def min_separation(domain, coords):
 
 def is_separable(domain, points, epsilon):
     """True iff all pairwise rho-distances are >= epsilon - 1e-12 (vacuous when empty)."""
-    return min_separation(domain, _as_coords(points, domain.dim)) >= epsilon - 1e-12
+    return min_separation(domain, _as_coords(points, domain.dim), epsilon) >= epsilon - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +279,15 @@ def grid_counts(domain, epsilon, resolution):
     spans = ([hi - lo for lo, hi in domain.arcs] if domain.dim == 1
              else [domain.polar_range[1] - domain.polar_range[0], 2.0 * math.pi])
     counts = [resolution * max(1, math.ceil(span / step)) for span in spans]
-    size = sum(m + 1 for m in counts) if domain.dim == 1 else (counts[0] + 1) * counts[1]
+    size = _grid_size(domain, counts)
     if size > _GRID_LIMIT:
         raise ValueError(f"epsilon {epsilon:.6g} is too small: its product grid at resolution "
                          f"{resolution} would hold {size} points, over the grid limit")
     return counts
+
+
+def _grid_size(domain, counts):
+    return sum(m + 1 for m in counts) if domain.dim == 1 else (counts[0] + 1) * counts[1]
 
 
 def product_grid(domain, epsilon, resolution):
@@ -227,18 +317,17 @@ def product_grid(domain, epsilon, resolution):
     return local @ frame
 
 
-def _probe_grid_by_count(domain, epsilon, target_count):
-    """Probe grid of roughly target_count points (resolution knob form)."""
-    base = product_grid(domain, epsilon, 1)
-    n_base = base.shape[0]
+def _probe_layout(domain, epsilon, target_count):
+    """(resolution, stride) of the probe grid of roughly target_count
+    points, ``product_grid(domain, epsilon, resolution)[::stride]``: the
+    base grid, every stride-th point of it when it holds more than twice
+    the target, or a finer grid when it holds fewer."""
+    n_base = _grid_size(domain, grid_counts(domain, epsilon, 1))
     if n_base >= target_count:
-        if n_base > 2 * target_count:
-            stride = n_base // target_count
-            return base[::stride]
-        return base
+        return 1, (n_base // target_count if n_base > 2 * target_count else 1)
     res = max(1, int(math.sqrt(target_count / n_base)) if domain.dim == 2
               else int(target_count / n_base))
-    return product_grid(domain, epsilon, res)
+    return res, 1
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +422,11 @@ def _fit_ring(domain, theta, k, step):
 def _drop_crowded(domain, coords, epsilon):
     """``coords`` without each row within rho epsilon of an earlier row
     kept (a crowded closing node, or d=1 arc ends that meet): every pair
-    left is epsilon-separated, the query holding each pair within it."""
-    pairs = cKDTree(coords).query_pairs(_chord_within(domain, epsilon), output_type="ndarray")
-    close = pairs[rho_many(domain, coords[pairs[:, 0]], coords[pairs[:, 1]]) < epsilon]
+    left is epsilon-separated, the close pairs holding each pair within it."""
+    sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
+    close = [np.column_stack([i, j])[rho_from_chord(domain, d, sqrt_b[i], sqrt_b[j]) < epsilon]
+             for i, j, d in _close_pairs(coords, _chord_within(domain, epsilon))]
+    close = np.vstack(close) if close else np.empty((0, 2), dtype=np.intp)
     keep = np.ones(coords.shape[0], dtype=bool)
     for later, earlier in sorted(zip(close.max(axis=1), close.min(axis=1))):
         if keep[earlier]:
@@ -384,28 +475,103 @@ def ring_lattice(domain, epsilon, seed=0, degree=None, delta=None):
 # probe-based coverage, multiplicity, and concentration statistics
 
 
-def _node_neighbours(domain, probes, node_coords, radius):
-    """Yield flat (node indices, probe indices, rho distances) arrays over
-    every node-probe pair within the chord that can hold rho <= radius.
+def _grid_counts(domain, coords, threshold, epsilon, resolution, stride=1):
+    """For each probe of ``product_grid(domain, epsilon, resolution)[::stride]``,
+    the number of rows of ``coords`` within rho <= threshold of it.
 
-    Chord <= alpha * rho, so the pairs of each block of at most
-    _PAIR_BLOCK nodes come from one KD pair sweep against a tree of the
-    probes, and rho follows from the sweep's chords.  Blocks follow the
-    leaf order of a KD-tree of the nodes, so each covers a small patch
-    and its sweep prunes most of the probe tree; the block size bounds
-    the memory of the pair arrays.
+    On d=1 the counts come from the close pairs of nodes and probes.  On
+    d=2 they go row by row of the grid, one polar angle t per row: a node
+    at polar angle s and the row's boundary term sqrt(b) leave the
+    distance term dist^2 <= reach = (alpha*threshold)^2 - alpha*gap^2,
+    and the dot product of node and probe, cos s cos t + sin s sin t
+    cos(dphi), falls with the azimuth gap dphi, so the probes within
+    reach form one azimuth interval about the node (``azimuth_half_width``).
+    Two intervals bracket it: an inner one, on the row's widest sqrt(b)
+    gap and with reach, dot and azimuth each a margin inside, whose
+    probes all count, and an outer one a margin outside.  Only probes
+    between the two are measured, by the one test ``rho_from_chord <=
+    threshold``, so every count is that test's.  The inner intervals
+    become counts by one cumulative sum over the probes.  The (node, row)
+    pairs go in ``_ranges`` blocks.
     """
-    probe_tree = cKDTree(probes)
+    probes = product_grid(domain, epsilon, resolution)[::stride]
+    nprobes = probes.shape[0]
+    counts = np.zeros(nprobes, dtype=np.int64)
+    sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
     sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
-    sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
-    chord = _chord_within(domain, radius)
-    leaf_order = cKDTree(node_coords).indices
-    for k in range(0, leaf_order.size, _PAIR_BLOCK):
-        block = leaf_order[k:k + _PAIR_BLOCK]
-        pairs = cKDTree(node_coords[block]).sparse_distance_matrix(
-            probe_tree, chord, output_type="ndarray")
-        i, j = block[pairs["i"]], pairs["j"]
-        yield i, j, rho_from_chord(domain, pairs["v"], sqrt_b_probes[j], sqrt_b_nodes[i])
+
+    def measure(i, j, chord):
+        near = rho_from_chord(domain, chord, sqrt_b_probes[j], sqrt_b[i]) <= threshold
+        return np.bincount(j[near], minlength=nprobes)
+
+    if domain.dim == 1 or coords.shape[0] == 0:
+        for block in _close_pairs(coords, _chord_within(domain, threshold), probes):
+            counts += measure(*block)
+        return counts
+    n_theta, n_phi = grid_counts(domain, epsilon, resolution)
+    theta = np.linspace(*domain.polar_range, n_theta + 1)
+    step = 2.0 * math.pi / n_phi
+    row_start = -(-np.arange(theta.size + 1) * n_phi // stride)  # first probe of each row
+    filled = np.flatnonzero(row_start[1:] > row_start[:-1])
+    b_lo, b_hi = np.full(theta.size, np.nan), np.full(theta.size, np.nan)
+    b_lo[filled] = np.minimum.reduceat(sqrt_b_probes, row_start[filled])
+    b_hi[filled] = np.maximum.reduceat(sqrt_b_probes, row_start[filled])
+    local = coords @ north_frame(domain.center)
+    theta_n = np.arctan2(np.hypot(local[:, 0], local[:, 1]), local[:, 2])
+    phi_n = np.arctan2(local[:, 1], local[:, 0])
+    reach_rows = ball_reach(domain, threshold) + 1e-9
+    first = np.searchsorted(theta, theta_n - reach_rows, side="left")
+    rows = np.searchsorted(theta, theta_n + reach_rows, side="right") - first
+    full = (domain.alpha * threshold) ** 2
+    pad = 1e-13 * (1.0 + full)  # above the rounding of rho^2, in units of dist^2
+    inside = np.zeros(nprobes + 1, dtype=np.int64)  # difference array of the inner intervals
+
+    def columns(phi, half):  # the column range within half of each azimuth phi
+        return (np.ceil((phi - half) / step).astype(np.int64),
+                np.floor((phi + half) / step).astype(np.int64))
+
+    def spans(row, lo, hi):
+        """(pair, start, stop) probe ranges of columns lo..hi (at most one
+        turn, wrapped at the row's end) of each pair's row."""
+        shift = lo // n_phi * n_phi
+        lo, hi, base = lo - shift, hi - shift, row * n_phi
+        flat_lo = np.concatenate([base + lo, base])
+        flat_hi = np.concatenate([base + np.minimum(hi, n_phi - 1), base + hi - n_phi]) + 1
+        start, stop = -(-flat_lo // stride), -(-flat_hi // stride)
+        live = np.flatnonzero(start < stop)
+        return live % row.size, start.take(live), stop.take(live)
+
+    for i, row in _ranges(np.arange(coords.shape[0]), first, rows):
+        live = np.flatnonzero(~np.isnan(b_lo[row]))
+        i, row = i.take(live), row.take(live)
+        cos_prod = np.cos(theta_n[i]) * np.cos(theta[row])
+        sin_prod = np.sin(theta_n[i]) * np.sin(theta[row])
+        gap_lo, gap_hi = b_lo[row] - sqrt_b[i], b_hi[row] - sqrt_b[i]
+        widest = np.maximum(np.abs(gap_lo), np.abs(gap_hi))
+        nearest = np.where(gap_lo * gap_hi <= 0.0, 0.0, np.minimum(np.abs(gap_lo), np.abs(gap_hi)))
+        lo_in, hi_in = columns(phi_n[i], azimuth_half_width(
+            domain, full - domain.alpha * widest**2 - pad, cos_prod, sin_prod, 2e-12) - 1e-12)
+        lo_out, hi_out = columns(phi_n[i], azimuth_half_width(
+            domain, full - domain.alpha * nearest**2 + pad, cos_prod, sin_prod, -2e-12) + 1e-12)
+        empty = hi_in < lo_in  # an empty inner interval sits at the outer one's end
+        lo_in, hi_in = np.where(empty, hi_out + 1, lo_in), np.where(empty, hi_out, hi_in)
+        part = hi_in - lo_in + 1 < n_phi
+        _, start, stop = spans(row, np.where(part, lo_in, 0), np.where(part, hi_in, n_phi - 1))
+        inside += np.bincount(start, minlength=inside.size)
+        inside -= np.bincount(stop, minlength=inside.size)
+        # measured: the columns beyond each end of a part inner interval, or
+        # its complement where the outer interval is the whole row
+        part = np.flatnonzero(part)
+        i, row, lo_in, hi_in = i.take(part), row.take(part), lo_in.take(part), hi_in.take(part)
+        lo_out, hi_out = lo_out.take(part), hi_out.take(part)
+        whole = hi_out - lo_out + 1 >= n_phi
+        for lo, hi in ((np.where(whole, hi_in + 1, lo_out), np.where(whole, lo_in + n_phi, lo_in) - 1),
+                       (hi_in + 1, np.where(whole, hi_in, hi_out))):
+            pair, start, stop = spans(row, lo, hi)
+            node, j = _members(i.take(pair), start, stop - start)
+            diff = coords.take(node, axis=0) - probes.take(j, axis=0)
+            counts += measure(node, j, np.sqrt(np.einsum("ij,ij->i", diff, diff)))
+    return counts + np.cumsum(inside[:-1])
 
 
 def is_maximal_separable(domain, points, epsilon):
@@ -419,26 +585,29 @@ def is_maximal_separable(domain, points, epsilon):
         return False
     if not is_separable(domain, coords, epsilon):
         return False
-    probes = product_grid(domain, epsilon, _PROBE_RESOLUTION)
-    best = np.full(probes.shape[0], np.inf)  # inf beyond every node's chordal ball
-    for _, j, d in _node_neighbours(domain, probes, coords, epsilon):
-        np.minimum.at(best, j, d)
-    return bool(np.all(best <= epsilon + 1e-7))
+    counts = _grid_counts(domain, coords, epsilon + 1e-7, epsilon, _PROBE_RESOLUTION)
+    return bool(np.all(counts > 0))
 
 
 def _peak_count(domain, nodes, epsilon, radius, target_count):
     """Largest number of nodes within rho <= radius of one probe.
 
     The probes are the shared product grid of about ``target_count``
-    points at spacing max(epsilon, 1e-3) plus the nodes themselves, so
-    coincident-node configurations are counted exactly.
+    points at spacing max(epsilon, 1e-3) (``_grid_counts``) plus the
+    nodes themselves (their close pairs), so coincident-node
+    configurations are counted exactly.
     """
-    grid = _probe_grid_by_count(domain, max(epsilon, 1e-3), target_count)
-    probes = np.vstack([grid, nodes.coords])
-    counts = np.zeros(probes.shape[0], dtype=np.int64)
-    for _, j, d in _node_neighbours(domain, probes, nodes.coords, radius):
-        counts += np.bincount(j[d <= radius + 1e-12], minlength=probes.shape[0])
-    return int(counts.max())
+    spacing = max(epsilon, 1e-3)
+    threshold = radius + 1e-12
+    coords = nodes.coords
+    grid = _grid_counts(domain, coords, threshold, spacing,
+                        *_probe_layout(domain, spacing, target_count))
+    sqrt_b = np.sqrt(boundary_distance_many(domain, coords))
+    own = np.ones(coords.shape[0], dtype=np.int64)  # each node at rho 0 of itself
+    for i, j, d in _close_pairs(coords, _chord_within(domain, threshold)):
+        near = rho_from_chord(domain, d, sqrt_b[i], sqrt_b[j]) <= threshold
+        own += np.bincount(i[near], minlength=own.size) + np.bincount(j[near], minlength=own.size)
+    return int(max(grid.max(initial=0), own.max()))
 
 
 def covering_multiplicity(domain, nodes, beta=1.0, probes=20000):

@@ -40,6 +40,7 @@ from .geometry import (
     Cap,
     Collar,
     Sphere,
+    azimuth_half_width,
     ball_reach,
     boundary_distance_at,
     boundary_distance_many,
@@ -382,8 +383,7 @@ def _eval_balls_d2(domain, theta_c, sqrt_b_c, radius, lo, hi, order, weight_fn):
     reach = (alpha*radius)^2 - alpha*(sqrt(b) - sqrt(b_c))^2, and dist2
     (squared geodesic distance on caps, squared chord on collars) grows
     with the azimuth gap |dphi|.  The row's part of the ball is the
-    interval |dphi| <= half, from the spherical law of cosines; where the
-    row or the center sits on the pole of the frame, half is pi or 0.
+    interval |dphi| <= half (``azimuth_half_width``, 0 for no part).
     """
     alpha = domain.alpha
     xi, wxi = gauss_legendre_on(0.0, 1.0, order)
@@ -391,16 +391,9 @@ def _eval_balls_d2(domain, theta_c, sqrt_b_c, radius, lo, hi, order, weight_fn):
     theta = lo[:, None] + span * xi[None, :]
     b = boundary_distance_at(domain, theta)
     reach = (alpha * (radius + 1e-12)) ** 2 - alpha * (np.sqrt(b) - sqrt_b_c[:, None]) ** 2
-    if isinstance(domain, Collar):
-        cos_reach = 1.0 - 0.5 * reach
-    else:
-        cos_reach = np.cos(np.sqrt(np.clip(reach, 0.0, math.pi**2)))
     cos_prod = np.cos(theta_c)[:, None] * np.cos(theta)
     sin_prod = np.sin(theta_c)[:, None] * np.sin(theta)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        half = np.arccos(np.clip((cos_reach - cos_prod) / sin_prod, -1.0, 1.0))
-    half = np.where(sin_prod <= 1e-12, np.where(cos_prod >= cos_reach, math.pi, 0.0), half)
-    half[reach < 0.0] = 0.0
+    half = np.maximum(azimuth_half_width(domain, reach, cos_prod, sin_prod), 0.0)
     row_w = (span * wxi) * np.sin(theta) * (2.0 * half)
     vols = row_w.sum(axis=1)
     if weight_fn is None:

@@ -12,9 +12,10 @@ two paths that yields an acceptable rule:
 ``"min-norm"``
     the minimum profile-weighted-norm solution of the moment system,
     ``w = P A^T c`` with ``(A P A^T) c = m``, ``P = diag(profile)``, by
-    one Cholesky solve with no cut-off (the Gram matrix of an orthonormal
-    basis is well conditioned on a set dense enough for the degree; when
-    it is not positive definite the path fails).  It spreads the
+    one Cholesky factorization and two block substitutions on its factor,
+    with no cut-off (the Gram matrix of an orthonormal basis is well
+    conditioned on a set dense enough for the degree; when it is not
+    positive definite the path fails).  It spreads the
     weights in proportion to the profile, so on a dense enough set
     every weight is positive.
 ``"nnls-active-set"``
@@ -35,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .geometry import delta_r_many, domain_measure
 from .points import NodeSet, canonical
@@ -43,6 +43,7 @@ from .polys import MAX_TABLE_ENTRIES, PolySpace, eval_domain_basis
 
 DEFAULT_TOL = 1e-10
 _BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
+_SUBST_BLOCK = 64  # rows per dense diagonal-block solve of the substitutions
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -119,6 +120,22 @@ def _profile(nodes):
     return np.maximum(prof, 1e-300)
 
 
+def _cholesky_solve(lower, rhs):
+    """x with (lower @ lower.T) @ x == rhs: forward substitution on the
+    factor, then the back substitution as a forward one on its reversed
+    transpose, one diagonal block of _SUBST_BLOCK rows at a time (numpy
+    has no triangular solve, and a dense solve of the factor would
+    factor it again)."""
+    x = np.array(rhs, dtype=float)
+    for tri in (lower, lower.T[::-1, ::-1]):
+        for k in range(0, x.size, _SUBST_BLOCK):
+            block, rest = slice(k, k + _SUBST_BLOCK), slice(k + _SUBST_BLOCK, None)
+            x[block] = np.linalg.solve(tri[block, block], x[block])
+            x[rest] -= tri[rest, block] @ x[block]
+        x = x[::-1].copy()
+    return x
+
+
 def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     """Positive weights exact on the polynomial space over the domain.
 
@@ -141,9 +158,9 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
 
     root = np.sqrt(profile)
     b = a * root  # b b^T = A P A^T, one symmetric rank-k product
-    try:
-        weights = root * (b.T @ cho_solve(cho_factor(b @ b.T), moments))
-    except LinAlgError:
+    try:  # the factorization is the positive-definiteness guard
+        weights = root * (b.T @ _cholesky_solve(np.linalg.cholesky(b @ b.T), moments))
+    except np.linalg.LinAlgError:
         weights = np.full_like(profile, np.nan)
     resid = moment_residual(a, weights, moments)
     resid = resid if np.isfinite(resid) else np.inf  # non-finite: a failed path

@@ -7,12 +7,13 @@ from scipy.spatial import cKDTree
 
 import capquad as cq
 from capquad import points
-from capquad.geometry import boundary_distance_many, domain_measure, rho_many
+from capquad.geometry import boundary_distance_many, domain_measure, rho_from_chord, rho_many
 from capquad.points import (
     _MARGIN,
-    _PAIR_BLOCK,
-    _node_neighbours,
-    _probe_grid_by_count,
+    _chord_within,
+    _close_pairs,
+    _grid_counts,
+    _probe_layout,
     _rho_along,
     min_separation,
     product_grid,
@@ -201,7 +202,11 @@ def test_min_separation_is_the_brute_force_minimum():
                                           [math.sin(1.0), math.cos(1.0)]]))]
     sets += sparse
     for domain, coords in sets:
-        assert min_separation(domain, coords) == _brute_min_separation(domain, coords)
+        want = _brute_min_separation(domain, coords)
+        assert min_separation(domain, coords) == want
+        # a separation hint moves the first chord, never the minimum
+        for hint in (0.5 * want, want, 3.0 * want):
+            assert min_separation(domain, coords, hint) == want
     # the two constructed cases do reach the branches they are named for
     r0 = _first_radius(cap, past)
     pairs = cKDTree(past).query_pairs(r0, output_type="ndarray")
@@ -319,8 +324,8 @@ def test_covering_multiplicity_d1():
 
 
 def _per_node_neighbours(domain, probes, node_coords, radius):
-    """The per-node enumerator the blocked pair sweep replaced: one KD ball
-    query and one rho_many call per node, yielding (probe indices, rho)."""
+    """The per-node enumerator the pair scans replaced: one KD ball query
+    and one rho_many call per node, yielding (probe indices, rho)."""
     tree = cKDTree(probes)
     sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
     sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
@@ -334,6 +339,14 @@ def _per_node_neighbours(domain, probes, node_coords, radius):
                             sqrt_b=sqrt_b_probes[idx], sqrt_b_y=float(sqrt_b_nodes[k]))
 
 
+def _pair_sweep(domain, probes, node_coords, radius):
+    """(probe indices, rho) blocks of the close node-probe pairs."""
+    sqrt_b_probes = np.sqrt(boundary_distance_many(domain, probes))
+    sqrt_b_nodes = np.sqrt(boundary_distance_many(domain, node_coords))
+    for i, j, chord in _close_pairs(node_coords, _chord_within(domain, radius), probes):
+        yield j, rho_from_chord(domain, chord, sqrt_b_probes[j], sqrt_b_nodes[i])
+
+
 def _per_probe(pairs, nprobes, radius):
     """Per-probe node counts within rho <= radius and minimum rho."""
     counts = np.zeros(nprobes, dtype=np.int64)
@@ -344,8 +357,14 @@ def _per_probe(pairs, nprobes, radius):
     return counts, best
 
 
+def _probe_grid(domain, epsilon, count):
+    """The probes of the statistics' grid of about ``count`` points."""
+    resolution, stride = _probe_layout(domain, epsilon, count)
+    return product_grid(domain, epsilon, resolution)[::stride]
+
+
 def _reference_count_max(domain, nodes, probe_eps, radius, probes):
-    grid = _probe_grid_by_count(domain, max(probe_eps, 1e-3), probes)
+    grid = _probe_grid(domain, max(probe_eps, 1e-3), probes)
     pts = np.vstack([grid, nodes.coords])
     pairs = _per_node_neighbours(domain, pts, nodes.coords, radius)
     return int(_per_probe(pairs, pts.shape[0], radius)[0].max())
@@ -378,14 +397,14 @@ _SWEEP_IDS = ["cap-d2", "collar-d2", "cap-d1", "collar-d1"]
 
 
 @pytest.mark.parametrize("domain", _SWEEP_DOMAINS, ids=_SWEEP_IDS)
-def test_pair_sweep_matches_per_node_scan(domain):
-    nodes = _random_nodes(domain, 3 * _PAIR_BLOCK, seed=5)
-    assert len(nodes) > 2 * _PAIR_BLOCK
-    pts = np.vstack([_probe_grid_by_count(domain, 0.05, 3000), nodes.coords])  # nodes too
+def test_pair_sweep_matches_per_node_scan(domain, monkeypatch):
+    monkeypatch.setattr(points, "_PAIR_BLOCK", 4096)  # many blocks per scan
+    nodes = _random_nodes(domain, 768, seed=5)
+    pts = np.vstack([_probe_grid(domain, 0.05, 3000), nodes.coords])  # nodes too
     # the largest radius's chord clamps at 2: every pair is enumerated
     for radius in (0.02, 0.1, 0.4, 2.5 / domain.alpha):
-        sweep = ((j, d) for _, j, d in _node_neighbours(domain, pts, nodes.coords, radius))
-        counts, best = _per_probe(sweep, pts.shape[0], radius)
+        counts, best = _per_probe(_pair_sweep(domain, pts, nodes.coords, radius),
+                                  pts.shape[0], radius)
         ref_counts, ref_best = _per_probe(
             _per_node_neighbours(domain, pts, nodes.coords, radius), pts.shape[0], radius)
         assert np.array_equal(counts, ref_counts)
@@ -394,25 +413,119 @@ def test_pair_sweep_matches_per_node_scan(domain):
         assert counts.max() > 1
 
 
-def test_pair_sweep_yields_each_pair_once():
+def test_pair_sweep_yields_each_pair_once(monkeypatch):
+    monkeypatch.setattr(points, "_PAIR_BLOCK", 512)
     cap = cq.Cap(E2, 1.0)
-    nodes = _random_nodes(cap, 2 * _PAIR_BLOCK + 3, seed=8)
-    pts = np.vstack([_probe_grid_by_count(cap, 0.05, 2000), nodes.coords])
-    i, j, d = (np.concatenate(a) for a in zip(*_node_neighbours(cap, pts, nodes.coords, 0.1)))
+    nodes = _random_nodes(cap, 515, seed=8)
+    pts = np.vstack([_probe_grid(cap, 0.05, 2000), nodes.coords])
+    blocks = list(_close_pairs(nodes.coords, 0.1, pts))
+    assert len(blocks) > 2
+    i, j, d = (np.concatenate(a) for a in zip(*blocks))
     assert np.unique(i * pts.shape[0] + j).size == i.size
-    want = rho_many(cap, nodes.coords[i], pts[j])
-    assert np.isclose(d, want, rtol=0.0, atol=1e-12).all()
+    want = np.linalg.norm(nodes.coords[i] - pts[j], axis=1)
+    assert np.isclose(d, want, rtol=0.0, atol=1e-15).all()
+    # within one set: each unordered pair once, never a point with itself
+    i, j, d = (np.concatenate(a) for a in zip(*_close_pairs(nodes.coords, 0.1)))
+    assert (i != j).all()
+    assert np.unique(np.minimum(i, j) * len(nodes) + np.maximum(i, j)).size == i.size
+
+
+def _kd_pairs(coords, chord, other=None):
+    """Sorted (i, j) rows of the pairs a KD-tree finds within ``chord``."""
+    if other is None:
+        pairs = cKDTree(coords).query_pairs(chord, output_type="ndarray")
+    else:
+        near = cKDTree(coords).sparse_distance_matrix(cKDTree(other), chord,
+                                                      output_type="ndarray")
+        pairs = np.column_stack([near["i"], near["j"]])
+    return _sorted_pairs(pairs.reshape(-1, 2), other is None)
+
+
+def _sorted_pairs(pairs, unordered):
+    if unordered:
+        pairs = np.sort(pairs, axis=1)
+    return pairs[np.lexsort(pairs.T[::-1])]
+
+
+@pytest.mark.parametrize("block", [1 << 16, 7])
+def test_close_pairs_match_a_kd_tree(block, monkeypatch):
+    monkeypatch.setattr(points, "_PAIR_BLOCK", block)
+    rng = np.random.default_rng(3)
+    cap, collar = cq.Cap(E2, 1.0), cq.Collar(E2, 0.5, 1.0)
+    arc = cq.Collar(E1, 0.5, 1.0)
+    sets = [
+        (cq.ring_lattice(cap, 0.1).coords, 0.13),  # lattice
+        (cq.ring_lattice(collar, 0.1).coords, 0.07),
+        (random_cap_points(cap, 300, 1), 0.2),  # random
+        (random_collar_points(collar, 300, 2), 0.05),
+        (cq.ring_lattice(arc, 0.02).coords, 0.03),  # d=1
+        (_random_nodes(cq.Cap(E1, 0.5), 200, 4).coords, 0.01),
+        (np.repeat(random_cap_points(cap, 40, 5), 3, axis=0), 1e-300),  # coincident
+        (random_cap_points(cq.Cap(E2, 2.5), 150, 6), 2.0),  # every pair
+        (random_cap_points(cap, 150, 7), 3.0),
+    ]
+    for coords, chord in sets:
+        got = [np.column_stack(b[:2]) for b in _close_pairs(coords, chord)]
+        got = _sorted_pairs(np.vstack(got) if got else np.empty((0, 2), int), True)
+        assert np.array_equal(got, _kd_pairs(coords, chord))
+        other = coords[rng.permutation(coords.shape[0])[:coords.shape[0] // 2]]
+        got = [np.column_stack(b[:2]) for b in _close_pairs(coords, chord, other)]
+        got = _sorted_pairs(np.vstack(got) if got else np.empty((0, 2), int), False)
+        assert np.array_equal(got, _kd_pairs(coords, chord, other))
+    # coincident rows only, at a chord so small that coords / chord
+    # overflows an int64 cube index; every repeat pairs with its twin
+    coords = np.repeat(random_cap_points(cap, 40, 5), 3, axis=0)
+    got = np.vstack([np.column_stack(b[:2]) for b in _close_pairs(coords, 1e-300)])
+    assert len(got) == 40 * 3 and (coords[got[:, 0]] == coords[got[:, 1]]).all()
+
+
+def _brute_counts(domain, node_coords, probes, threshold):
+    """Per probe, the nodes within rho_many <= threshold of it."""
+    sqrt_b = np.sqrt(boundary_distance_many(domain, probes))
+    counts = np.zeros(probes.shape[0], dtype=np.int64)
+    for node in node_coords:
+        counts += rho_many(domain, probes, node, sqrt_b=sqrt_b) <= threshold
+    return counts
+
+
+@pytest.mark.parametrize("domain, n, delta, radius", [
+    (cq.Cap(E2, 1.0), 6, 0.25, 1 / 6),  # the pole row
+    (cq.Cap(E2, 1.0), 6, 0.25, 0.5),
+    (cq.Collar(E2, 0.5, 1.0), 8, 0.5, 0.3),  # the chord distance term
+    (cq.Cap(E2, 2.5), 6, 0.5, 1 / 6),  # rows past the equator
+    (cq.Cap(E2, 2.5), 6, 0.5, 1.2),  # balls past the antipode of the row
+    (cq.Cap(cq.SpherePoint([0.6, 0.0, 0.8]), 0.7), 8, 0.5, 1 / 8),  # turned frame
+    (cq.Collar(cq.SpherePoint([0.0, 0.6, 0.8]), 0.3, 0.9), 8, 0.5, 0.2),
+    (cq.Cap(E2, 1.0), 24, 0.25, 1 / 24),  # the strided grid
+])
+def test_row_counts_match_a_per_probe_scan(domain, n, delta, radius, monkeypatch):
+    monkeypatch.setattr(points, "_PAIR_BLOCK", 2048)  # several node blocks
+    eps = delta / n
+    lattice = cq.ring_lattice(domain, eps, degree=n, delta=delta)
+    sample = lattice.coords[np.random.default_rng(n).permutation(len(lattice))[:600]]
+    node_coords = np.vstack([sample, _random_nodes(domain, 200, seed=n).coords])
+    resolution, stride = _probe_layout(domain, eps, 20000)
+    if n == 24:
+        assert stride >= 2
+    probes = product_grid(domain, eps, resolution)[::stride]
+    if isinstance(domain, cq.Cap):  # the pole row leads
+        assert np.isclose(probes[0], domain.center.coords).all()
+    threshold = radius + 1e-12
+    counts = _grid_counts(domain, node_coords, threshold, eps, resolution, stride)
+    want = _brute_counts(domain, node_coords, probes, threshold)
+    assert np.array_equal(counts, want)
+    assert want.max() > 1
 
 
 @pytest.mark.parametrize("domain, eps", zip(_SWEEP_DOMAINS, (0.06, 0.1, 0.0025, 0.0025)),
                          ids=_SWEEP_IDS)
 def test_probe_statistics_match_per_node_scan(domain, eps):
-    nodes = _random_nodes(domain, 2 * _PAIR_BLOCK, seed=11)
+    nodes = _random_nodes(domain, 512, seed=11)
     for n in (4, 12):
         assert cq.tau_statistic(domain, nodes, n, probes=3000) == _reference_count_max(
             domain, nodes, 1.0 / n, 1.0 / n, 3000)
     lattice = cq.ring_lattice(domain, eps)
-    assert len(lattice) > _PAIR_BLOCK
+    assert len(lattice) > 256
     for beta in (1.0, 2.0):
         assert cq.covering_multiplicity(domain, lattice, beta, probes=3000) == \
             _reference_count_max(domain, lattice, eps, beta * eps, 3000)

@@ -1,7 +1,7 @@
 """Source hygiene: every import in the package's modules is used, every
 module-level private name is referenced somewhere in the package, every
-function the benchmark's tracer wraps still exists, and importing the
-CLI leaves the slow ``scipy.optimize`` unloaded."""
+function the benchmark's tracer wraps still exists, and the CLI, imported
+and run through every command, loads no scipy module."""
 
 import ast
 import importlib
@@ -106,13 +106,38 @@ def test_benchmark_trace_targets_resolve():
     assert set(missing) <= {"solver.nnls", "points.greedy_maximal_set"}
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # importing scipy.optimize costs about 0.12 s a process; only the NNLS
-    # fallback of solve_weights needs it, and imports it when it runs
+_TOY_COMMANDS = [
+    "points --d 2 --alpha 1 --degree 2 --delta 0.25 --out cap.json",
+    "solve --points cap.json --degree 2 --out rule.json",
+    "points --d 1 --alpha 0.5 --degree 4 --delta 0.25 --out arc.json",
+    "solve --points arc.json --degree 4 --out arc_rule.json",
+    "points --d 2 --alpha 0.5 --degree 2 --delta 0.25 --out small.json",
+    "verify mz --rule rule.json --p 2",
+    "verify mz --rule arc_rule.json --p 1",
+    "verify osc --points cap.json",
+    "verify sieve --points cap.json",
+    "verify maxmin --points cap.json",
+    "verify weighted-mz --points small.json --weight boundary-power --gamma 1",
+    "verify bernstein --alpha 0.5 --degree 4",
+    "verify cov --alpha 2.5",
+]
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # importing scipy costs about 0.3 s a process; only the NNLS fallback of
+    # solve_weights needs it (scipy.optimize), and imports it when it runs
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    verify_flags = " --trials 3 --threads 1"
     code = ("import sys, capquad.cli\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
+            f"for line in {_TOY_COMMANDS!r}:\n"
+            f"    argv = (line + {verify_flags!r} if line.startswith('verify') else line).split()\n"
+            "    if argv[0] == 'verify':\n"
+            "        argv += ['--report', argv[1] + '.json']\n"
+            "    assert capquad.cli.main(argv) == 0, argv\n"
+            "    loaded.append(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(loaded)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         check=True)
-    assert res.stdout.strip() == "[]"
+                         cwd=tmp_path, check=True)
+    assert res.stdout.strip() == str([[]] * (1 + len(_TOY_COMMANDS)))
