@@ -187,10 +187,11 @@ def cmd_solve(args):
         )
         return 2
     cqio.write_canonical(args.out, cqio.rule_to_dict(result))
-    sys.stderr.write(
-        f"accepted ({result.solver_meta['solver']}): {len(result.nodes)} nodes, "
-        f"residual {result.residual:.3e}\n"
-    )
+    meta = result.solver_meta
+    paths = (f", {meta['ring_nodes']} in {meta['rings']} rings, {meta['loose']} loose"
+             if "rings" in meta else "")
+    sys.stderr.write(f"accepted ({meta['solver']}): {len(result.nodes)} nodes{paths}, "
+                     f"residual {result.residual:.3e}\n")
     return 0
 
 

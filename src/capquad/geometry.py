@@ -332,9 +332,13 @@ def collar_rho(collar, x, y):
 
 def delta_r_many(domain, coords, r):
     """Closed-form ball-volume surrogate alpha^d (r^{d+1} + r^d sqrt(b/alpha))."""
+    return delta_r_at(domain, boundary_distance_many(domain, coords), r)
+
+
+def delta_r_at(domain, b, r):
+    """The surrogate of ``delta_r_many`` at boundary distances ``b``."""
     alpha = domain.alpha
     d = domain.dim
-    b = boundary_distance_many(domain, coords)
     r = np.asarray(r, dtype=float)
     return alpha**d * (r ** (d + 1) + r**d * np.sqrt(b / alpha))
 

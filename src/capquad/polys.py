@@ -91,7 +91,13 @@ def order_table(n, coords):
     """The d=2 basis table of degree n at ``coords`` as ``order_parts`` takes
     it: the columns (l, 0), then (l, m) and (l, -m) for m = 1..n (l >= m),
     each divided by the constant of its Fourier factor."""
-    table = eval_domain_basis(Sphere(2), n, coords)[:, _order_columns(n)[0]]
+    return _by_order(n, eval_domain_basis(Sphere(2), n, coords), _order_columns(n)[0])
+
+
+def _by_order(n, table, columns):
+    """The ``columns`` of a d=2 basis table, which are in the order of an
+    ``order_table``, each divided by the constant of its Fourier factor."""
+    table = table[:, columns]
     table[:, :n + 1] *= math.sqrt(2.0 * math.pi)
     table[:, n + 1:] *= math.sqrt(math.pi)
     return table
@@ -108,6 +114,20 @@ def _order_columns(n):
     index = np.stack([np.concatenate(cols), np.concatenate(turned)])
     index.setflags(write=False)  # cached: shared by every caller
     return index
+
+
+def ring_factors(n, rows):
+    """The polar factors q of d=2 basis rows at azimuth 0 (``eval_domain_basis``
+    of a domain centred at the pole, at points (s, 0, z)) in the columns of
+    an ``order_table``, and the Fourier column of each: the basis at
+    (s cos g, s sin g, z) is q * fourier_table(n, [g])[0, fourier].  Each
+    column is divided by its Fourier constant; (l, -m), whose sine vanishes
+    at azimuth 0, takes the factor of (l, m).  ``fourier`` is nondecreasing,
+    one run per order."""
+    flat = _order_columns(n)[0]
+    l = np.sqrt(flat).astype(int)  # l*l <= flat < (l + 1)^2: the floor is l
+    m = flat - l * l - l
+    return _by_order(n, rows, flat + np.abs(m) - m), 2 * np.abs(m) - (m > 0)
 
 
 def order_parts(table, coeffs):

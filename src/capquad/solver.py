@@ -18,6 +18,21 @@ two paths that yields an acceptable rule:
     positive definite the path fails).  It spreads the
     weights in proportion to the profile, so on a dense enough set
     every weight is positive.
+
+    The Gram matrix is factored by ring.  At d=2 the basis (l, m) at a
+    node is a polar factor q_{l,|m|}(z) times the ``fourier_table`` entry
+    t_{o(m)}(phi) of its azimuth, so the nodes of one z (a ring) add
+    q q^T times F_r[o, o'] to the Gram matrix, F_r = sum p_j t_j t_j^T.
+    On a ring of at least 2n + 1 evenly spaced nodes and one profile
+    value, as ``points.ring_lattice`` makes them, F_r is diagonal, and
+    the ring adds one order block at a time from one polar row; that is
+    checked on every ring of bit-identical z (``_Rings``).  Every other
+    node (short rings near a cap's pole, d=1 sets, sets turned off the
+    pole or scattered) is a plain row sqrt(p_j) a_j as before, so such
+    sets cost what the full table costs.  The weights p_j t_j . U_r and
+    the residual A w come from per-ring sums, so the min-norm path builds
+    no table with a row per node; the NNLS path and ``verify_exactness``
+    use the full table.
 ``"nnls-active-set"``
     when the minimum-norm weights miss the residual target or go below
     the positivity floor: ``w = base + profile * u`` with
@@ -37,9 +52,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import delta_r_many, domain_measure
+from .geometry import boundary_distance_many, delta_r_at, domain_measure
 from .points import NodeSet, canonical
-from .polys import MAX_TABLE_ENTRIES, PolySpace, eval_domain_basis
+from .polys import (MAX_TABLE_ENTRIES, PolySpace, _order_columns, eval_domain_basis,
+                    fourier_table, ring_factors)
 
 DEFAULT_TOL = 1e-10
 _BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
@@ -98,26 +114,35 @@ def positivity_floor(nodes):
     return 1e-14 * domain_measure(nodes.domain) / max(len(nodes), 1)
 
 
+def _moments(domain, size):
+    """The moments sqrt(|D|) e_0 of the basis orthonormal on the domain,
+    whose first function is 1/sqrt(|D|)."""
+    moments = np.zeros(size)
+    moments[0] = np.sqrt(domain_measure(domain))
+    return moments
+
+
 def _moment_matrix(nodes, degree):
     """Basis-at-nodes matrix and moments, in the canonical frame
     (``points.canonical``), of the basis orthonormal on the domain there."""
     nodes = canonical(nodes)
     a = eval_domain_basis(nodes.domain, degree, nodes.coords).T
-    moments = np.zeros(a.shape[0])
-    moments[0] = np.sqrt(domain_measure(nodes.domain))  # the first function is 1/sqrt(|D|)
-    return a, moments
+    return a, _moments(nodes.domain, a.shape[0])
 
 
-def moment_residual(a, weights, moments):
-    """Max relative moment error: |A w - m|_k / (1 + |m_k|), maximized over k."""
-    err = a @ weights - moments
-    return float(np.max(np.abs(err) / (1.0 + np.abs(moments))))
+def moment_residual(aw, moments):
+    """Max relative moment error of A w: |A w - m|_k / (1 + |m_k|), maximized over k."""
+    return float(np.max(np.abs(aw - moments) / (1.0 + np.abs(moments))))
 
 
 def _profile(nodes):
+    """The ball-volume surrogate at the separation radius, with boundary
+    distances within 16 ulps of the largest polar angle read as 0: an edge
+    node's sqrt(b) is then 0 however its coordinates round, not 0 or 1e-8."""
     eps = nodes.epsilon if nodes.epsilon > 0 else 1.0 / max(nodes.degree, 1)
-    prof = delta_r_many(nodes.domain, nodes.coords, eps)
-    return np.maximum(prof, 1e-300)
+    b = boundary_distance_many(nodes.domain, nodes.coords)
+    b[b <= 16.0 * np.finfo(float).eps * nodes.domain.polar_range[1]] = 0.0
+    return np.maximum(delta_r_at(nodes.domain, b, eps), 1e-300)
 
 
 def _cholesky_solve(lower, rhs):
@@ -136,13 +161,118 @@ def _cholesky_solve(lower, rhs):
     return x
 
 
+class _Rings:
+    """The rings of a canonical d=2 set (nodes of bit-identical z) whose
+    F_r = sum_j p_j t(phi_j) t(phi_j)^T is diagonal, t the ``fourier_table``
+    row at a node's azimuth: ``nodes`` ring after ring from ``starts``, their
+    rows ``t`` and profile ``p``, each ring's diagonal ``f`` of F_r and its
+    first node turned to azimuth 0, ``polar``.  A node's basis row in the
+    ``order_table`` columns is q * t[fourier], q the ``polys.ring_factors``
+    of its ring's polar row, so a ring's part of A P A^T is q q^T times
+    F_r[fourier, fourier], which vanishes across orders.  Only rings of at
+    least 2n + 1 nodes are tried: F_r of fewer has rank below 2n + 1.
+    """
+
+    def __init__(self, nodes, degree, profile):
+        coords, width = nodes.coords, 2 * degree + 1
+        by_z = np.argsort(coords[:, 2], kind="stable")
+        z = coords[by_z, 2]
+        ring = np.cumsum(np.concatenate([[False], z[1:] != z[:-1]]))
+        sizes = np.bincount(ring)
+        members, ring, sizes = self._select(by_z, ring, sizes, sizes >= width)
+        t = fourier_table(degree, np.arctan2(coords[members, 1], coords[members, 0]))
+        # F_r = R^T R for the rows R = sqrt(p_j) t_j of ring r, one product per
+        # ring on rings padded with zero rows to the longest
+        length, starts = sizes.max(initial=0), np.cumsum(sizes) - sizes
+        pad = np.zeros((sizes.size, length, width))
+        pad.reshape(-1, width)[ring * length + np.arange(members.size) - starts[ring]] = (
+            np.sqrt(profile[members])[:, None] * t)
+        f = np.matmul(pad.transpose(0, 2, 1), pad).reshape(sizes.size, width * width)
+        diag = f[:, ::width + 1].copy()
+        f[:, ::width + 1] = 0.0
+        # rounding: k*phi is off by about k ulps, and a ring sums its nodes
+        ok = (np.abs(f).max(axis=1, initial=0.0)
+              <= 8.0 * width * np.finfo(float).eps * diag.max(axis=1, initial=0.0))
+        if not ok.all():
+            t, diag = t[ok[ring]], diag[ok]
+            members, ring, sizes = self._select(members, ring, sizes, ok)
+            starts = np.cumsum(sizes) - sizes
+        self.nodes, self.ring, self.starts, self.t, self.f = members, ring, starts, t, diag
+        self.p = profile[members]
+        first = coords[members[starts]]
+        self.polar = np.column_stack([np.hypot(first[:, 0], first[:, 1]),
+                                      np.zeros(starts.size), first[:, 2]])
+
+    @staticmethod
+    def _select(members, ring, sizes, chosen):
+        """The members of the ``chosen`` rings, their rings renumbered, and their sizes."""
+        keep = chosen[ring]
+        return members[keep], (np.cumsum(chosen) - 1)[ring[keep]], sizes[chosen]
+
+    def factor(self, degree, rows):
+        """Take the rings' ``polys.ring_factors`` from their polar rows."""
+        self.q, self.fourier = ring_factors(degree, rows)
+        self.orders = np.flatnonzero(np.diff(self.fourier, prepend=-1))
+
+    def gram(self):
+        """The rings' part of A P A^T, block diagonal by order."""
+        g = (self.q * self.f[:, self.fourier]).T @ self.q
+        return g * (self.fourier[:, None] == self.fourier[None, :])
+
+    def weights(self, c):
+        """p_j t_j . U_r with U_r[a] = sum over order a's columns of q_r c."""
+        u = np.add.reduceat(self.q * c, self.orders, axis=1)
+        return self.p * np.einsum("jk,jk->j", self.t, u[self.ring])
+
+    def moments(self, w):
+        """The rings' part of A w, from V_r = sum_j w_j t_j."""
+        v = np.add.reduceat(w[:, None] * self.t, self.starts, axis=0)
+        return np.einsum("rk,rk->k", self.q, v[:, self.fourier])
+
+
+def _min_norm(nodes, degree, profile, moments):
+    """Weights ``w = P A^T c`` with ``(A P A^T) c = m`` on a canonical set,
+    the relative residual of A w, and the numbers of nodes that went through
+    ``_Rings`` and of their rings.  Every other node is a row sqrt(p_j) a_j
+    of A sqrt(P), its basis row ``a_j`` in the ``order_table`` columns at
+    d=2; one ``eval_domain_basis`` call takes the rings' polar rows and them."""
+    domain, coords = nodes.domain, nodes.coords
+    loose = np.ones(len(coords), dtype=bool)
+    rings, columns, polar = None, slice(None), coords[:0]
+    if domain.dim == 2:
+        rings = _Rings(nodes, degree, profile)
+        loose[rings.nodes] = False
+        columns, polar = _order_columns(degree)[0], rings.polar
+    loose = np.flatnonzero(loose)
+    rows = eval_domain_basis(domain, degree, np.concatenate([polar, coords[loose]]))
+    a = rows[len(polar):, columns].T
+    root = np.sqrt(profile[loose])
+    b = a * root
+    gram = b @ b.T  # one symmetric rank-k product
+    if len(polar):
+        rings.factor(degree, rows[:len(polar)])
+        gram += rings.gram()
+    weights = np.full(len(coords), np.nan)
+    try:  # the factorization is the positive-definiteness guard
+        c = _cholesky_solve(np.linalg.cholesky(gram), moments)
+    except np.linalg.LinAlgError:
+        return weights, np.inf, 0, 0
+    weights[loose] = root * (b.T @ c)
+    aw = a @ weights[loose]
+    if len(polar):
+        weights[rings.nodes] = rings.weights(c)
+        aw += rings.moments(weights[rings.nodes])
+    return weights, moment_residual(aw, moments), len(coords) - loose.size, len(polar)
+
+
 def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     """Positive weights exact on the polynomial space over the domain.
 
     Returns a CubatureRule on acceptance (relative moment residual at most
     ``tol`` with every weight at least the positivity floor), its
-    ``solver_meta["solver"]`` naming the path taken, or an Infeasible
-    carrying diagnostics.
+    ``solver_meta["solver"]`` naming the path taken (on the min-norm path,
+    ``"ring_nodes"``, ``"rings"`` and ``"loose"`` count how its nodes went
+    in), or an Infeasible carrying diagnostics.
     """
     if len(nodes) == 0:
         raise ValueError("empty node set")
@@ -152,23 +282,19 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     if size * size > MAX_TABLE_ENTRIES:  # the Gram below, refused before any table
         raise ValueError(f"a Gram matrix of {size} x {size} entries exceeds "
                          f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
-    a, moments = _moment_matrix(nodes, degree)
-    profile = _profile(nodes)
+    frame = canonical(nodes)
+    profile = _profile(frame)
     floor = positivity_floor(nodes)
-
-    root = np.sqrt(profile)
-    b = a * root  # b b^T = A P A^T, one symmetric rank-k product
-    try:  # the factorization is the positive-definiteness guard
-        weights = root * (b.T @ _cholesky_solve(np.linalg.cholesky(b @ b.T), moments))
-    except np.linalg.LinAlgError:
-        weights = np.full_like(profile, np.nan)
-    resid = moment_residual(a, weights, moments)
+    moments = _moments(frame.domain, size)
+    weights, resid, ring_nodes, rings = _min_norm(frame, degree, profile, moments)
     resid = resid if np.isfinite(resid) else np.inf  # non-finite: a failed path
     low = np.flatnonzero(weights < floor)
     if resid <= tol and low.size == 0:
         return CubatureRule(nodes, weights, degree, resid,
-                            {"seed": nodes.seed, "solver": "min-norm"})
+                            {"seed": nodes.seed, "solver": "min-norm", "ring_nodes": ring_nodes,
+                             "rings": rings, "loose": len(nodes) - ring_nodes})
 
+    a = eval_domain_basis(frame.domain, degree, frame.coords).T
     scaled = a * profile[None, :]
     g = scaled.sum(axis=1)
     gg = float(g @ g)
@@ -180,7 +306,7 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
 
     u = nnls(scaled, moments - a @ base)[0]
     weights = base + profile * u
-    resid_nnls = moment_residual(a, weights, moments)
+    resid_nnls = moment_residual(a @ weights, moments)
     if resid_nnls <= tol and np.all(weights >= floor):
         return CubatureRule(nodes, weights, degree, resid_nnls,
                             {"seed": nodes.seed, "solver": "nnls-active-set"})
@@ -196,7 +322,7 @@ def verify_exactness(rule, probe_degree=None):
     if probe_degree > rule.degree:
         raise ValueError("probe degree exceeds the rule's exactness degree")
     a, moments = _moment_matrix(rule.nodes, probe_degree)
-    return moment_residual(a, rule.weights, moments)
+    return moment_residual(a @ rule.weights, moments)
 
 
 def weight_sharpness(rule):

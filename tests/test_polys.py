@@ -272,6 +272,24 @@ def test_order_parts_turn_the_polynomial_about_the_pole(n):
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), g
 
 
+@pytest.mark.parametrize("n", [0, 1, 6, 20])
+def test_ring_factors_times_the_fourier_row_is_the_basis(n):
+    # the basis at (s cos g, s sin g, z), in the order_table's columns, is
+    # the polar factor at azimuth 0 times one Fourier entry per column
+    from capquad.polys import _order_columns, fourier_table, ring_factors
+
+    cap = cq.Cap(cq.north_pole(2), 1.2)
+    theta = np.array([0.0, 0.3, 1.2])
+    s, z = np.sin(theta), np.cos(theta)
+    q, fourier = ring_factors(n, eval_domain_basis(cap, n, np.column_stack([s, 0 * s, z])))
+    assert np.all(np.diff(fourier) >= 0) and fourier[-1] == 2 * n
+    for g in (0.0, 0.9, -2.5):
+        rows = np.column_stack([s * math.cos(g), s * math.sin(g), z])
+        want = eval_domain_basis(cap, n, rows)[:, _order_columns(n)[0]]
+        got = q * fourier_table(n, [g])[0, fourier]
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max()), g
+
+
 @pytest.mark.parametrize("domain", [
     pytest.param(cq.Sphere(2), id="sphere"), pytest.param(cq.Cap(E2, 1.0), id="cap"),
     pytest.param(cq.Collar(E2, 0.5, 1.0), id="collar"), pytest.param(cq.Cap(E1, 1.0), id="arc")])

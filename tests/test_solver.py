@@ -1,13 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import capquad as cq
+from capquad import solver
+from capquad.geometry import domain_measure, north_frame
+from capquad.points import canonical
 from capquad.polys import eval_basis_many, eval_domain_basis
 from capquad.quadrature import domain_moments
 
-from conftest import three_node_set
+from conftest import random_cap_points, three_node_set
 
 E2 = cq.north_pole(2)
 E1 = cq.north_pole(1)
@@ -156,3 +160,89 @@ def test_three_nodes_at_degree4_infeasible():
     assert isinstance(result, cq.Infeasible)
     assert 1e-10 < result.residual < np.inf
     assert result.zero_nodes == []
+
+
+def dense_min_norm(nodes, degree):
+    """The min-norm weights P A^T (A P A^T)^-1 m from the full basis table at
+    every node: the reference the ring factorization must reproduce."""
+    frame = canonical(nodes)
+    a = eval_domain_basis(frame.domain, degree, frame.coords).T
+    moments = np.zeros(a.shape[0])
+    moments[0] = math.sqrt(domain_measure(frame.domain))
+    profile = solver._profile(frame)
+    return profile * (a.T @ np.linalg.solve((a * profile) @ a.T, moments))
+
+
+def assert_min_norm_matches_reference(rule, degree):
+    assert rule.solver_meta["solver"] == "min-norm"
+    want = dense_min_norm(rule.nodes, degree)
+    assert np.max(np.abs(rule.weights - want) / want) <= 1e-12
+    assert abs(rule.residual - cq.verify_exactness(rule)) <= 1e-13
+
+
+@pytest.mark.parametrize("domain, set_degree, degree, short", [
+    (cq.Cap(E2, 0.3), 8, 0, False), (cq.Cap(E2, 0.3), 8, 8, True),
+    (cq.Cap(E2, 1.0), 16, 4, True), (cq.Cap(E2, 1.0), 16, 16, True),
+    (cq.Cap(E2, 2.0), 8, 8, True), (cq.Collar(E2, 0.5, 1.0), 8, 12, False)],
+    ids=["cap0.3-n0", "cap0.3-n8", "cap1-n4", "cap1-n16", "cap2-n8", "collar-n12"])
+def test_ring_weights_match_the_dense_min_norm_formula(domain, set_degree, degree, short):
+    # short rings (fewer than 2n + 1 nodes: the pole and the rings around
+    # it on a cap) go in as loose rows; every other ring through its F_r
+    ns = cq.ring_lattice(domain, 0.5 / set_degree, degree=set_degree, delta=0.5)
+    rule = cq.solve_weights(ns, degree)
+    meta = rule.solver_meta
+    assert meta["rings"] > 0 and meta["ring_nodes"] + meta["loose"] == len(ns)
+    assert (meta["loose"] > 0) == short
+    assert_min_norm_matches_reference(rule, degree)
+
+
+def test_random_and_turned_sets_take_the_loose_path(cap_a1):
+    # no two random nodes share a z; turning a lattice off the pole and
+    # back rounds each node's canonical z on its own, so a ring's z splits
+    # into groups of unevenly spaced nodes, whose F_r is not diagonal
+    coords = random_cap_points(cap_a1, 1500, seed=5)
+    random_set = cq.NodeSet(cap_a1, coords, 0.25 / 4, degree=4, validate=False)
+    lattice = cq.ring_lattice(cap_a1, 0.25 / 6, degree=6, delta=0.25)
+    centre = cq.SpherePoint(np.array([math.sin(0.7), 0.0, math.cos(0.7)]))
+    turned = cq.NodeSet(dataclasses.replace(cap_a1, center=centre),
+                        lattice.coords @ north_frame(centre).T, lattice.epsilon, degree=6,
+                        validate=False)
+    for ns, degree, ringed in ((random_set, 4, 0), (turned, 6, len(turned) // 20)):
+        rule = cq.solve_weights(ns, degree)
+        assert rule.solver_meta["ring_nodes"] <= ringed
+        assert_min_norm_matches_reference(rule, degree)
+
+
+def test_min_norm_path_evaluates_the_basis_at_ring_and_loose_rows_only(monkeypatch, cap_a1):
+    rows = []
+
+    def counting(domain, degree, coords):
+        rows.append(len(coords))
+        return eval_domain_basis(domain, degree, coords)
+
+    ns = cq.ring_lattice(cap_a1, 0.5 / 16, degree=16, delta=0.5)
+    monkeypatch.setattr(solver, "eval_domain_basis", counting)
+    rule = cq.solve_weights(ns, 16)
+    meta = rule.solver_meta
+    assert meta["solver"] == "min-norm"
+    assert sum(rows) <= meta["rings"] + meta["loose"] < len(ns) // 10
+
+
+@pytest.mark.parametrize("domain", [cq.Cap(E2, 1.0), cq.Collar(E2, 0.5, 1.0)],
+                         ids=["cap", "collar"])
+def test_edge_nodes_do_not_hang_weights_on_their_last_bits(domain):
+    # edge nodes' boundary distances read 0 or a few ulps; without the floor
+    # in the profile sqrt(b) made that 0 or 1e-8, and a 1e-16 move of the
+    # coordinates moved the weights by about 2e-7
+    ns = cq.ring_lattice(domain, 0.25 / 4, degree=4, delta=0.25)
+    want = cq.solve_weights(ns, 4).weights
+    rng = np.random.default_rng(3)
+    moved = ns.coords * (1.0 + 1e-16 * rng.standard_normal(ns.coords.shape))
+    centre = cq.SpherePoint(np.array([math.sin(0.7), 0.0, math.cos(0.7)]))
+    copies = [cq.NodeSet(domain, moved, ns.epsilon, degree=4, validate=False),
+              cq.NodeSet(dataclasses.replace(domain, center=centre),
+                         ns.coords @ north_frame(centre).T, ns.epsilon, degree=4,
+                         validate=False)]
+    for copy in copies:
+        got = cq.solve_weights(copy, 4).weights
+        assert np.max(np.abs(got - want) / want) <= 1e-12

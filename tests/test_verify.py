@@ -655,11 +655,15 @@ def test_turned_set_measures_like_the_pole_set(cap_a1):
 def test_turned_set_solves_like_the_pole_set(cap_a1):
     pole = cq.ring_lattice(cap_a1, 0.25 / 4, seed=3, degree=4, delta=0.25)
     rule_pole, rule = cq.solve_weights(pole, 4), cq.solve_weights(_turned(pole, _OFF_POLE), 4)
-    assert rule.solver_meta == rule_pole.solver_meta
+    # the same path; the pole set's nodes go through rings, the turned set's
+    # canonical z are rounded node by node, so most go in as plain rows
+    for key in ("seed", "solver"):
+        assert rule.solver_meta[key] == rule_pole.solver_meta[key]
+    assert rule_pole.solver_meta["ring_nodes"] > rule.solver_meta["ring_nodes"]
     assert rule.residual <= 1e-10
-    # a rounding-level move of a node on the boundary moves sqrt(b) in its
-    # profile by about 1e-8 (b ~ 1e-16): the weights agree to about 1e-7
-    assert np.allclose(rule.weights, rule_pole.weights, rtol=1e-6, atol=0.0)
+    # edge nodes' boundary distances read 0 in the profile, whatever their
+    # last bits, so the weights agree to rounding (they did to 1e-7)
+    assert np.allclose(rule.weights, rule_pole.weights, rtol=1e-12, atol=0.0)
 
 
 def test_turned_set_weighted_mz_like_the_pole_set(cap_a05, nodes_a05_n8):
