@@ -43,11 +43,11 @@ from .geometry import (
     azimuth_half_width,
     ball_reach,
     boundary_distance_at,
-    boundary_distance_many,
     north_frame,
     north_pole,
     polar_angles,
     rho_from_chord,
+    ring_labels,
 )
 from .polys import as_point_function, fourier_table, order_parts, order_table
 
@@ -449,21 +449,21 @@ def balls_integral(domain, centers, radius, weight_fn=None):
     still apart at order 1024, which keep their last estimates.  Balls
     are evaluated in blocks of ``_BALL_POINT_BUDGET // order``, which
     bounds the memory of an order's quadrature points.  A d=2 ball is a
-    function of its centre's polar angle: one evaluation per angle.
+    function of its centre's polar angle: one per ring, at its first centre.
     """
     centers = np.atleast_2d(np.asarray(centers, float))
+    ball, order, starts = ring_labels(domain, centers)
+    first = centers[order[starts[:-1]]]
+    theta_c = polar_angles(domain, first)
+    sqrt_b_c = np.sqrt(boundary_distance_at(domain, theta_c))
     if domain.dim == 2:
-        theta_c, ball = np.unique(polar_angles(domain, centers), return_inverse=True)
-        sqrt_b_c = np.sqrt(boundary_distance_at(domain, theta_c))
         lo, hi = _ball_boxes(domain, theta_c, sqrt_b_c, radius)
 
         def level(sel, order):
             return _eval_balls_d2(domain, theta_c[sel], sqrt_b_c[sel], radius,
                                   lo[sel], hi[sel], order, weight_fn)
     else:
-        ball = np.arange(centers.shape[0])
-        sqrt_b_c = np.sqrt(boundary_distance_many(domain, centers))
-        canon = centers @ north_frame(domain.center)
+        canon = first @ north_frame(domain.center)
         u_c = np.arctan2(canon[:, 0], canon[:, 1])
 
         def level(sel, order):

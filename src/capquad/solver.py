@@ -21,18 +21,18 @@ two paths that yields an acceptable rule:
 
     The Gram matrix is factored by ring.  At d=2 the basis (l, m) at a
     node is a polar factor q_{l,|m|}(z) times the ``fourier_table`` entry
-    t_{o(m)}(phi) of its azimuth, so the nodes of one z (a ring) add
-    q q^T times F_r[o, o'] to the Gram matrix, F_r = sum p_j t_j t_j^T.
-    On a ring of at least 2n + 1 evenly spaced nodes and one profile
-    value, as ``points.ring_lattice`` makes them, F_r is diagonal, and
-    the ring adds one order block at a time from one polar row; that is
-    checked on every ring of bit-identical z (``_Rings``).  Every other
-    node (short rings near a cap's pole, d=1 sets, sets turned off the
-    pole or scattered) is a plain row sqrt(p_j) a_j as before, so such
-    sets cost what the full table costs.  The weights p_j t_j . U_r and
-    the residual A w come from per-ring sums, so the min-norm path builds
-    no table with a row per node; the NNLS path and ``verify_exactness``
-    use the full table.
+    t_{o(m)}(phi) of its azimuth, so the nodes of one z (a ring of
+    ``geometry.ring_labels``, its q from its first node) add q q^T times
+    F_r[o, o'] to the Gram matrix, F_r = sum p_j t_j t_j^T.  On a ring of
+    at least 2n + 1 evenly spaced nodes and one profile value, as
+    ``points.ring_lattice`` makes them at the pole or turned off it, F_r
+    is diagonal, and the ring adds one order block at a time from one
+    polar row; that is checked on every ring (``_Rings``).  Every other
+    node (short rings near a cap's pole, d=1 sets, scattered sets) is a
+    plain row sqrt(p_j) a_j, so such sets cost what the full table costs.
+    The weights p_j t_j . U_r and the residual A w come from per-ring
+    sums, so the min-norm path builds no table with a row per node; the
+    NNLS path and ``verify_exactness`` use the full table.
 ``"nnls-active-set"``
     when the minimum-norm weights miss the residual target or go below
     the positivity floor: ``w = base + profile * u`` with
@@ -48,11 +48,12 @@ signals that it is too sparse for the degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import boundary_distance_many, delta_r_at, domain_measure
+from .geometry import boundary_distance_many, delta_r_at, domain_measure, ring_labels
 from .points import NodeSet, canonical
 from .polys import (MAX_TABLE_ENTRIES, PolySpace, _order_columns, eval_domain_basis,
                     fourier_table, ring_factors)
@@ -137,11 +138,14 @@ def moment_residual(aw, moments):
 
 def _profile(nodes):
     """The ball-volume surrogate at the separation radius, with boundary
-    distances within 16 ulps of the largest polar angle read as 0: an edge
-    node's sqrt(b) is then 0 however its coordinates round, not 0 or 1e-8."""
+    distances within 16 ulps of the largest polar angle or of arccos at an
+    edge (eps / sin(edge)) read as 0: an edge node's sqrt(b) is then 0
+    however its coordinates round, not 0 or 1e-8."""
     eps = nodes.epsilon if nodes.epsilon > 0 else 1.0 / max(nodes.degree, 1)
     b = boundary_distance_many(nodes.domain, nodes.coords)
-    b[b <= 16.0 * np.finfo(float).eps * nodes.domain.polar_range[1]] = 0.0
+    edges = [e for e in nodes.domain.polar_range if e > 0]
+    scale = max(edges[-1], *(1.0 / math.sin(e) for e in edges))
+    b[b <= 16.0 * np.finfo(float).eps * scale] = 0.0
     return np.maximum(delta_r_at(nodes.domain, b, eps), 1e-300)
 
 
@@ -162,7 +166,7 @@ def _cholesky_solve(lower, rhs):
 
 
 class _Rings:
-    """The rings of a canonical d=2 set (nodes of bit-identical z) whose
+    """The rings of a canonical d=2 set (``geometry.ring_labels``) whose
     F_r = sum_j p_j t(phi_j) t(phi_j)^T is diagonal, t the ``fourier_table``
     row at a node's azimuth: ``nodes`` ring after ring from ``starts``, their
     rows ``t`` and profile ``p``, each ring's diagonal ``f`` of F_r and its
@@ -175,11 +179,9 @@ class _Rings:
 
     def __init__(self, nodes, degree, profile):
         coords, width = nodes.coords, 2 * degree + 1
-        by_z = np.argsort(coords[:, 2], kind="stable")
-        z = coords[by_z, 2]
-        ring = np.cumsum(np.concatenate([[False], z[1:] != z[:-1]]))
-        sizes = np.bincount(ring)
-        members, ring, sizes = self._select(by_z, ring, sizes, sizes >= width)
+        labels, order, starts = ring_labels(nodes.domain, coords)
+        sizes = np.diff(starts)
+        members, ring, sizes = self._select(order, labels[order], sizes, sizes >= width)
         t = fourier_table(degree, np.arctan2(coords[members, 1], coords[members, 0]))
         # F_r = R^T R for the rows R = sqrt(p_j) t_j of ring r, one product per
         # ring on rings padded with zero rows to the longest

@@ -48,6 +48,7 @@ from .geometry import (
     map_T_many,
     poly_D,
     rho_many,
+    ring_labels,
 )
 from . import polys
 from .points import canonical, product_grid, tau_statistic
@@ -68,7 +69,6 @@ MAX_REDRAWS = 100
 COLUMN_CHUNK = 16  # trial columns per product with a tall basis table
 INTEGRAL_TOL = 1e-8
 VALUES_ENTRIES = 2**20  # ball values (8 MiB) of one block of ``_RingBallTable.extremes``
-_RING_TOL = 1e-9  # polar angles this close share a ring of ball samples
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +299,7 @@ def _integral_ratio_trials(domain, space, p, ratio, trials, seed):
 
 class _RingBallTable:
     """Low-discrepancy samples of the rho-ball at every node, drawn and
-    evaluated once per ring of nodes whose polar angles agree to _RING_TOL.
+    evaluated once per ring of nodes at one polar angle (``ring_labels``).
 
     A golden-angle spiral (d=2) or evenly spaced angles (d=1) fill the
     bounding geodesic region; points outside the ball or the domain are
@@ -316,16 +316,12 @@ class _RingBallTable:
 
     def __init__(self, nodes, radius, count, space):
         domain, coords = nodes.domain, nodes.coords
-        ring, azimuth = np.arange(len(coords)), np.zeros(len(coords))
+        ring, self.nodes, self.node_starts = ring_labels(domain, coords)  # reference first
+        refs = self.refs = self.nodes[self.node_starts[:-1]]
+        azimuth = np.zeros(len(coords))
         if domain.dim == 2:
             theta = np.arctan2(np.hypot(coords[:, 0], coords[:, 1]), coords[:, 2])
             azimuth = np.arctan2(coords[:, 1], coords[:, 0])
-            by_theta = np.argsort(theta, kind="stable")
-            ring[by_theta] = np.cumsum(np.r_[0, np.diff(theta[by_theta]) > _RING_TOL])
-        self.nodes = np.argsort(ring, kind="stable")  # ring after ring, reference first
-        self.node_starts = np.r_[0, np.cumsum(np.bincount(ring))]
-        refs = self.refs = self.nodes[self.node_starts[:-1]]
-        self.ring_centres = coords[refs[ring]]
         if refs.size * (count + 1) * space.size > polys.MAX_TABLE_ENTRIES:
             raise ValueError(f"ball-sample tables of {refs.size * (count + 1)} x {space.size} "
                              "entries exceed 1 GiB; lower --ball-samples or the degree")
@@ -437,7 +433,7 @@ def osc_constant(nodes, degree, p, beta=1.0, trials=200, ball_samples=64,
     delta = nodes.delta
     space = PolySpace(domain.dim, degree if trial_degree is None else int(trial_degree))
     table = _RingBallTable(nodes, beta * eps, ball_samples, space)
-    volumes, _, unconverged = balls_integral(domain, table.ring_centres, eps)
+    volumes, _, unconverged = balls_integral(domain, nodes.coords, eps)
 
     def ratio(c, integral):
         gmax, gmin = table.extremes(c, absolute=False)
@@ -653,7 +649,7 @@ def weighted_mz(cap, weight, nodes, degree, p, trials=200, ball_samples=64,
     wn, wn_unconverged = _ball_average(domain, weight, degree, rule.points)
     weighted = np.stack([rule.weights * weight.eval_on(domain, rule.points), rule.weights * wn])
     table = _RingBallTable(nodes, eps, ball_samples, space)
-    _, masses, mass_unconverged = balls_integral(domain, table.ring_centres, eps, weight.eval_b)
+    _, masses, mass_unconverged = balls_integral(domain, nodes.coords, eps, weight.eval_b)
 
     def measure(c):
         int_w, int_wn = _by_chunks(lambda b: rule_values(space, rule, b), c,

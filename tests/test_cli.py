@@ -214,6 +214,31 @@ def test_solve_rule_schema(rule_file):
     assert cq.verify_exactness(rule) <= 1e-9
 
 
+def test_solve_off_pole_file_keeps_the_rings_of_its_pole_copy(tmp_path, capsys):
+    # a points file carries its cap centre; a set turned off the pole goes
+    # through the same rings as its pole copy
+    pole = tmp_path / "pole.json"
+    assert main(["points", "--d", "2", "--alpha", "1", "--degree", "6", "--delta", "0.25",
+                 "--out", str(pole)]) == 0
+    data = json.loads(pole.read_text())
+    centre = cq.SpherePoint([0.4, -0.3, 0.87])
+    frame = cq.geometry.north_frame(centre)
+    data["center"] = centre.coords.tolist()
+    data["nodes"] = (np.array(data["nodes"]) @ frame.T).tolist()
+    turned = tmp_path / "turned.json"
+    turned.write_text(json.dumps(data))
+    splits = []
+    for path in (pole, turned):
+        capsys.readouterr()
+        assert main(["solve", "--points", str(path), "--degree", "6",
+                     "--out", str(tmp_path / "rule.json")]) == 0
+        line = capsys.readouterr().err
+        assert line.startswith("accepted (min-norm): ") and " rings, " in line
+        splits.append(line.split(", residual")[0])
+    assert splits[1] == splits[0]
+    assert int(splits[0].split(", ")[1].split()[0]) > len(data["nodes"]) // 2
+
+
 def test_solve_infeasible_exit2(tmp_path):
     sparse = tmp_path / "sparse.json"
     assert main(["points", "--d", "2", "--alpha", "1.0", "--degree", "1",

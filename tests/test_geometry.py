@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,9 @@ from capquad.geometry import (
     delta_r_many,
     north_frame,
     rho_many,
+    ring_labels,
 )
+from capquad.points import canonical
 
 from conftest import north_frame_per_node, random_cap_points, random_collar_points
 
@@ -436,3 +439,51 @@ def test_north_frame_bit_equal_to_per_node_frames(dim):
         nodes = cq.ring_lattice(cq.Cap(E2, 1.0), 0.25 / 6, degree=6, delta=0.25)
         want = np.array([north_frame_per_node(c) for c in nodes.coords])
         assert np.array([north_frame(c) for c in nodes.coords]).tobytes() == want.tobytes()
+
+
+def _turned_rows(coords, angle):
+    """Rows of a pole set turned to the centre at polar angle ``angle``, and that centre."""
+    centre = cq.SpherePoint(np.array([math.sin(angle), 0.0, math.cos(angle)]))
+    return coords @ north_frame(centre).T, centre
+
+
+@pytest.mark.parametrize("domain, n", [
+    (cq.Cap(E2, 0.05), 12), (cq.Cap(E2, 0.3), 8), (cq.Cap(E2, 1.0), 6), (cq.Cap(E2, 2.0), 8),
+    (cq.Cap(E2, 2.5), 6), (cq.Collar(E2, 0.5, 1.0), 6)],
+    ids=["cap0.05", "cap0.3", "cap1", "cap2", "cap2.5", "collar"])
+def test_turned_lattices_keep_the_rings_of_their_pole_copy(domain, n):
+    # a turn rounds each node's dot with the centre on its own, by a few
+    # ulps: exact-z groups split a lattice ring into many
+    coords = cq.ring_lattice(domain, 0.25 / n, degree=n, delta=0.25).coords
+    want, order, starts = ring_labels(domain, coords)
+    assert np.array_equal(want[order], np.repeat(np.arange(starts.size - 1), np.diff(starts)))
+    assert 4 * (want.max() + 1) < len(coords)
+    for angle in (0.2, 0.7, 1.3):
+        rows, centre = _turned_rows(coords, angle)
+        turned = dataclasses.replace(domain, center=centre)
+        assert np.array_equal(ring_labels(turned, rows)[0], want)
+        back = canonical(cq.NodeSet(turned, rows, 0.25 / n, degree=n, validate=False))
+        assert np.array_equal(ring_labels(back.domain, back.coords)[0], want)
+
+
+def test_d1_and_scattered_rows_are_rings_of_one(cap_a1):
+    arc = cq.ring_lattice(cq.Cap(E1, 1.0), 0.25 / 16, degree=16, delta=0.25)
+    labels, order, starts = ring_labels(arc.domain, arc.coords)
+    assert np.array_equal(labels, np.arange(len(arc))) and np.array_equal(order, labels)
+    assert np.array_equal(starts, np.arange(len(arc) + 1))
+    coords = random_cap_points(cap_a1, 2000, seed=4)
+    labels, order, starts = ring_labels(cap_a1, coords)
+    assert np.array_equal(np.sort(labels), np.arange(len(coords)))
+    assert np.array_equal(starts, np.arange(len(coords) + 1))
+    dots = coords[order] @ cap_a1.center.coords
+    assert np.all(np.diff(dots) > 0)
+
+
+def test_ring_tolerance_is_rounding_level():
+    # dots 1e-13 apart are two polar angles, dots one rounding step apart
+    # one: the snap to a ring's first row must stay at rounding level
+    z = np.array([0.5, 0.5 + 1e-13, 0.5, np.nextafter(0.5, 1.0), 0.9])
+    coords = np.column_stack([np.sqrt(1.0 - z * z), np.zeros(5), z])
+    labels, order, starts = ring_labels(cq.Cap(E2, 1.5), coords)
+    assert labels.tolist() == [0, 1, 0, 0, 2]
+    assert order.tolist() == [0, 2, 3, 1, 4] and starts.tolist() == [0, 3, 4, 5]

@@ -181,6 +181,41 @@ def test_balls_integral_batch_matches_single(cap_a1, monkeypatch):
         assert cq.rho_ball_volume(ball) == pytest.approx(vols[k], rel=1e-14)
 
 
+def test_balls_integral_takes_one_ball_per_ring_of_turned_centres(monkeypatch):
+    # centres turned off the pole keep their pole copy's rings (dots with
+    # the centre a few ulps apart): one ball per ring, at its first centre
+    import dataclasses
+
+    from capquad.geometry import north_frame
+
+    cap = cq.Cap(E2, 1.0)
+    pole = cq.ring_lattice(cap, 0.25 / 4, degree=4, delta=0.25).coords
+    centre = cq.SpherePoint([0.4, -0.3, 0.87])
+    turned = dataclasses.replace(cap, center=centre), pole @ north_frame(centre).T
+    seen = []
+
+    def counting(domain, theta_c, *rest):
+        seen.append(theta_c.size)
+        return evaluate(domain, theta_c, *rest)
+
+    evaluate = quadrature._eval_balls_d2
+    monkeypatch.setattr(quadrature, "_eval_balls_d2", counting)
+    want = balls_integral(cap, pole, 0.1, lambda b: 1.0 + b)
+    rings = seen[0]
+    assert 4 * rings < len(pole)
+    seen.clear()
+    got = balls_integral(*turned, 0.1, lambda b: 1.0 + b)
+    assert seen[0] == rings and got[2] == want[2]
+    labels = cq.geometry.ring_labels(*turned)[0]
+    # an edge centre's sqrt(b) reads 0 or about 1e-8 as its dot rounds,
+    # which moves its ball by about 3e-7 relative; the others move by rounding
+    edge = boundary_distance_many(cap, pole) <= 1e-12
+    for g, w in zip(got[:2], want[:2]):
+        assert all(np.ptp(g[labels == r]) == 0.0 for r in range(rings))
+        gap = np.abs(g - w) / w
+        assert gap[~edge].max() <= 1e-12 and gap[edge].max() <= 1e-6
+
+
 def test_double_until_stable_waits_for_every_row():
     # column 0 agrees in both rows from order 2 on; column 1's first row
     # agrees at once but its second row only from order 3 on, and
