@@ -272,8 +272,15 @@ def contains(domain, coords, tol=INSIDE_TOL):
 
 
 def boundary_distance_many(domain, coords):
-    """Distance to the domain boundary for each row (clamped at 0)."""
-    return boundary_distance_at(domain, polar_angles(domain, coords))
+    """Distance to the domain boundary for each row, clamped at 0 and read as
+    0 within 16 eps * max(hi, 1 / sin(edge)): a polar angle up to hi rounds by
+    eps * hi, and arccos turns a dot's rounding into eps / sin(edge) at an edge.
+    An edge row's sqrt(b) is then 0, not 0 or 1e-8 as its coordinates round."""
+    b = boundary_distance_at(domain, polar_angles(domain, coords))
+    lo, hi = domain.polar_range
+    scale = max(hi, *(1.0 / math.sin(e) for e in (lo, hi) if e > 0))
+    b[b <= 16.0 * np.finfo(float).eps * scale] = 0.0
+    return b
 
 
 def boundary_distance_at(domain, theta):
@@ -286,16 +293,13 @@ def boundary_distance_at(domain, theta):
 
 
 def boundary_distance(cap, x):
-    """Distance from x to the cap boundary: alpha - dist(x, center).
-
-    Zero on the boundary, alpha at the center.  Raises if x lies outside
-    the cap beyond tolerance.
-    """
+    """Distance from x to the cap boundary: alpha - dist(x, center), 0 on
+    the boundary (with the edge floor of ``boundary_distance_many``) and
+    alpha at the center.  Raises if x lies outside the cap beyond tolerance."""
     theta = geodesic_distance(cap.center, x)
-    b = cap.alpha - theta
-    if b < -INSIDE_TOL:
+    if cap.alpha - theta < -INSIDE_TOL:
         raise GeometryError(f"point outside the cap: dist {theta:.6g} > alpha {cap.alpha:.6g}")
-    return max(b, 0.0)
+    return float(boundary_distance_many(cap, _as_point(x).coords)[0])
 
 
 def _require_inside(domain, coords_rows, what="point"):

@@ -43,6 +43,7 @@ from .geometry import (
     azimuth_half_width,
     ball_reach,
     boundary_distance_at,
+    boundary_distance_many,
     north_frame,
     north_pole,
     polar_angles,
@@ -449,14 +450,14 @@ def balls_integral(domain, centers, radius, weight_fn=None):
     still apart at order 1024, which keep their last estimates.  Balls
     are evaluated in blocks of ``_BALL_POINT_BUDGET // order``, which
     bounds the memory of an order's quadrature points.  A d=2 ball is a
-    function of its centre's polar angle: one per ring, at its first centre.
-    """
+    function of its centre's polar angle: one per ring, at its first centre,
+    whose b is read with the edge floor of ``boundary_distance_many``."""
     centers = np.atleast_2d(np.asarray(centers, float))
     ball, order, starts = ring_labels(domain, centers)
     first = centers[order[starts[:-1]]]
-    theta_c = polar_angles(domain, first)
-    sqrt_b_c = np.sqrt(boundary_distance_at(domain, theta_c))
+    sqrt_b_c = np.sqrt(boundary_distance_many(domain, first))
     if domain.dim == 2:
+        theta_c = polar_angles(domain, first)
         lo, hi = _ball_boxes(domain, theta_c, sqrt_b_c, radius)
 
         def level(sel, order):

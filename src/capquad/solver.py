@@ -6,8 +6,9 @@ strictly positive, both taken in the canonical frame (``points.canonical``),
 so a rule's ``residual`` is its error on polynomials of unit norm.  The
 weights the paper predicts are comparable to the ball volumes
 |B_rho(omega, delta/n)|, approximated by ``profile`` (the ball-volume
-surrogate at the set's separation radius).  The solve takes the first of
-two paths that yields an acceptable rule:
+surrogate at the set's separation radius, one value per ring at its first
+row's boundary distance).  The solve takes the first of two paths that
+yields an acceptable rule:
 
 ``"min-norm"``
     the minimum profile-weighted-norm solution of the moment system,
@@ -23,9 +24,9 @@ two paths that yields an acceptable rule:
     node is a polar factor q_{l,|m|}(z) times the ``fourier_table`` entry
     t_{o(m)}(phi) of its azimuth, so the nodes of one z (a ring of
     ``geometry.ring_labels``, its q from its first node) add q q^T times
-    F_r[o, o'] to the Gram matrix, F_r = sum p_j t_j t_j^T.  On a ring of
-    at least 2n + 1 evenly spaced nodes and one profile value, as
-    ``points.ring_lattice`` makes them at the pole or turned off it, F_r
+    F_r[o, o'] to the Gram matrix, F_r = sum p_j t_j t_j^T, p_j the ring's
+    one profile value.  On a ring of at least 2n + 1 evenly spaced nodes,
+    as ``points.ring_lattice`` makes them at the pole or turned off it, F_r
     is diagonal, and the ring adds one order block at a time from one
     polar row; that is checked on every ring (``_Rings``).  Every other
     node (short rings near a cap's pole, d=1 sets, scattered sets) is a
@@ -48,7 +49,6 @@ signals that it is too sparse for the degree.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,17 +136,15 @@ def moment_residual(aw, moments):
     return float(np.max(np.abs(aw - moments) / (1.0 + np.abs(moments))))
 
 
-def _profile(nodes):
-    """The ball-volume surrogate at the separation radius, with boundary
-    distances within 16 ulps of the largest polar angle or of arccos at an
-    edge (eps / sin(edge)) read as 0: an edge node's sqrt(b) is then 0
-    however its coordinates round, not 0 or 1e-8."""
+def _profile(nodes, grouping=None):
+    """The ball-volume surrogate at the separation radius, one value per
+    ring of ``grouping`` (the set's ``geometry.ring_labels``): at the
+    boundary distance of the ring's first row, whose polar row ``_Rings``
+    takes, so a ring's nodes share one value however their last bits round."""
     eps = nodes.epsilon if nodes.epsilon > 0 else 1.0 / max(nodes.degree, 1)
-    b = boundary_distance_many(nodes.domain, nodes.coords)
-    edges = [e for e in nodes.domain.polar_range if e > 0]
-    scale = max(edges[-1], *(1.0 / math.sin(e) for e in edges))
-    b[b <= 16.0 * np.finfo(float).eps * scale] = 0.0
-    return np.maximum(delta_r_at(nodes.domain, b, eps), 1e-300)
+    labels, order, starts = grouping or ring_labels(nodes.domain, nodes.coords)
+    b = boundary_distance_many(nodes.domain, nodes.coords[order[starts[:-1]]])
+    return np.maximum(delta_r_at(nodes.domain, b, eps), 1e-300)[labels]
 
 
 def _cholesky_solve(lower, rhs):
@@ -166,7 +164,7 @@ def _cholesky_solve(lower, rhs):
 
 
 class _Rings:
-    """The rings of a canonical d=2 set (``geometry.ring_labels``) whose
+    """The rings of a canonical d=2 set (its ``ring_labels``, ``grouping``) whose
     F_r = sum_j p_j t(phi_j) t(phi_j)^T is diagonal, t the ``fourier_table``
     row at a node's azimuth: ``nodes`` ring after ring from ``starts``, their
     rows ``t`` and profile ``p``, each ring's diagonal ``f`` of F_r and its
@@ -177,9 +175,9 @@ class _Rings:
     least 2n + 1 nodes are tried: F_r of fewer has rank below 2n + 1.
     """
 
-    def __init__(self, nodes, degree, profile):
+    def __init__(self, nodes, degree, profile, grouping):
         coords, width = nodes.coords, 2 * degree + 1
-        labels, order, starts = ring_labels(nodes.domain, coords)
+        labels, order, starts = grouping
         sizes = np.diff(starts)
         members, ring, sizes = self._select(order, labels[order], sizes, sizes >= width)
         t = fourier_table(degree, np.arctan2(coords[members, 1], coords[members, 0]))
@@ -232,7 +230,7 @@ class _Rings:
         return np.einsum("rk,rk->k", self.q, v[:, self.fourier])
 
 
-def _min_norm(nodes, degree, profile, moments):
+def _min_norm(nodes, degree, profile, moments, grouping):
     """Weights ``w = P A^T c`` with ``(A P A^T) c = m`` on a canonical set,
     the relative residual of A w, and the numbers of nodes that went through
     ``_Rings`` and of their rings.  Every other node is a row sqrt(p_j) a_j
@@ -242,7 +240,7 @@ def _min_norm(nodes, degree, profile, moments):
     loose = np.ones(len(coords), dtype=bool)
     rings, columns, polar = None, slice(None), coords[:0]
     if domain.dim == 2:
-        rings = _Rings(nodes, degree, profile)
+        rings = _Rings(nodes, degree, profile, grouping)
         loose[rings.nodes] = False
         columns, polar = _order_columns(degree)[0], rings.polar
     loose = np.flatnonzero(loose)
@@ -285,10 +283,11 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
         raise ValueError(f"a Gram matrix of {size} x {size} entries exceeds "
                          f"{MAX_TABLE_ENTRIES} (1 GiB); lower the degree")
     frame = canonical(nodes)
-    profile = _profile(frame)
+    grouping = ring_labels(frame.domain, frame.coords)
+    profile = _profile(frame, grouping)
     floor = positivity_floor(nodes)
     moments = _moments(frame.domain, size)
-    weights, resid, ring_nodes, rings = _min_norm(frame, degree, profile, moments)
+    weights, resid, ring_nodes, rings = _min_norm(frame, degree, profile, moments, grouping)
     resid = resid if np.isfinite(resid) else np.inf  # non-finite: a failed path
     low = np.flatnonzero(weights < floor)
     if resid <= tol and low.size == 0:

@@ -207,13 +207,9 @@ def test_balls_integral_takes_one_ball_per_ring_of_turned_centres(monkeypatch):
     got = balls_integral(*turned, 0.1, lambda b: 1.0 + b)
     assert seen[0] == rings and got[2] == want[2]
     labels = cq.geometry.ring_labels(*turned)[0]
-    # an edge centre's sqrt(b) reads 0 or about 1e-8 as its dot rounds,
-    # which moves its ball by about 3e-7 relative; the others move by rounding
-    edge = boundary_distance_many(cap, pole) <= 1e-12
     for g, w in zip(got[:2], want[:2]):
         assert all(np.ptp(g[labels == r]) == 0.0 for r in range(rings))
-        gap = np.abs(g - w) / w
-        assert gap[~edge].max() <= 1e-12 and gap[edge].max() <= 1e-6
+        assert np.max(np.abs(g - w) / w) <= 1e-12
 
 
 def test_double_until_stable_waits_for_every_row():

@@ -652,7 +652,7 @@ def test_turned_set_measures_like_the_pole_set(cap_a1):
 
     got = measures(turned, rule)
     assert got == measures(copy, rule_copy)
-    assert np.allclose(got, measures(pole, rule_pole), rtol=1e-8, atol=0.0)
+    assert np.allclose(got, measures(pole, rule_pole), rtol=1e-12, atol=0.0)
 
 
 def test_turned_set_solves_like_the_pole_set(cap_a1):
@@ -679,7 +679,7 @@ def test_turned_set_weighted_mz_like_the_pole_set(cap_a05, nodes_a05_n8):
     assert got == cq.weighted_mz(copy.domain, weight, copy, 4, 2, **run)
     want = cq.weighted_mz(cap_a05, weight, nodes_a05_n8, 4, 2, **run)
     assert np.allclose([got[k] for k in sorted(got)], [want[k] for k in sorted(want)],
-                       rtol=1e-8, atol=0.0)
+                       rtol=1e-12, atol=0.0)
 
 
 def test_weighted_mz_refuses_another_cap(cap_a05, nodes_a05_n8):
