@@ -1,4 +1,4 @@
-"""Command-line entry points: points, solve, verify, moments.
+"""Command-line entry points: points, solve, verify.
 
 Exit codes: 0 success, 1 malformed flags or input, 2 infeasible solve,
 3 assertion failure under --assert.  Seeds and thread counts follow the
@@ -24,7 +24,7 @@ import time
 from . import io as cqio
 from .geometry import ALPHA_MAX, Cap, Collar, north_pole
 from .points import grid_counts, ring_lattice
-from .quadrature import DEGREE_CAP, domain_moments
+from .quadrature import DEGREE_CAP
 from .solver import Infeasible, solve_weights
 from . import verify
 from .verify import DoublingWeight, VerificationReport
@@ -138,13 +138,6 @@ def make_parser():
     p_ver.set_defaults(flag_defaults={attr: p_ver.get_default(attr)
                                       for attr in (*_SHAPING, "d", "alpha")})
 
-    p_mom = sub.add_parser("moments", help="print analytic cap moments of the basis")
-    p_mom.set_defaults(func=cmd_moments)
-    p_mom.add_argument("--d", type=int, choices=(1, 2), required=True)
-    p_mom.add_argument("--alpha", type=_ALPHA, required=True)
-    p_mom.add_argument("--degree", type=_checked(int, 0, DEGREE_CAP), required=True)
-    _add_common(p_mom)
-
     return parser
 
 
@@ -204,9 +197,13 @@ def _cap_nodes(values):
         raise cqio.FormatError("weighted-mz runs on cap node sets")
 
 
-def _dilation_alpha(values):
-    if not (0.5 <= values["cap"].alpha <= ALPHA_MAX):
+def _dilation(values):
+    cap = values["cap"]
+    if not (0.5 <= cap.alpha <= ALPHA_MAX):
         raise cqio.FormatError("dilation check needs alpha in [1/2, pi - 0.1]")
+    top = (DEGREE_CAP - 7 * (cap.dim - 1)) // 8  # the dilated rule is exact to 8n + 7(d - 1)
+    if values["degree"] > top:
+        raise cqio.FormatError(f"--degree must be <= {top} for the dilation check on d={cap.dim}")
 
 
 def _positive(cell):
@@ -243,7 +240,7 @@ _VERIFY = {
     "weighted-mz": _Verify("points", "weighted_mz", _NODE_GRID + ("weight",),
                            ("ball_samples",), _within(50), _cap_nodes),
     "cov": _Verify("cap", "change_of_variables_check", ("d", "alpha", "n"), (),
-                   lambda c: c["max_discrepancy"] <= 1e-9, _dilation_alpha),
+                   lambda c: c["max_discrepancy"] <= 1e-9, _dilation),
 }
 _ALIASES = {"change-of-var": "cov"}
 VERIFY_SUBCOMMANDS = (*_VERIFY, *_ALIASES)
@@ -334,25 +331,6 @@ def cmd_verify(args):
     if args.enforce and not spec.accept(measured):
         sys.stderr.write("assertion failed: report violates acceptance thresholds\n")
         return 3
-    return 0
-
-
-def cmd_moments(args):
-    cap = Cap(north_pole(args.d), args.alpha)
-    values = domain_moments(cap, args.degree)
-    if args.d == 2:
-        labels = [{"l": l, "m": m} for l in range(args.degree + 1)
-                  for m in range(-l, l + 1)]
-    else:
-        labels = [{"k": 0, "kind": "const"}]
-        for k in range(1, args.degree + 1):
-            labels.append({"k": k, "kind": "cos"})
-            labels.append({"k": k, "kind": "sin"})
-    moments = [dict(lab, value=float(v)) for lab, v in zip(labels, values)]
-    payload = {"d": args.d, "alpha": args.alpha, "degree": args.degree,
-               "basis": "fourier" if args.d == 1 else "real-spherical-harmonics",
-               "moments": moments}
-    sys.stdout.write(cqio.canonical_dumps(payload))
     return 0
 
 

@@ -305,9 +305,11 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     base = _BASE_SHARE * t_fit * profile
     from scipy.optimize import nnls  # late: importing scipy.optimize is slow
 
-    u = nnls(scaled, moments - a @ base)[0]
-    weights = base + profile * u
-    resid_nnls = moment_residual(a @ weights, moments)
+    try:
+        weights = base + profile * nnls(scaled, moments - a @ base)[0]
+        resid_nnls = moment_residual(a @ weights, moments)
+    except RuntimeError:  # scipy's iteration limit: a miss, not a crash
+        resid_nnls = np.inf
     if resid_nnls <= tol and np.all(weights >= floor):
         return CubatureRule(nodes, weights, degree, resid_nnls,
                             {"seed": nodes.seed, "solver": "nnls-active-set"})

@@ -1,8 +1,10 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -162,10 +164,12 @@ def test_verify_rejects_negative_separation_fields(subcommand, field, value, tmp
     # the Gram would hold about 1e20 entries at degree 100000 and 1.6e9 at 200
     (["solve", "--points", "{points}", "--degree", "100000", "--out", "{out}"], "Gram"),
     (["solve", "--points", "{points}", "--degree", "200", "--out", "{out}"], "Gram"),
-    (["moments", "--d", "2", "--alpha", "1", "--degree", "201"], "--degree"),
+    # the dilated rule would need degree 8 * 25 + 7 = 207, over the cap of 200
+    (["verify", "cov", "--alpha", "2.5", "--degree", "25", "--report", "{out}"], "--degree"),
+    (["moments", "--d", "2", "--alpha", "1", "--degree", "1"], "invalid choice"),
 ], ids=["points-out", "solve-out", "verify-report", "verify-csv", "points-pool-limit",
         "bernstein-p-overflow", "osc-table-limit", "mz-p-degenerate", "osc-p-degenerate",
-        "solve-table-limit", "solve-gram-limit", "moments-degree-cap"])
+        "solve-table-limit", "solve-gram-limit", "cov-degree-cap", "moments"])
 def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_file, tmp_path):
     paths = {"points": points_file, "rule": rule_file, "out": tmp_path / "out.json",
              "missing": tmp_path / "missing" / "out.json"}
@@ -178,7 +182,17 @@ def test_cli_failure_exits_1_without_traceback(argv, needle, points_file, rule_f
         assert not paths["out"].exists()
 
 
-def test_main_builds_the_parser_once(monkeypatch):
+def test_cov_degree_cap_is_the_dilated_rules():
+    # the dilated rule is exact to 8n + 7(d - 1), which must stay <= DEGREE_CAP
+    check = _VERIFY["cov"].check
+    for d, top in ((2, 24), (1, 25)):
+        cap = cq.Cap(cq.north_pole(d), 2.5)
+        check({"cap": cap, "degree": top})
+        with pytest.raises(cqio.FormatError, match=f"--degree must be <= {top} "):
+            check({"cap": cap, "degree": top + 1})
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
     built = []
     init = cli._Parser.__init__
 
@@ -189,8 +203,23 @@ def test_main_builds_the_parser_once(monkeypatch):
     monkeypatch.setattr(cli._Parser, "__init__", counting)
     cli.make_parser.cache_clear()
     for _ in range(2):
-        assert main(["moments", "--d", "1", "--alpha", "1", "--degree", "1"]) == 0
+        assert main(["verify", "bernstein", "--alpha", "0.5", "--degree", "2", "--trials", "1",
+                     "--report", str(tmp_path / "b.json")]) == 0
     assert built.count("capquad") == 1
+
+
+def test_readme_quick_start_commands_parse():
+    # parsed, not run: the docs keep to the parser's commands and flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start (CLI)")[1].split("```sh\n")[1].split("```")[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("capquad ")]
+    assert len(lines) >= 4
+    for line in lines:
+        try:
+            cli.make_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_points_deterministic(tmp_path):
@@ -258,6 +287,25 @@ def test_solve_three_nodes_at_degree4_exit2(tmp_path):
     assert res.returncode == 2
     assert "infeasible" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_nnls_without_convergence_exits_2(tmp_path, monkeypatch, capsys):
+    # scipy's nnls raises RuntimeError at its iteration limit: an NNLS miss
+    import scipy.optimize
+
+    calls = []
+
+    def raising(*args, **kwargs):
+        calls.append(args)
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", raising)
+    sparse, out = tmp_path / "three.json", tmp_path / "r.json"
+    cqio.write_canonical(sparse, cqio.points_to_dict(three_node_set()))
+    assert main(["solve", "--points", str(sparse), "--degree", "4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert calls and "infeasible:" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_solve_malformed_exit1(tmp_path):
@@ -342,26 +390,6 @@ def test_env_seed_and_flag_precedence(rule_file, tmp_path):
                   env_extra={"CAPQUAD_SEED": "5"})
     assert res.returncode == 0
     assert json.loads(rep_flag.read_text())["seed"] == 6
-
-
-def test_moments_output():
-    res = run_cli(["moments", "--d", "2", "--alpha", "1.5707963", "--degree", "1"])
-    assert res.returncode == 0
-    data = json.loads(res.stdout)
-    by_lm = {(m["l"], m["m"]): m["value"] for m in data["moments"]}
-    assert by_lm[(0, 0)] == pytest.approx(1.7724539, abs=1e-6)
-    assert by_lm[(1, 0)] == pytest.approx(1.5349901, abs=1e-6)
-    assert by_lm[(1, 1)] == 0.0 and by_lm[(1, -1)] == 0.0
-
-
-def test_moments_degree0_and_bad_d():
-    res = run_cli(["moments", "--d", "2", "--alpha", "1.0", "--degree", "0"])
-    assert res.returncode == 0
-    data = json.loads(res.stdout)
-    area = 2 * np.pi * (1 - np.cos(1.0))
-    assert data["moments"][0]["value"] == pytest.approx(area / np.sqrt(4 * np.pi))
-    res = run_cli(["moments", "--d", "3", "--alpha", "1.0", "--degree", "2"])
-    assert res.returncode == 1
 
 
 def test_rule_roundtrip_byte_identical(rule_file, tmp_path):
@@ -480,16 +508,6 @@ def test_verify_bernstein_assert_rejects_nonpositive():
     accept = _VERIFY["bernstein"].accept
     assert not accept({"estimate": 0.0})
     assert accept({"estimate": 0.25})
-
-
-def test_moments_d1_output():
-    res = run_cli(["moments", "--d", "1", "--alpha", "0.5", "--degree", "2"])
-    assert res.returncode == 0
-    data = json.loads(res.stdout)
-    vals = {(m["kind"], m["k"]): m["value"] for m in data["moments"]}
-    assert vals[("const", 0)] == pytest.approx(1.0 / np.sqrt(2 * np.pi))
-    assert vals[("cos", 1)] == pytest.approx(2 * np.sin(0.5) / np.sqrt(np.pi))
-    assert vals[("sin", 1)] == 0.0
 
 
 def test_malformed_rule_weights_rejected(tmp_path):

@@ -13,7 +13,6 @@ import pytest
 
 from capquad.cli import _ENV, make_parser
 from capquad.geometry import ALPHA_MAX
-from capquad.quadrature import DEGREE_CAP
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -25,7 +24,6 @@ BASE = {
                "--out", "out.json"],
     "solve": ["solve", "--points", "in.json", "--degree", "2", "--out", "out.json"],
     "verify": ["verify", "mz", "--report", "out.json"],
-    "moments": ["moments", "--d", "2", "--alpha", "1", "--degree", "2"],
 }
 
 
@@ -54,8 +52,6 @@ FLAGS = {
                "--trials": POSITIVE_INT, "--ball-samples": POSITIVE_INT,
                "--trial-degree": NONNEG_INT, "--gamma": _range(float, 0.0, 2.0),
                "--n-ref": POSITIVE_INT, **COMMON},
-    "moments": {"--d": _choice, "--alpha": ALPHA, "--degree": _range(int, 0, DEGREE_CAP),
-                **COMMON},
 }
 CASES = [(command, flag) for command, flags in FLAGS.items() for flag in flags]
 ENV_RANGES = {"CAPQUAD_SEED": NONNEG_INT, "CAPQUAD_THREADS": POSITIVE_INT}

@@ -88,21 +88,41 @@ def test_dense_set_takes_min_norm_path(rule_a1_n8):
     assert rule_a1_n8.solver_meta["solver"] == "min-norm"
 
 
+def _holed_lattice(cap):
+    """A ring lattice and the same lattice without the nodes within
+    geodesic 0.15 of a point at polar angle 0.5."""
+    ns = cq.ring_lattice(cap, 1.0 / 8, seed=0, degree=8, delta=1.0)
+    centre = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
+    return ns, cq.NodeSet(cap, ns.coords[ns.coords @ centre < math.cos(0.15)], ns.epsilon,
+                          degree=8)
+
+
 def test_nnls_fallback_solves_where_min_norm_goes_negative(cap_a1):
-    # the lattice's own min-norm weights are positive; a hole in it, the
-    # nodes within geodesic 0.15 of a point at polar angle 0.5, is not
-    ns = cq.ring_lattice(cap_a1, 1.0 / 8, seed=0, degree=8, delta=1.0)
+    # the lattice's own min-norm weights are positive; a hole in it is not
+    ns, holed = _holed_lattice(cap_a1)
     assert len(ns) == 217
     assert cq.solve_weights(ns, 8).solver_meta["solver"] == "min-norm"
-    centre = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
-    holed = cq.NodeSet(cap_a1, ns.coords[ns.coords @ centre < math.cos(0.15)], ns.epsilon,
-                       degree=8)
     assert len(holed) == 213
     rule = cq.solve_weights(holed, 8)
     assert isinstance(rule, cq.CubatureRule)
     assert rule.solver_meta["solver"] == "nnls-active-set"
     assert np.all(rule.weights > 0)
     assert rule.residual <= 1e-10
+
+
+def test_nnls_without_convergence_is_infeasible(cap_a1, monkeypatch):
+    # the holed lattice needs the fallback; scipy's nnls raises
+    # RuntimeError at its iteration limit, which is a miss
+    import scipy.optimize
+
+    def raising(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr(scipy.optimize, "nnls", raising)
+    result = cq.solve_weights(_holed_lattice(cap_a1)[1], 8)
+    assert isinstance(result, cq.Infeasible)
+    assert "nnls residual inf" in result.message
+    assert result.zero_nodes  # the min-norm weights that sent it to the fallback
 
 
 def test_sharpness_single_node_degree0():
