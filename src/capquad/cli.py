@@ -164,7 +164,7 @@ def cmd_points(args):
 
 def cmd_solve(args):
     try:
-        nodes = cqio.nodes_from_dict(cqio.load_json(args.points))
+        nodes = cqio.load(args.points, cqio.nodes_from_dict)
     except (cqio.FormatError, ValueError) as exc:
         sys.stderr.write(f"error: --points file invalid: {exc}\n")
         return 1
@@ -174,10 +174,12 @@ def cmd_solve(args):
         sys.stderr.write(f"error: {exc}\n")
         return 1
     if isinstance(result, Infeasible):
-        sys.stderr.write(
-            f"infeasible: {result.message}; achieved residual {result.residual:.3e}; "
-            f"suggest regenerating the set at delta = {nodes.delta / 2:.6g}\n"
-        )
+        hint = f"delta = {nodes.delta / 2:.6g}"
+        # a file without "degree" reads as degree 1: name only a degree the file gave
+        if args.degree > nodes.degree and "degree" in cqio.load_json(args.points):
+            hint = f"degree {args.degree}, or at {hint}; it was made for degree {nodes.degree}"
+        sys.stderr.write(f"infeasible: {result.message}; achieved residual "
+                         f"{result.residual:.3e}; suggest regenerating the set at {hint}\n")
         return 2
     cqio.write_canonical(args.out, cqio.rule_to_dict(result))
     meta = result.solver_meta
@@ -269,12 +271,11 @@ def _verify_input(args, name, source):
         if source == "rule" and args.degree is not None:
             raise cqio.FormatError(f"--degree does not apply to {name}, which measures at "
                                    "the rule's degree; use --trial-degree")
-        data = cqio.load_json(path)
         if source == "rule":
-            rule = offered["rule"] = cqio.rule_from_dict(data)
+            rule = offered["rule"] = cqio.load(path, cqio.rule_from_dict)
             nodes, degree = rule.nodes, rule.degree
         else:
-            nodes = offered["nodes"] = cqio.nodes_from_dict(data)
+            nodes = offered["nodes"] = cqio.load(path, cqio.nodes_from_dict)
             degree = nodes.degree if args.degree is None else args.degree
         domain = nodes.domain
         offered.update(cap=domain, degree=degree)

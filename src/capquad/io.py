@@ -4,6 +4,12 @@ Canonical form: sorted keys, compact separators, shortest round-trip
 floats (repr, capped at 17 significant digits by the float type itself),
 newline-terminated.  Writing the same object twice yields byte-identical
 files, which the reproducibility checks compare directly.
+
+A process that reads or writes one node set several times (one set
+solved at several degrees, then measured) pays for it once per content:
+``load`` keeps the object parsed from the last file's bytes, and
+``canonical_dumps`` the text of the last node array.  Both key on the
+content itself, so a hit is exact and the bytes written never change.
 """
 
 from __future__ import annotations
@@ -24,8 +30,44 @@ class FormatError(ValueError):
     """Malformed or wrong-version input file."""
 
 
+class _Last:
+    """The value made for the last key: ``get`` makes a value only for a
+    key unequal to the last one, and a make that raises keeps nothing.
+    One slot is enough for a set solved at several degrees, then measured,
+    and holds the least memory."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key, make):
+        if key != self.key:
+            self.key = self.value = None  # the old pair goes before the new is made
+            self.value = make()
+            self.key = key
+        return self.value
+
+
+_LOADS, _ARRAY_TEXT = _Last(), _Last()
+
+
+def _dumps(data):
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
 def canonical_dumps(data):
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """The canonical text of ``data``, a dict with string keys: ``_dumps``
+    of it plus a newline, with each top-level array value (a node set's
+    coordinates, as ``points_to_dict`` leaves them) written as nested
+    lists from text made once per dtype, shape and bytes.  An array
+    nested deeper is not JSON data and raises ``TypeError``."""
+    items = (f"{_dumps(k)}:{_array_text(v) if isinstance(v, np.ndarray) else _dumps(v)}"
+             for k, v in sorted(data.items()))
+    return "{" + ",".join(items) + "}\n"
+
+
+def _array_text(array):
+    return _ARRAY_TEXT.get((array.dtype.str, array.shape, array.tobytes()),
+                           lambda: _dumps(array.tolist()))
 
 
 def write_canonical(path, data):
@@ -33,12 +75,29 @@ def write_canonical(path, data):
         fh.write(canonical_dumps(data))
 
 
-def load_json(path):
+def _read(path):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def load_json(path, raw=None):
+    """The JSON value of the file at ``path``, decoded from ``raw``, its
+    bytes, when the caller has read them."""
+    try:
+        return json.loads((_read(path) if raw is None else raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+
+
+def load(path, parse):
+    """``parse(load_json(path))``, or the object that call returned before
+    on the same bytes with the same ``parse`` (``nodes_from_dict`` or
+    ``rule_from_dict``, whose results are immutable)."""
+    raw = _read(path)
+    return _LOADS.get((parse, raw), lambda: parse(load_json(path, raw)))
 
 
 def _check_version(data, versions):
@@ -121,6 +180,11 @@ def _domain_from_fields(data):
 
 
 def points_to_dict(nodes):
+    """The points file of a node set, for ``canonical_dumps``: ``"nodes"``
+    is the read-only coordinate array itself, not lists, so the dict is
+    not plain JSON data (``json.dumps`` of it raises ``TypeError``).  This
+    and ``rule_to_dict`` are the only builders of such dicts, and the
+    node array is their only array value."""
     domain = nodes.domain
     return {
         "version": POINTS_VERSION,
@@ -131,7 +195,7 @@ def points_to_dict(nodes):
         "degree": nodes.degree,
         "delta": nodes.delta,
         "epsilon": nodes.epsilon,
-        "nodes": nodes.coords.tolist(),
+        "nodes": nodes.coords,
         "generator": {"seed": nodes.seed, "algorithm": nodes.algorithm},
     }
 
@@ -164,8 +228,9 @@ def nodes_from_dict(data):
 
 
 def rule_to_dict(rule):
-    """The points file of the rule's nodes, with the rule's degree, weights,
-    residual and solver."""
+    """The points file of the rule's nodes, with the rule's degree, weights
+    (as lists), residual and solver; like ``points_to_dict``, it leaves the
+    node array an array, for ``canonical_dumps``."""
     out = points_to_dict(rule.nodes)
     meta = rule.solver_meta
     out["generator"].update(seed=int(meta.get("seed", rule.nodes.seed)),

@@ -50,6 +50,7 @@ signals that it is too sparse for the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,13 +86,15 @@ class Infeasible:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class CubatureRule:
-    """Nodes, strictly positive weights, exactness degree, and a residual certificate."""
+    """Nodes, strictly positive weights, exactness degree, and a residual
+    certificate; immutable (read-only weights, a read-only copy of
+    ``solver_meta``), so one rule can be shared by every caller."""
 
     nodes: NodeSet
     weights: np.ndarray
     degree: int
     residual: float
-    solver_meta: dict
+    solver_meta: MappingProxyType
 
     def __post_init__(self):
         weights = np.asarray(self.weights, dtype=float)
@@ -104,7 +107,7 @@ class CubatureRule:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "degree", int(self.degree))
         object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "solver_meta", dict(self.solver_meta))
+        object.__setattr__(self, "solver_meta", MappingProxyType(dict(self.solver_meta)))
 
     def __repr__(self):
         return (f"CubatureRule(n={len(self.nodes)}, degree={self.degree}, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -287,6 +288,41 @@ def test_solve_three_nodes_at_degree4_exit2(tmp_path):
     assert res.returncode == 2
     assert "infeasible" in res.stderr and "Traceback" not in res.stderr
     assert not (tmp_path / "r.json").exists()
+
+
+def test_solve_above_the_set_degree_names_both_degrees(tmp_path, capsys):
+    # the three-node set is tagged degree 4: past it, regenerate at the asked degree
+    sparse, out = tmp_path / "three.json", tmp_path / "r.json"
+    cqio.write_canonical(sparse, cqio.points_to_dict(three_node_set()))
+    for degree, hint in ((4, "; suggest regenerating the set at delta = 0.2\n"),
+                         (6, "; suggest regenerating the set at degree 6, or at "
+                             "delta = 0.2; it was made for degree 4\n")):
+        assert main(["solve", "--points", str(sparse), "--degree", str(degree),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("infeasible: ") and err.endswith(hint)
+    # without its "degree" (and the delta that goes with it) the file reads as
+    # degree 1, and the line claims no degree the set was made for
+    data = cqio.points_to_dict(three_node_set())
+    del data["degree"], data["delta"]
+    cqio.write_canonical(sparse, data)
+    assert main(["solve", "--points", str(sparse), "--degree", "6", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("infeasible: ")
+    assert err.endswith("; suggest regenerating the set at delta = 0.05\n")
+    assert not out.exists()
+
+
+def test_in_process_solves_match_fresh_processes(points_file, tmp_path):
+    # later solves of one set reuse its parsed nodes and node text: same bytes
+    for degree in ("4", "6", "8"):
+        here, fresh = tmp_path / f"here{degree}.json", tmp_path / f"fresh{degree}.json"
+        assert main(["solve", "--points", str(points_file), "--degree", degree,
+                     "--out", str(here)]) == 0
+        assert run_cli(["solve", "--points", str(points_file), "--degree", degree,
+                        "--out", str(fresh)]).returncode == 0
+        assert (hashlib.sha256(here.read_bytes()).hexdigest()
+                == hashlib.sha256(fresh.read_bytes()).hexdigest())
 
 
 def test_solve_nnls_without_convergence_exits_2(tmp_path, monkeypatch, capsys):

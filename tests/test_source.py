@@ -1,7 +1,8 @@
 """Source hygiene: every import in the package's modules is used, every
 module-level private name is referenced somewhere in the package, every
-function the benchmark's tracer wraps still exists, and the CLI, imported
-and run through every command, loads no scipy module."""
+function the benchmark's tracer wraps still exists, the CLI, imported and
+run through every command, loads no scipy module, and importing it loads
+no hashlib."""
 
 import ast
 import importlib
@@ -141,3 +142,14 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          cwd=tmp_path, check=True)
     assert res.stdout.strip() == str([[]] * (1 + len(_TOY_COMMANDS)))
+
+
+def test_cli_import_leaves_hashlib_unloaded():
+    # hashlib costs about 5 ms to import, which every process would pay at
+    # start: io's memo keys on the bytes themselves, not on a digest of them
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", "import sys, capquad.cli\n"
+                          "print('hashlib' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True)
+    assert res.stdout.strip() == "False"
