@@ -33,15 +33,16 @@ yields an acceptable rule:
     plain row sqrt(p_j) a_j, so such sets cost what the full table costs.
     The weights p_j t_j . U_r and the residual A w come from per-ring
     sums, so the min-norm path builds no table with a row per node; the
-    NNLS path and ``verify_exactness`` use the full table.
-``"nnls-active-set"``
-    when the minimum-norm weights miss the residual target or go below
-    the positivity floor: ``w = base + profile * u`` with
-    ``base = 0.5 * t * profile`` (``t`` fits the profile to the moments
-    in one dimension) and ``u >= 0`` from a Lawson-Hanson active-set solve
-    of the residual moment system (``scipy.optimize.nnls``, imported only
-    on this path).  Every node keeps its base weight, so positivity is
-    structural.
+    max-entropy path and ``verify_exactness`` use the full table.
+``"max-entropy"``
+    when those weights miss the target or go below the positivity floor:
+    ``w = P exp(B^T c)``, positive by construction, ``c`` minimizing the
+    convex dual ``sum_j p_j exp(b_j . c) - (V^T m) . c`` by Newton steps
+    with Armijo backtracking (Borwein & Lewis, SIAM J. Control Optim. 29,
+    1991), in the rows ``B = V^T A`` of A in the span V of A P A^T's
+    eigenvectors (singular on a minimal product set: fewer nodes than
+    moments).  When the least-squares residual misses the target, no
+    weights of any sign meet it, and the path takes no step.
 
 If neither path meets the target the set is declared infeasible, which
 signals that it is too sparse for the degree.
@@ -60,7 +61,7 @@ from .polys import (MAX_TABLE_ENTRIES, PolySpace, _order_columns, eval_domain_ba
                     fourier_table, ring_factors)
 
 DEFAULT_TOL = 1e-10
-_BASE_SHARE = 0.5  # share of the fitted profile every node keeps on the NNLS path
+_NEWTON_STEPS = 30  # max-entropy Newton steps before the fallback gives up
 _SUBST_BLOCK = 64  # rows per dense diagonal-block solve of the substitutions
 
 
@@ -268,6 +269,40 @@ def _min_norm(nodes, degree, profile, moments, grouping):
     return weights, moment_residual(aw, moments), len(coords) - loose.size, len(polar)
 
 
+def _max_entropy(a, moments, profile, tol):
+    """The max-entropy path's last weights, their residual, and why it stopped (None: met tol)."""
+    root = a * np.sqrt(profile)
+    vals, vecs = np.linalg.eigh(root @ root.T)  # symmetric rank-k products here and below
+    v = vecs[:, vals > 1e-13 * vals[-1]]
+    b, target = v.T @ a, v.T @ moments
+    # |A w - m|_inf >= |(I - V V^T) m|_2 / sqrt(K) for every w of any sign (m >= 0)
+    bound = np.linalg.norm(moments - v @ target) / np.sqrt(moments.size) / (1 + moments.max())
+    c, w, dual = np.zeros(target.size), profile, float(profile.sum())
+    resid = moment_residual(a @ w, moments)
+    halt = "max-entropy Newton stopped: {} at step {}, residual {:.3e}".format
+    if bound > tol:
+        return w, resid, f"least-squares bound {bound:.3e}: no weights of any sign reach tol"
+    for step in range(_NEWTON_STEPS):
+        grad, root = b @ w - target, b * np.sqrt(w)
+        try:
+            d = -_cholesky_solve(np.linalg.cholesky(root @ root.T), grad)
+        except np.linalg.LinAlgError:  # weights underflowed
+            return w, resid, halt("singular Hessian", step, resid)
+        slope = float(grad @ d)  # minus the squared Newton decrement
+        for t in 0.5 ** np.arange(40):
+            trial = profile * np.exp(np.minimum(b.T @ (c + t * d), 600.0))  # capped: backtracks
+            value = float(trial.sum() - target @ (c + t * d))
+            # rounding hides the decrease of a step this small: take it whole
+            if value <= dual + 1e-4 * t * slope or -slope <= 1e-14 * abs(dual):
+                break
+        else:
+            return w, resid, halt("failed line search", step, resid)
+        c, w, dual, resid = c + t * d, trial, value, moment_residual(a @ trial, moments)
+        if resid <= tol:
+            return w, resid, None
+    return w, resid, halt("step cap", _NEWTON_STEPS, resid)
+
+
 def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     """Positive weights exact on the polynomial space over the domain.
 
@@ -298,27 +333,13 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
                             {"seed": nodes.seed, "solver": "min-norm", "ring_nodes": ring_nodes,
                              "rings": rings, "loose": len(nodes) - ring_nodes})
 
-    a = eval_domain_basis(frame.domain, degree, frame.coords).T
-    scaled = a * profile[None, :]
-    g = scaled.sum(axis=1)
-    gg = float(g @ g)
-    t_fit = float(g @ moments) / gg if gg > 0 else 0.0
-    if not (t_fit > 0 and np.isfinite(t_fit)):
-        t_fit = domain_measure(nodes.domain) / float(profile.sum())
-    base = _BASE_SHARE * t_fit * profile
-    from scipy.optimize import nnls  # late: importing scipy.optimize is slow
-
-    try:
-        weights = base + profile * nnls(scaled, moments - a @ base)[0]
-        resid_nnls = moment_residual(a @ weights, moments)
-    except RuntimeError:  # scipy's iteration limit: a miss, not a crash
-        resid_nnls = np.inf
-    if resid_nnls <= tol and np.all(weights >= floor):
-        return CubatureRule(nodes, weights, degree, resid_nnls,
-                            {"seed": nodes.seed, "solver": "nnls-active-set"})
-    return Infeasible(min(resid, resid_nnls), [int(i) for i in low],
-                      f"min-norm residual {resid:.3e} with {low.size} weights below "
-                      f"the floor; nnls residual {resid_nnls:.3e}; tol {tol:.1e}")
+    weights, resid_me, stop = _max_entropy(*_moment_matrix(frame, degree), profile, tol)
+    if stop is None and np.all(weights >= floor):
+        return CubatureRule(nodes, weights, degree, resid_me,
+                            {"seed": nodes.seed, "solver": "max-entropy"})
+    return Infeasible(min(resid, resid_me), [int(i) for i in low],
+                      f"min-norm residual {resid:.3e} with {low.size} weights below the "
+                      f"floor; {stop or 'max-entropy weights below the floor'}; tol {tol:.1e}")
 
 
 def verify_exactness(rule, probe_degree=None):

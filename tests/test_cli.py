@@ -325,22 +325,16 @@ def test_in_process_solves_match_fresh_processes(points_file, tmp_path):
                 == hashlib.sha256(fresh.read_bytes()).hexdigest())
 
 
-def test_solve_nnls_without_convergence_exits_2(tmp_path, monkeypatch, capsys):
-    # scipy's nnls raises RuntimeError at its iteration limit: an NNLS miss
-    import scipy.optimize
-
-    calls = []
-
-    def raising(*args, **kwargs):
-        calls.append(args)
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", raising)
+def test_solve_below_least_squares_bound_exits_2(tmp_path, capsys):
+    # three nodes cannot carry the 25 moments of degree 4: even the
+    # least-squares residual misses the target, so no weights of any sign
+    # reach it, and the solve refuses the set before any Newton step
     sparse, out = tmp_path / "three.json", tmp_path / "r.json"
     cqio.write_canonical(sparse, cqio.points_to_dict(three_node_set()))
     assert main(["solve", "--points", str(sparse), "--degree", "4", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert calls and "infeasible:" in err and "Traceback" not in err
+    assert err.startswith("infeasible: ") and "Traceback" not in err
+    assert "least-squares bound" in err and "max-entropy Newton" not in err
     assert not out.exists()
 
 

@@ -78,8 +78,9 @@ def test_weight_sharpness(rule_a1_n8):
 
 def test_min_norm_weight_sharpness(rule_a1_n8):
     # the minimum profile-weighted-norm weights follow the ball-volume
-    # surrogate closely; an NNLS correction on top of a half profile
-    # spreads them over two orders of magnitude on the same set
+    # surrogate closely; the max-entropy fallback piles weight next to a
+    # hole instead (a spread of 25.8 on the holed lattice of
+    # test_max_entropy_fallback_solves_where_min_norm_goes_negative)
     lo, hi = cq.weight_sharpness(rule_a1_n8)
     assert hi / lo <= 10
 
@@ -88,16 +89,30 @@ def test_dense_set_takes_min_norm_path(rule_a1_n8):
     assert rule_a1_n8.solver_meta["solver"] == "min-norm"
 
 
-def _holed_lattice(cap):
-    """A ring lattice and the same lattice without the nodes within
-    geodesic 0.15 of a point at polar angle 0.5."""
-    ns = cq.ring_lattice(cap, 1.0 / 8, seed=0, degree=8, delta=1.0)
-    centre = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
-    return ns, cq.NodeSet(cap, ns.coords[ns.coords @ centre < math.cos(0.15)], ns.epsilon,
-                          degree=8)
+def _holed_lattice(domain, hole=0.15, degree=8, at=0.5):
+    """A ring lattice at delta 1 and the same lattice without the nodes
+    within geodesic ``hole`` of a point at polar angle ``at``."""
+    ns = cq.ring_lattice(domain, 1.0 / degree, seed=0, degree=degree, delta=1.0)
+    sin, cos = math.sin(at), math.cos(at)
+    centre = np.array([sin, cos] if domain.dim == 1 else [sin, 0.0, cos])
+    return ns, cq.NodeSet(domain, ns.coords[ns.coords @ centre < math.cos(hole)], ns.epsilon,
+                          degree=degree)
 
 
-def test_nnls_fallback_solves_where_min_norm_goes_negative(cap_a1):
+def _gauss_product(degree):
+    """The minimal Gauss product set on the cap of radius 1: degree/2 + 1
+    Gauss-Legendre rows in cos(theta) on [cos 1, 1] times degree + 1 evenly
+    spaced azimuths, fewer nodes than the (degree + 1)^2 moments, though
+    positive exact weights exist."""
+    x = np.polynomial.legendre.leggauss(degree // 2 + 1)[0]
+    z = np.repeat((1 + math.cos(1.0) + (1 - math.cos(1.0)) * x) / 2, degree + 1)
+    phi = np.tile(2 * math.pi * np.arange(degree + 1) / (degree + 1), degree // 2 + 1)
+    s = np.sqrt(1 - z * z)
+    return cq.NodeSet(cq.Cap(E2, 1.0), np.column_stack([s * np.cos(phi), s * np.sin(phi), z]),
+                      0.0, degree=degree)
+
+
+def test_max_entropy_fallback_solves_where_min_norm_goes_negative(cap_a1):
     # the lattice's own min-norm weights are positive; a hole in it is not
     ns, holed = _holed_lattice(cap_a1)
     assert len(ns) == 217
@@ -105,24 +120,57 @@ def test_nnls_fallback_solves_where_min_norm_goes_negative(cap_a1):
     assert len(holed) == 213
     rule = cq.solve_weights(holed, 8)
     assert isinstance(rule, cq.CubatureRule)
-    assert rule.solver_meta["solver"] == "nnls-active-set"
+    assert rule.solver_meta["solver"] == "max-entropy"
     assert np.all(rule.weights > 0)
     assert rule.residual <= 1e-10
 
 
-def test_nnls_without_convergence_is_infeasible(cap_a1, monkeypatch):
-    # the holed lattice needs the fallback; scipy's nnls raises
-    # RuntimeError at its iteration limit, which is a miss
-    import scipy.optimize
-
-    def raising(*args, **kwargs):
-        raise RuntimeError("Maximum number of iterations reached.")
-
-    monkeypatch.setattr(scipy.optimize, "nnls", raising)
-    result = cq.solve_weights(_holed_lattice(cap_a1)[1], 8)
+def test_max_entropy_without_convergence_is_infeasible(cap_a1):
+    # a hole too large to fill: the Gram is positive definite, so the
+    # min-norm weights are exact but 46 of them fall below the floor, and
+    # the Newton iteration stops without positive exact weights
+    holed = _holed_lattice(cap_a1, 0.25)[1]
+    result = cq.solve_weights(holed, 8)
     assert isinstance(result, cq.Infeasible)
-    assert "nnls residual inf" in result.message
-    assert result.zero_nodes  # the min-norm weights that sent it to the fallback
+    assert len(result.zero_nodes) == 46
+    assert result.residual <= 1e-12  # the exact, partly negative min-norm weights
+    assert "max-entropy Newton stopped: " in result.message
+    assert "least-squares bound" not in result.message
+
+
+_CAP1, _COLLAR, _ARC1 = cq.Cap(E2, 1.0), cq.Collar(E2, 0.5, 1.0), cq.Cap(E1, 1.0)
+
+
+@pytest.mark.parametrize("make, size, degree, accepted", [
+    pytest.param(lambda: _holed_lattice(_CAP1)[1], 213, 8, True, id="cap-hole-0.15"),
+    pytest.param(lambda: _holed_lattice(_COLLAR, 0.2, at=0.75)[1], 615, 8, True,
+                 id="collar-hole-0.2"),
+    *[pytest.param(lambda n=n: _gauss_product(n), size, n, True, id=f"gauss-{n}")
+      for n, size in ((4, 15), (8, 45), (12, 91))],
+    *[pytest.param(lambda h=h: _holed_lattice(_CAP1, h)[1], size, 8, False, id=f"cap-hole-{h}")
+      for h, size in ((0.25, 205), (0.35, 197), (0.5, 171))],
+    pytest.param(lambda: _holed_lattice(_COLLAR, 0.3, at=0.75)[1], 571, 8, False,
+                 id="collar-hole-0.3"),
+    *[pytest.param(lambda h=h: _holed_lattice(_ARC1, h, 16)[1], size, 16, False,
+                   id=f"arc-hole-{h}") for h, size in ((0.1, 44), (0.2, 41), (0.3, 36))],
+    pytest.param(three_node_set, 3, 4, False, id="three-nodes"),
+    pytest.param(lambda: cq.ring_lattice(_CAP1, 0.5, seed=0, degree=8, delta=4.0), 17, 8, False,
+                 id="sparse-lattice"),
+])
+def test_fallback_accepts_and_refuses_as_nnls_did(make, size, degree, accepted):
+    # each set sends the solve past the min-norm path; the outcomes are the
+    # ones the earlier NNLS fallback reached on them
+    nodes = make()
+    assert len(nodes) == size
+    result = cq.solve_weights(nodes, degree)
+    assert isinstance(result, cq.CubatureRule) == accepted
+    if accepted:
+        assert result.solver_meta["solver"] != "min-norm"
+        assert np.all(result.weights >= solver.positivity_floor(nodes))
+        assert result.residual <= 1e-10
+        assert cq.verify_exactness(result) <= 1e-10
+    else:
+        assert np.isfinite(result.residual)
 
 
 def test_sharpness_single_node_degree0():

@@ -2,12 +2,13 @@
 module-level private name is referenced somewhere in the package, every
 function the benchmark's tracer wraps still exists, the CLI, imported and
 run through every command, loads no scipy module, and importing it loads
-no hashlib."""
+no hashlib; numpy is the one runtime dependency."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,15 +125,28 @@ _TOY_COMMANDS = [
 ]
 
 
+# a ring lattice less a hole, whose min-norm weights go negative, so its
+# solve takes the max-entropy fallback
+_HOLED = ("import math, numpy as np, capquad as cq\n"
+          "from capquad import io as cqio\n"
+          "ns = cq.ring_lattice(cq.Cap(cq.north_pole(2), 1.0), 1 / 8, degree=8, delta=1.0)\n"
+          "centre = np.array([math.sin(0.5), 0.0, math.cos(0.5)])\n"
+          "holed = cq.NodeSet(ns.domain, ns.coords[ns.coords @ centre < math.cos(0.15)],\n"
+          "                   ns.epsilon, degree=8)\n"
+          "cqio.write_canonical('holed.json', cqio.points_to_dict(holed))\n")
+
+
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # importing scipy costs about 0.3 s a process; only the NNLS fallback of
-    # solve_weights needs it (scipy.optimize), and imports it when it runs
+    # importing scipy costs about 0.3 s a process, and the package needs
+    # none of it: both solver paths, the fallback too, are numpy alone
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     verify_flags = " --trials 3 --threads 1"
+    commands = _TOY_COMMANDS + ["solve --points holed.json --degree 8 --out holed_rule.json"]
     code = ("import sys, capquad.cli\n"
             "loaded = [sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]\n"
-            f"for line in {_TOY_COMMANDS!r}:\n"
+            + _HOLED +
+            f"for line in {commands!r}:\n"
             f"    argv = (line + {verify_flags!r} if line.startswith('verify') else line).split()\n"
             "    if argv[0] == 'verify':\n"
             "        argv += ['--report', argv[1] + '.json']\n"
@@ -141,7 +155,17 @@ def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
             "print(loaded)")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
                          cwd=tmp_path, check=True)
-    assert res.stdout.strip() == str([[]] * (1 + len(_TOY_COMMANDS)))
+    assert res.stdout.strip() == str([[]] * (1 + len(commands)))
+    assert "accepted (max-entropy): 213 nodes" in res.stderr
+
+
+def test_runtime_dependencies_are_numpy_alone():
+    # scipy serves the tests alone: the cKDTree oracle of test_points
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [re.split(r"[<>=!~ \[;]", dep)[0] for dep in project["dependencies"]] == ["numpy"]
+    assert "scipy" in [re.split(r"[<>=!~ \[;]", dep)[0]
+                       for dep in project["optional-dependencies"]["test"]]
 
 
 def test_cli_import_leaves_hashlib_unloaded():
