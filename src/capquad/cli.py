@@ -144,10 +144,8 @@ def make_parser():
 def cmd_points(args):
     center = north_pole(args.d)
     try:
-        if args.collar_beta is None:
-            domain = Cap(center, args.alpha)
-        else:
-            domain = Collar(center, args.alpha, args.collar_beta)
+        domain = (Cap(center, args.alpha) if args.collar_beta is None
+                  else Collar(center, args.alpha, args.collar_beta))
         epsilon = args.delta / args.degree
         # refuse a set whose product grid at twice the coverage probes'
         # resolution would pass the grid limit: its coverage is checkable
@@ -157,7 +155,7 @@ def cmd_points(args):
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    cqio.write_canonical(args.out, cqio.points_to_dict(nodes))
+    cqio.write_points(args.out, nodes)
     sys.stderr.write(f"wrote {len(nodes)} nodes to {args.out}\n")
     return 0
 
@@ -178,8 +176,9 @@ def cmd_solve(args):
         # a file without "degree" reads as degree 1: name only a degree the file gave
         if args.degree > nodes.degree and "degree" in cqio.load_json(args.points):
             hint = f"degree {args.degree}, or at {hint}; it was made for degree {nodes.degree}"
-        sys.stderr.write(f"infeasible: {result.message}; achieved residual "
-                         f"{result.residual:.3e}; suggest regenerating the set at {hint}\n")
+        kind = "least residual any weights reach" if result.bound else "achieved residual"
+        sys.stderr.write(f"infeasible: {result.message}; {kind} {result.residual:.3e}; "
+                         f"suggest regenerating the set at {hint}\n")
         return 2
     cqio.write_canonical(args.out, cqio.rule_to_dict(result))
     meta = result.solver_meta

@@ -2,14 +2,16 @@
 
 Canonical form: sorted keys, compact separators, shortest round-trip
 floats (repr, capped at 17 significant digits by the float type itself),
-newline-terminated.  Writing the same object twice yields byte-identical
-files, which the reproducibility checks compare directly.
+newline-terminated, written as bytes.  Writing the same object twice yields
+byte-identical files, which the reproducibility checks compare directly.
 
 A process that reads or writes one node set several times (one set
 solved at several degrees, then measured) pays for it once per content:
 ``load`` keeps the object parsed from the last file's bytes, and
 ``canonical_dumps`` the text of the last node array.  Both key on the
 content itself, so a hit is exact and the bytes written never change.
+A set ``write_points`` writes is what a later ``load`` of its bytes returns, with
+no parse: they parse to the same fields, and a lattice is separated by construction.
 """
 
 from __future__ import annotations
@@ -71,8 +73,15 @@ def _array_text(array):
 
 
 def write_canonical(path, data):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(data))
+    raw = canonical_dumps(data).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw)
+    return raw
+
+
+def write_points(path, nodes):
+    """Write the points file of ``nodes`` (checked, or a lattice); its ``load`` returns them."""
+    _LOADS.get((nodes_from_dict, write_canonical(path, points_to_dict(nodes))), lambda: nodes)
 
 
 def _read(path):

@@ -338,20 +338,24 @@ _MARGIN = 1.0 + 1e-5  # steps are epsilon * _MARGIN: above the rounding of measu
 _RING_SPACING = 1.6  # first try at the in-ring spacing, in units of alpha * epsilon
 
 
-def _rho_along(domain, s, t):
-    """rho in scalar math between the points at angles s and t of a great
-    circle through the centre (polar angles of a meridian, signed angles of
-    a d=1 arc); the distance term runs along it: |s - t| on caps, its chord on collars."""
-    alpha = domain.alpha
-    if isinstance(domain, Collar):
-        dist = 2.0 * math.sin(0.5 * abs(s - t))
-        beta = domain.beta
-        bs, bt = min(abs(s) - alpha, beta - abs(s)), min(abs(t) - alpha, beta - abs(t))
-    else:
-        dist = abs(s - t)
+def _rho_along(domain):
+    """rho in scalar math between the points at angles s and t of a great circle through the
+    centre (polar angles of a meridian, signed angles of a d=1 arc), bound once per walk as
+    rho(s, t); the distance term runs along it: |s - t| on caps, its chord on collars."""
+    alpha, beta, root = domain.alpha, getattr(domain, "beta", None), math.sqrt(domain.alpha)
+
+    def collar(s, t):  # min and max spelled out: the builtins' picks, at a third of the cost
+        a, b = abs(s), abs(t)
+        bs, cs, bt, ct = a - alpha, beta - a, b - alpha, beta - b
+        bs, bt = cs if cs < bs else bs, ct if ct < bt else bt
+        gap = math.sqrt(0.0 if bs < 0.0 else bs) - math.sqrt(0.0 if bt < 0.0 else bt)
+        return math.hypot(2.0 * math.sin(0.5 * abs(s - t)), root * gap) / alpha
+
+    def cap(s, t):
         bs, bt = alpha - abs(s), alpha - abs(t)
-    gap = math.sqrt(max(bs, 0.0)) - math.sqrt(max(bt, 0.0))
-    return math.hypot(dist, math.sqrt(alpha) * gap) / alpha
+        gap = math.sqrt(0.0 if bs < 0.0 else bs) - math.sqrt(0.0 if bt < 0.0 else bt)
+        return math.hypot(abs(s - t), root * gap) / alpha
+    return collar if isinstance(domain, Collar) else cap
 
 
 _BAND = 5e-15  # a walk step's bracket width, relative to its largest angle
@@ -360,20 +364,21 @@ _BAND = 5e-15  # a walk step's bracket width, relative to its largest angle
 def _walk(domain, start, end, step):
     """Angles from ``start`` toward ``end``, each ``step`` in rho past the
     last (``_step``) until ``end`` is nearer than that; then ``end`` itself."""
+    rho = _rho_along(domain)
     out = [start]
-    while (f_end := _rho_along(domain, out[-1], end) - step) >= 0:
-        out.append(_step(domain, out[-1], end, step, f_end))
+    while (f_end := rho(out[-1], end) - step) >= 0:
+        out.append(_step(rho, out[-1], end, step, f_end))
     return out + [end]
 
 
-def _step(domain, last, end, step, f_end):
+def _step(rho, last, end, step, f_end):
     """The far end of the bisection of [last, end] to adjacent floats on
     rho(last, m) < step: the first float past the step, never short.
 
     Illinois false position on f = rho(last, .) - step brackets the root
     within a width of _BAND times the largest angle, each trial at least
     half that width inside the bracket.  The bisection then runs its own
-    midpoints, calling ``_rho_along`` only within half a width of the
+    midpoints, calling the walk's ``rho`` only within half a width of the
     bracket and placing every other midpoint by its side of it, so it
     returns the float of the full bisection wherever f crosses 0 once on
     [last, end] (rho grows along every cap meridian).  The band, at most
@@ -386,7 +391,7 @@ def _step(domain, last, end, step, f_end):
     width = _BAND * max(abs(last), abs(end))
 
     def f(t):
-        return _rho_along(domain, last, sign * t) - step
+        return rho(last, sign * t) - step
 
     lo, hi, f_lo, f_hi, side = sign * last, sign * end, -step, f_end, 0
     while hi - lo > width:  # f(lo) < 0 <= f(hi)

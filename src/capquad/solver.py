@@ -69,14 +69,15 @@ _SUBST_BLOCK = 64  # rows per dense diagonal-block solve of the substitutions
 class Infeasible:
     """Returned when no acceptable weight vector exists for (nodes, degree).
 
-    Carries the better of the two paths' residuals and the nodes whose
-    minimum-norm weight fell below the positivity floor; the usual remedy
-    is to halve delta and regenerate the set.
+    Carries the better of the two paths' residuals (with ``bound``, the least-squares bound:
+    the least any weights reach) and the nodes whose minimum-norm weight fell below the
+    positivity floor; the usual remedy is to halve delta and regenerate the set.
     """
 
     residual: float
     zero_nodes: list
     message: str
+    bound: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "residual", float(self.residual))
@@ -277,11 +278,11 @@ def _max_entropy(a, moments, profile, tol):
     b, target = v.T @ a, v.T @ moments
     # |A w - m|_inf >= |(I - V V^T) m|_2 / sqrt(K) for every w of any sign (m >= 0)
     bound = np.linalg.norm(moments - v @ target) / np.sqrt(moments.size) / (1 + moments.max())
+    if bound > tol:  # no weights, and the bound for the residual: the least any weights reach
+        return None, bound, f"least-squares bound {bound:.3e}: no weights of any sign reach tol"
     c, w, dual = np.zeros(target.size), profile, float(profile.sum())
     resid = moment_residual(a @ w, moments)
     halt = "max-entropy Newton stopped: {} at step {}, residual {:.3e}".format
-    if bound > tol:
-        return w, resid, f"least-squares bound {bound:.3e}: no weights of any sign reach tol"
     for step in range(_NEWTON_STEPS):
         grad, root = b @ w - target, b * np.sqrt(w)
         try:
@@ -337,9 +338,10 @@ def solve_weights(nodes, degree, tol=DEFAULT_TOL):
     if stop is None and np.all(weights >= floor):
         return CubatureRule(nodes, weights, degree, resid_me,
                             {"seed": nodes.seed, "solver": "max-entropy"})
-    return Infeasible(min(resid, resid_me), [int(i) for i in low],
-                      f"min-norm residual {resid:.3e} with {low.size} weights below the "
-                      f"floor; {stop or 'max-entropy weights below the floor'}; tol {tol:.1e}")
+    bound = weights is None
+    return Infeasible(resid_me if bound else min(resid, resid_me), [int(i) for i in low],
+                      f"min-norm residual {resid:.3e} with {low.size} weights below the floor; "
+                      f"{stop or 'max-entropy weights below the floor'}; tol {tol:.1e}", bound)
 
 
 def verify_exactness(rule, probe_degree=None):

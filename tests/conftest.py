@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -96,3 +100,15 @@ def spread_subset(nodes, count):
     """``count`` rows of a node set's coords at a fixed stride: spread over
     the whole domain, where a prefix of the ring lattice is its boundary ring."""
     return nodes.coords[::len(nodes) // count][:count]
+
+
+def run_cli(args, env_extra=None):
+    """The CLI in a fresh process, without the seed and thread variables
+    unless ``env_extra`` sets them."""
+    env = dict(os.environ)
+    env.pop("CAPQUAD_SEED", None)
+    env.pop("CAPQUAD_THREADS", None)
+    if env_extra:
+        env.update(env_extra)
+    return subprocess.run([sys.executable, "-m", "capquad.cli", *args], capture_output=True,
+                          text=True, env=env)

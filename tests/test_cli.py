@@ -1,10 +1,7 @@
 import hashlib
 import json
 import math
-import os
 import shlex
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,18 +11,7 @@ import capquad as cq
 from capquad import cli, io as cqio
 from capquad.cli import _VERIFY, main
 
-from conftest import three_node_set
-
-RUN = [sys.executable, "-m", "capquad.cli"]
-
-
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("CAPQUAD_SEED", None)
-    env.pop("CAPQUAD_THREADS", None)
-    if env_extra:
-        env.update(env_extra)
-    return subprocess.run(RUN + args, capture_output=True, text=True, env=env)
+from conftest import run_cli, three_node_set
 
 
 @pytest.fixture(scope="module")
@@ -280,7 +266,8 @@ def test_solve_infeasible_exit2(tmp_path):
 
 
 def test_solve_three_nodes_at_degree4_exit2(tmp_path):
-    # a singular min-norm system falls through to NNLS, then to exit 2
+    # a singular min-norm system falls through to the max-entropy path,
+    # whose least-squares bound refuses the set: exit 2
     sparse = tmp_path / "three.json"
     cqio.write_canonical(sparse, cqio.points_to_dict(three_node_set()))
     res = run_cli(["solve", "--points", str(sparse), "--degree", "4",
@@ -335,6 +322,9 @@ def test_solve_below_least_squares_bound_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("infeasible: ") and "Traceback" not in err
     assert "least-squares bound" in err and "max-entropy Newton" not in err
+    # the residual the line states is that bound, not one any weights achieved
+    assert "; least residual any weights reach 1.158e-01; " in err
+    assert "least-squares bound 1.158e-01:" in err and "achieved residual" not in err
     assert not out.exists()
 
 

@@ -1,18 +1,20 @@
 """The content-keyed memo of ``io``: a file's bytes are decoded and
 validated once per parser, a node array's text is made once per content,
-and neither changes a byte of what is read or written."""
+a set ``points`` writes is the set a later load of its bytes returns, and
+none of it changes a byte of what is read or written."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from capquad import io as cqio
+from capquad import io as cqio, points
 from capquad.cli import main
 from capquad.verify import VerificationReport
 
-from conftest import three_node_set
+from conftest import run_cli, three_node_set
 
 
 def _reference(data):
@@ -156,3 +158,82 @@ def test_a_cached_rule_cannot_change(memo, small_files):
         rule.solver_meta = {}
     again = memo.load(small_files[1], memo.rule_from_dict)
     assert again is rule and again.solver_meta["solver"] != "edited"
+
+
+# (argv of points, solve degree): the six cells of the benchmark's build
+# workload, then a thin cap and a wide one, all at delta 0.25
+_BUILD = [(["--d", "2", "--alpha", "0.3"], 4), (["--d", "2", "--alpha", "1.0"], 6),
+          (["--d", "2", "--alpha", "2.0"], 8),
+          (["--d", "2", "--alpha", "0.5", "--collar-beta", "1.0"], 4),
+          (["--d", "1", "--alpha", "1.0"], 16),
+          (["--d", "1", "--alpha", "0.5", "--collar-beta", "1.0"], 16),
+          (["--d", "2", "--alpha", "0.05"], 12), (["--d", "2", "--alpha", "2.5"], 8)]
+
+
+def _points(path, cell, seed=0):
+    shape, degree = cell
+    return main(["points", *shape, "--degree", str(degree), "--delta", "0.25",
+                 "--seed", str(seed), "--out", str(path)])
+
+
+@pytest.fixture
+def separations(monkeypatch):
+    """Calls into ``points.min_separation``, the check a set that is
+    parsed, not handed over, goes through."""
+    counted = []
+    monkeypatch.setattr(points, "min_separation",
+                        lambda *args, _fn=points.min_separation: counted.append(1) or _fn(*args))
+    return counted
+
+
+@pytest.mark.parametrize("cell", [_BUILD[1], _BUILD[3], _BUILD[4]], ids=["cap", "collar", "arc"])
+def test_solve_takes_the_set_points_wrote(memo, calls, separations, cell, tmp_path):
+    path, here, fresh = tmp_path / "p.json", tmp_path / "here.json", tmp_path / "fresh.json"
+    assert _points(path, cell) == 0
+    solve = ["solve", "--points", str(path), "--degree", str(cell[1])]
+    assert main([*solve, "--out", str(here)]) == 0
+    assert calls == {"load_json": 0, "nodes_from_dict": 0} and separations == []
+    assert run_cli([*solve, "--out", str(fresh)]).returncode == 0
+    assert (hashlib.sha256(here.read_bytes()).hexdigest()
+            == hashlib.sha256(fresh.read_bytes()).hexdigest())
+
+
+@pytest.mark.parametrize("k", range(len(_BUILD)))
+def test_the_set_handed_over_is_the_set_its_file_parses_to(memo, k, tmp_path):
+    path = tmp_path / "p.json"
+    assert _points(path, _BUILD[k], seed=k) == 0
+    wrote = memo._LOADS.value
+    assert memo._LOADS.key == (memo.nodes_from_dict, path.read_bytes())
+    parsed = memo.nodes_from_dict(memo.load_json(path))
+    assert type(parsed.domain) is type(wrote.domain) and parsed.domain == wrote.domain
+    assert parsed.coords.dtype == wrote.coords.dtype and parsed.coords.shape == wrote.coords.shape
+    assert parsed.coords.tobytes() == wrote.coords.tobytes()
+    for field in ("epsilon", "degree", "delta", "seed", "algorithm"):
+        assert getattr(parsed, field) == getattr(wrote, field), field
+    assert wrote.seed == k and wrote.algorithm == "rho-ring-lattice"
+    eps = wrote.epsilon
+    assert points.min_separation(wrote.domain, wrote.coords, eps) >= eps - 1e-12
+
+
+def test_a_file_changed_after_points_parses_again(memo, calls, separations, tmp_path):
+    other = cqio.canonical_dumps(cqio.points_to_dict(three_node_set())).encode()
+    separations.clear()
+    path = tmp_path / "p.json"
+    assert _points(path, _BUILD[0]) == 0
+    wrote, raw = memo._LOADS.value, path.read_bytes()
+    path.write_bytes(raw.replace(b'"seed":0', b'"seed":7', 1))  # one byte
+    edited = memo.load(path, memo.nodes_from_dict)
+    assert edited is not wrote and edited.seed == 7
+    assert calls["nodes_from_dict"] == 1 and len(separations) == 1
+    path.write_bytes(other)  # another set's file, not written by points
+    assert len(memo.load(path, memo.nodes_from_dict)) == 3
+    assert calls["nodes_from_dict"] == 2 and len(separations) == 2
+
+
+def test_a_failed_points_write_keeps_the_memo(memo, tmp_path):
+    path = tmp_path / "p.json"
+    assert _points(path, _BUILD[0]) == 0
+    key, value = memo._LOADS.key, memo._LOADS.value
+    assert _points(tmp_path / "missing" / "p.json", _BUILD[1]) == 1
+    assert memo._LOADS.key is key and memo._LOADS.value is value
+    assert memo.load(path, memo.nodes_from_dict) is value

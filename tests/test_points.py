@@ -38,13 +38,13 @@ def test_single_center_ball_covers_cap(cap_a1):
     assert not cq.is_maximal_separable(cap_a1, [E2], 0.01)
 
 
-def test_greedy_output_separable_and_maximal(cap_a1, nodes_a1_n8):
+def test_lattice_output_separable_and_maximal(cap_a1, nodes_a1_n8):
     eps = nodes_a1_n8.epsilon
     assert cq.is_separable(cap_a1, nodes_a1_n8, eps)
     assert cq.is_maximal_separable(cap_a1, nodes_a1_n8, eps)
 
 
-def test_greedy_deterministic(cap_a1):
+def test_lattice_deterministic(cap_a1):
     a = cq.ring_lattice(cap_a1, 0.05, seed=1)
     b = cq.ring_lattice(cap_a1, 0.05, seed=1)
     assert a.coords.tobytes() == b.coords.tobytes()
@@ -53,12 +53,12 @@ def test_greedy_deterministic(cap_a1):
     assert a.seed == 1 and c.seed == 2
 
 
-def test_greedy_huge_epsilon_single_point(cap_a1):
+def test_lattice_huge_epsilon_single_point(cap_a1):
     ns = cq.ring_lattice(cap_a1, 3.0, seed=0)
     assert len(ns) == 1
 
 
-def test_greedy_without_degree_round_trips(cap_a1):
+def test_lattice_without_degree_round_trips(cap_a1):
     # without degree and delta the set records degree 1 and delta = epsilon,
     # which its own loader accepts also for epsilon > 1
     from capquad import io as cqio
@@ -73,14 +73,14 @@ def test_greedy_without_degree_round_trips(cap_a1):
         cq.ring_lattice(cap_a1, 0.05, delta=0.2)
 
 
-def test_greedy_on_collar(collar_std):
+def test_lattice_on_collar(collar_std):
     ns = cq.ring_lattice(collar_std, 0.05, seed=0)
     assert len(ns) > 10
     assert cq.is_separable(collar_std, ns, 0.05)
     assert cq.is_maximal_separable(collar_std, ns, 0.05)
 
 
-def test_greedy_d1():
+def test_lattice_d1():
     cap = cq.Cap(E1, 0.5)
     ns = cq.ring_lattice(cap, 0.03, seed=0, degree=8, delta=0.24)
     assert cq.is_separable(cap, ns, 0.03)
@@ -218,6 +218,31 @@ def test_min_separation_is_the_brute_force_minimum():
         assert not cKDTree(coords).query_pairs(_first_radius(domain, coords))
 
 
+def _reference_rho(domain, s, t):
+    """The walk's scalar rho by its formula, the clamps by min and max."""
+    alpha = domain.alpha
+    if isinstance(domain, cq.Collar):
+        dist = 2.0 * math.sin(0.5 * abs(s - t))
+        bs = min(abs(s) - alpha, domain.beta - abs(s))
+        bt = min(abs(t) - alpha, domain.beta - abs(t))
+    else:
+        dist, bs, bt = abs(s - t), alpha - abs(s), alpha - abs(t)
+    gap = math.sqrt(max(bs, 0.0)) - math.sqrt(max(bt, 0.0))
+    return math.hypot(dist, math.sqrt(alpha) * gap) / alpha
+
+
+def test_rho_along_is_its_formula_bit_for_bit():
+    # angles inside and outside each domain, so every clamp is taken both ways
+    rng = np.random.default_rng(5)
+    for domain in (cq.Cap(E2, 0.05), cq.Cap(E2, 2.5), cq.Collar(E2, 0.5, 1.0),
+                   cq.Cap(E1, 3.0), cq.Collar(E1, 1.0, 2.9)):
+        rho = _rho_along(domain)
+        reach = 1.1 * getattr(domain, "beta", domain.alpha)
+        pairs = rng.uniform(-reach, reach, size=(4000, 2)).tolist()
+        for s, t in pairs + [[0.0, -0.0], [domain.alpha, -domain.alpha], [reach, reach]]:
+            assert rho(s, t).hex() == _reference_rho(domain, s, t).hex(), (domain, s, t)
+
+
 def _walk_args(domain, eps):
     """(start, end, step) of each walk of ring_lattice(domain, eps)."""
     step = eps * _MARGIN
@@ -229,11 +254,12 @@ def _walk_args(domain, eps):
 def _reference_walk(domain, start, end, step):
     """The bisection walk: each step bisected to adjacent floats on
     rho(last, m) < step, ending on the far one."""
+    rho = _rho_along(domain)
     out = [start]
-    while _rho_along(domain, out[-1], end) >= step:
+    while rho(out[-1], end) >= step:
         a, b = out[-1], end
         while (m := 0.5 * (a + b)) not in (a, b):
-            a, b = (m, b) if _rho_along(domain, out[-1], m) < step else (a, m)
+            a, b = (m, b) if rho(out[-1], m) < step else (a, m)
         out.append(b)
     return out + [end]
 
@@ -245,9 +271,15 @@ def test_walk_replays_the_bisection(monkeypatch):
     for domain, eps in cells:
         for args in _walk_args(domain, eps):
             assert points._walk(domain, *args) == _reference_walk(domain, *args)
-    # evaluations per step on the build cells (the bisection takes about 54)
+    # evaluations per step on the build cells (the bisection takes about 54),
+    # counted through the rho each walk binds
     calls = []
-    monkeypatch.setattr(points, "_rho_along", lambda *args: calls.append(1) or _rho_along(*args))
+
+    def counting(domain):
+        rho = _rho_along(domain)
+        return lambda s, t: calls.append(1) or rho(s, t)
+
+    monkeypatch.setattr(points, "_rho_along", counting)
     steps = sum(len(points._walk(domain, *args)) - 2
                 for domain, n in _BUILD_CELLS for args in _walk_args(domain, 0.25 / n))
     assert steps > 500

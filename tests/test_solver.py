@@ -222,12 +222,26 @@ def test_rule_is_exact_on_every_function_of_the_domain_basis(domain, n):
 
 
 def test_three_nodes_at_degree4_infeasible():
-    # the min-norm system is singular, the NNLS fallback misses, and the
-    # result is Infeasible with finite diagnostics
+    # the min-norm system is singular, the max-entropy path's least-squares
+    # bound refuses the set, and the result is Infeasible with finite diagnostics
     result = cq.solve_weights(three_node_set(), 4)
     assert isinstance(result, cq.Infeasible)
     assert 1e-10 < result.residual < np.inf
     assert result.zero_nodes == []
+
+
+def test_least_squares_refusal_reports_the_bound():
+    # refused by the least-squares bound, the Infeasible carries that bound:
+    # no weights of any sign, the bare profile's among them, fall below it
+    nodes = three_node_set()
+    result = cq.solve_weights(nodes, 4)
+    assert result.bound and f"least-squares bound {result.residual:.3e}:" in result.message
+    a, moments = solver._moment_matrix(nodes, 4)
+    trials = np.vstack([solver._profile(canonical(nodes)),
+                        np.random.default_rng(0).normal(size=(200, len(nodes)))])
+    trials = np.vstack([trials, np.linalg.lstsq(a, moments, rcond=None)[0]])
+    least = min(solver.moment_residual(a @ w, moments) for w in trials)
+    assert 0 < result.residual <= least
 
 
 def dense_min_norm(nodes, degree):
